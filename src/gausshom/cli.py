@@ -16,6 +16,7 @@ import dataclasses
 import math
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -544,13 +545,15 @@ VERIFY_SUITES = (
 def verify_command() -> int:
     failures = 0
     for name, fn in VERIFY_SUITES:
+        start = time.perf_counter()
         try:
             ok, detail = fn()
         except Exception as exc:  # a crash in a suite is a failure, not an abort
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        elapsed = time.perf_counter() - start
         status = "PASS" if ok else "FAIL"
         failures += 0 if ok else 1
-        print(f"{status}  {name:40s} {detail}")
+        print(f"{status}  {elapsed:7.2f} s  {name:40s} {detail}")
     print(f"{len(VERIFY_SUITES) - failures}/{len(VERIFY_SUITES)} suites passed")
     return 0 if failures == 0 else 4
 

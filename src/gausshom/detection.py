@@ -2,16 +2,19 @@
 
 Threshold probabilities come from inclusion-exclusion over vacuum
 projections; number-resolved probabilities are mixed Taylor coefficients of
-det(1 + T sigma_tilde T / 2)^(-1/2) about t = 1, computed with jet
-arithmetic.  Spectral bins are always fully marginalized inside a spatial
-detector; there is no per-bin detection API.
+det(1 + T sigma_tilde T / 2)^(-1/2) about t = 1.  Those come from one dense
+solve, Z = (1 + S)^-1 S with S = sigma_tilde / 2, and a power-trace
+expansion of log det(1 + Z D(s)) over the detector variables s, which is
+exponentiated as a scalar series.  Spectral bins are always fully
+marginalized inside a spatial detector; there is no per-bin detection API.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
 from typing import Sequence
 
 import numpy as np
@@ -90,7 +93,9 @@ def _clamp(p: float, label: str) -> float:
             raise UnphysicalStateError(f"{label} = {p} is negative beyond tolerance")
         log.debug("clamping %s = %.3e to 0", label, p)
         return 0.0
-    return min(p, 1.0) if p <= 1 + CLAMP_TOL else p
+    if p > 1 + CLAMP_TOL:
+        raise UnphysicalStateError(f"{label} = {p} is above 1 beyond tolerance")
+    return min(p, 1.0)
 
 
 def p_vacuum(state: CovarianceState, spatial_subset: Sequence[int]) -> float:
@@ -128,6 +133,24 @@ def p_threshold(state: CovarianceState, on_modes: Sequence[int],
     return _clamp(total, "p_threshold")
 
 
+@lru_cache(maxsize=None)
+def _power_plan(orders: tuple[int, ...]) -> tuple:
+    """Multi-indices of the truncation box in order of total degree.
+
+    Each entry is (m, j, preds, extend): the flat index m, its degree j,
+    the pairs (v, flat index of m - e_v) for every v with m_v > 0, and
+    whether some m + e_v is still in the box, so that M_m must be formed.
+    The constant term is left out.
+    """
+    box = tuple(n + 1 for n in orders)
+    plan = []
+    for m in sorted(product(*(range(b) for b in box)), key=sum)[1:]:
+        preds = tuple((v, int(np.ravel_multi_index(m[:v] + (m[v] - 1,) + m[v + 1:], box)))
+                      for v in range(len(m)) if m[v] > 0)
+        plan.append((int(np.ravel_multi_index(m, box)), sum(m), preds, m != orders))
+    return tuple(plan)
+
+
 def series_inv_sqrt_det(sigma_tilde: np.ndarray, row_variable: np.ndarray,
                         orders: Sequence[int]) -> TruncatedSeries:
     """Taylor expansion of det(1 + T sigma_tilde T / 2)^(-1/2) about t = 1.
@@ -135,27 +158,44 @@ def series_inv_sqrt_det(sigma_tilde: np.ndarray, row_variable: np.ndarray,
     ``row_variable[a]`` names the series variable (detected spatial mode)
     that weights row/column ``a`` of the reduced sigma_tilde; T applies
     sqrt(t_var) on each side.  Expansion variables are s = t - 1.
+
+    With S = sigma_tilde / 2 and T^2 = 1 + D(s), D the diagonal of row
+    variables, Sylvester's identity gives
+    det(1 + T S T) = det(1 + S) det(1 + Z D) with Z = (1 + S)^-1 S, and
+    log det(1 + Z D) = sum_j (-1)^(j+1) / j tr((Z D)^j) is exact up to the
+    total order.  (Z D)^j splits by multi-index m, |m| = j, into
+    M_m = sum_v M_(m - e_v) Z P_v, where P_v keeps the columns of variable
+    v; only multi-indices inside the truncation box are formed, and the
+    trace of M_m is taken elementwise from its predecessors.
     """
     ctx = SeriesContext(tuple(orders))
     n2 = sigma_tilde.shape[0]
-    k = len(ctx.orders)
-    roots = [series.sqrt_one_plus_var(ctx, v) for v in range(k)]
-    pair = [[series.mul(ctx, roots[u], roots[v]) for v in range(k)] for u in range(k)]
+    s_half = 0.5 * sigma_tilde
+    one_plus_s = np.eye(n2) + s_half
+    sign, logabsdet = np.linalg.slogdet(one_plus_s)
+    if sign.real <= 0 or abs(sign.imag) > DET_IMAG_TOL:
+        raise UnphysicalStateError(
+            f"determinant constant term {sign * np.exp(logabsdet)} is not positive")
+    z = np.linalg.solve(one_plus_s, s_half)
+    cols = [np.flatnonzero(row_variable == v) for v in range(len(ctx.orders))]
 
-    a = np.zeros((ctx.size, n2, n2), dtype=complex)
-    rows_of = [np.flatnonzero(row_variable == v) for v in range(k)]
-    for u in range(k):
-        for v in range(k):
-            block = 0.5 * sigma_tilde[np.ix_(rows_of[u], rows_of[v])]
-            a[np.ix_(np.arange(ctx.size), rows_of[u], rows_of[v])] = \
-                pair[u][v][:, None, None] * block
-    a[0] += np.eye(n2)
-
-    det = series.lu_det(ctx, a)
-    if det[0].real <= 0 or abs(det[0].imag) > DET_IMAG_TOL * abs(det[0]):
-        raise UnphysicalStateError(f"determinant constant term {det[0]} is not positive")
-    f = series.power(ctx, det, -0.5)
-    return TruncatedSeries(ctx, f)
+    logser = np.zeros(ctx.size, dtype=complex)
+    logser[0] = np.log(sign) + logabsdet
+    # M_m is nonzero only in the columns of the variables m uses: keep
+    # those columns (indices, block) and multiply by the matching rows of Z
+    powers = {0: (np.arange(n2), np.eye(n2, dtype=complex))}
+    for m, j, preds, extend in _power_plan(ctx.orders):
+        trace, blocks = 0.0, []
+        for v, p in preds:
+            idx, mat = powers[p]
+            z_block = z[np.ix_(idx, cols[v])]
+            trace += np.sum(mat[cols[v]] * z_block.T)
+            if extend:
+                blocks.append(mat @ z_block)
+        logser[m] = (-1) ** (j + 1) / j * trace
+        if extend:
+            powers[m] = (np.concatenate([cols[v] for v, _ in preds]), np.hstack(blocks))
+    return TruncatedSeries(ctx, series.exp(ctx, -0.5 * logser))
 
 
 def p_pnr(state: CovarianceState, spatial_modes: Sequence[int],

@@ -102,7 +102,9 @@ def default_grid(spec: JsaSpec, n_bins: int = 41, span_factor: float = 4.0) -> F
     """Grid spanning ``+- span_factor * scale`` around the signal center.
 
     The scale is the bandwidth, widened for waveguide JSAs whose sinc factor
-    has side lobes on the scale 2 pi / walkoff.
+    has side lobes on the scale 2 pi / walkoff.  The step never exceeds
+    zeta / 4, the coarsest step ``build_jsa`` accepts; where that cap binds,
+    the span narrows instead.
     """
     scale = spec.zeta
     if spec.variant == "waveguide":
@@ -110,7 +112,7 @@ def default_grid(spec: JsaSpec, n_bins: int = 41, span_factor: float = 4.0) -> F
     if spec.variant == "double_lobe":
         scale = max(scale, spec.lobe_separation / 8 + spec.zeta)
     half_span = span_factor * scale
-    step = 2 * half_span / (n_bins - 1) if n_bins > 1 else spec.zeta
+    step = min(2 * half_span / max(n_bins - 1, 1), spec.zeta / 4)
     return FrequencyGrid(spec.signal_center, step, n_bins)
 
 

@@ -3,11 +3,13 @@
 Series in k variables are truncated to a box of per-variable orders
 (n_1, ..., n_k) and stored as flat coefficient arrays of length
 prod(n_i + 1), in C (row-major) multi-index order.  Arrays may carry
-trailing axes, so a matrix over the series ring has shape (C, n, n).
+trailing axes, which multiply element-wise.
 
-This is the engine behind the number-resolving detection probabilities:
-they are mixed Taylor coefficients of det(...)^(-1/2) around t = 1, and
-jet arithmetic evaluates those coefficients exactly to rounding.
+Number-resolving detection probabilities are mixed Taylor coefficients of
+det(...)^(-1/2) around t = 1.  ``detection`` builds the logarithm of that
+determinant as a scalar series from dense matrix products (a power-trace
+expansion); this module supplies the box bookkeeping and the final
+exponential, exact to rounding.
 """
 
 from __future__ import annotations
@@ -69,15 +71,6 @@ class SeriesContext:
         c[0] = value
         return c
 
-    def variable_series(self, var: int, coeffs_1d) -> np.ndarray:
-        """Series depending on a single variable, given its 1D coefficients."""
-        c = np.zeros(self.box, dtype=complex)
-        sl = [0] * len(self.orders)
-        for j, a in enumerate(coeffs_1d[: self.box[var]]):
-            sl[var] = j
-            c[tuple(sl)] = a
-        return c.reshape(self.size)
-
 
 def mul(ctx: SeriesContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Truncated product; a and b have leading axis of length ctx.size."""
@@ -86,13 +79,6 @@ def mul(ctx: SeriesContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for c, (i1, i2) in enumerate(ctx.table):
         out[c] = np.sum(a[i1] * b[i2], axis=0)
     return out
-
-
-def outer_update(ctx: SeriesContext, target: np.ndarray,
-                 col: np.ndarray, row: np.ndarray) -> None:
-    """target[c] -= sum_{c1+c2=c} outer(col[c1], row[c2]); col, row: (C, r)."""
-    for c, (i1, i2) in enumerate(ctx.table):
-        target[c] -= col[i1].T @ row[i2]
 
 
 def _powers_sum(ctx: SeriesContext, g: np.ndarray, coeffs) -> np.ndarray:
@@ -105,79 +91,12 @@ def _powers_sum(ctx: SeriesContext, g: np.ndarray, coeffs) -> np.ndarray:
     return out
 
 
-def inv(ctx: SeriesContext, a: np.ndarray) -> np.ndarray:
-    """Multiplicative inverse of a scalar series with nonzero constant term."""
-    a0 = a[0]
-    if a0 == 0:
-        raise ZeroDivisionError("series has zero constant term")
-    g = a / a0
-    g[0] = 0
-    signs = [(-1.0) ** j for j in range(ctx.total_order + 1)]
-    return _powers_sum(ctx, g, signs) / a0
-
-
-def log(ctx: SeriesContext, a: np.ndarray) -> np.ndarray:
-    """Principal-branch logarithm of a scalar series."""
-    a0 = a[0]
-    if a0 == 0:
-        raise ZeroDivisionError("series has zero constant term")
-    g = a / a0
-    g[0] = 0
-    coeffs = [0.0] + [(-1.0) ** (j + 1) / j for j in range(1, ctx.total_order + 1)]
-    out = _powers_sum(ctx, g, coeffs)
-    out[0] = np.log(a0)
-    return out
-
-
 def exp(ctx: SeriesContext, a: np.ndarray) -> np.ndarray:
     """Exponential of a scalar series."""
     g = a.copy()
     g[0] = 0
     coeffs = [1.0 / math.factorial(j) for j in range(ctx.total_order + 1)]
     return np.exp(a[0]) * _powers_sum(ctx, g, coeffs)
-
-
-def power(ctx: SeriesContext, a: np.ndarray, p: float) -> np.ndarray:
-    """a**p via exp(p log a), principal branch at the constant term."""
-    return exp(ctx, p * log(ctx, a))
-
-
-def sqrt_one_plus_var(ctx: SeriesContext, var: int) -> np.ndarray:
-    """The series sqrt(1 + s_var) truncated to the context box."""
-    coeffs = [math.comb(2 * j, j) * (-1) ** (j + 1) / (4 ** j * (2 * j - 1))
-              if j else 1.0 for j in range(ctx.orders[var] + 1)]
-    return ctx.variable_series(var, coeffs)
-
-
-def lu_det(ctx: SeriesContext, a: np.ndarray) -> np.ndarray:
-    """Determinant of a matrix over the series ring.
-
-    LU elimination with partial pivoting on the constant terms, which is
-    safe whenever the constant-term matrix is well conditioned (here it is
-    positive definite for any physical state).
-    """
-    a = a.copy()
-    n = a.shape[1]
-    sign = 1.0
-    diag = []
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[0, k:, k])))
-        if a[0, piv, k] == 0:
-            raise np.linalg.LinAlgError("singular constant-term matrix")
-        if piv != k:
-            a[:, [k, piv]] = a[:, [piv, k]]
-            sign = -sign
-        pivot = a[:, k, k].copy()
-        diag.append(pivot)
-        if k == n - 1:
-            break
-        pinv = inv(ctx, pivot)
-        col = mul(ctx, pinv[:, None], a[:, k + 1:, k])
-        outer_update(ctx, a[:, k + 1:, k + 1:], col, a[:, k, k + 1:])
-    det = ctx.constant(sign)
-    for d in diag:
-        det = mul(ctx, det, d)
-    return det
 
 
 @dataclass(frozen=True)

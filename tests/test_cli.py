@@ -2,6 +2,8 @@
 
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,9 @@ from gausshom.cli import (
     parse_run_config,
     svg_plot,
 )
+from gausshom.experiments import CSV_COLUMNS
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 TINY_POWER_SWEEP = {
     "experiment": "power_sweep",
@@ -196,3 +201,16 @@ def test_verify_reports_all_suites(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 4
     assert "FAIL" not in out
+    # each suite line carries its wall time next to the status
+    timed = re.findall(r"^PASS +(\d+\.\d{2}) s  \S", out, flags=re.MULTILINE)
+    assert len(timed) == 4
+
+
+@pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.yaml")),
+                         ids=lambda p: p.name)
+def test_shipped_config_runs(config, tmp_path):
+    """Every shipped config runs as is: exit code 0 and the fixed CSV header."""
+    prefix = yaml.safe_load(config.read_text())["output_prefix"]
+    assert main(["--output-dir", str(tmp_path), "run", str(config)]) == 0
+    header = (tmp_path / f"{prefix}.csv").read_text().splitlines()[0]
+    assert header == ",".join(CSV_COLUMNS)

@@ -7,11 +7,13 @@ from gausshom.core import FrequencyGrid, ModeLayout, apply, vacuum_state
 from gausshom.detection import (
     DetectionPattern,
     UnphysicalStateError,
+    _clamp,
     p_pnr,
     p_threshold,
     p_vacuum,
     pnr_distribution,
     probability,
+    series_inv_sqrt_det,
 )
 from gausshom.elements import beam_splitter, loss, squeezer
 from gausshom.jsa import JsaMatrix
@@ -188,3 +190,51 @@ def test_unphysical_state_detected():
     bad = CovarianceState(lay, np.diag([-3.0, 1.0]))
     with pytest.raises(UnphysicalStateError):
         p_vacuum(bad, [0])
+
+
+def test_pnr_unphysical_state_detected():
+    """A non-positive det(1 + sigma_tilde / 2) is rejected, not expanded."""
+    lay = ModeLayout(1, 1)
+    from gausshom.core import CovarianceState
+    bad = CovarianceState(lay, np.diag([-3.0, 1.0]))
+    with pytest.raises(UnphysicalStateError, match="not positive"):
+        p_pnr(bad, (0,), (1,))
+
+
+def test_clamp_rejects_probability_above_one():
+    assert _clamp(1.0 + 0.5e-10, "p") == 1.0
+    assert _clamp(-0.5e-10, "p") == 0.0
+    with pytest.raises(UnphysicalStateError, match="above 1"):
+        _clamp(1.5, "p")
+    with pytest.raises(UnphysicalStateError, match="negative"):
+        _clamp(-0.5, "p")
+
+
+def test_series_inv_sqrt_det_vs_finite_differences(rng):
+    """Expansion coefficients equal numerically fitted Taylor coefficients.
+
+    Two detector variables with mixed orders; the reference evaluates
+    det(1 + T sigma_tilde T / 2)^(-1/2) directly with T = sqrt(1 + s) on a
+    real stencil and fits a 2D polynomial.
+    """
+    n = 6
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    sigma_tilde = 0.3 * (h + h.conj().T) / np.linalg.norm(h)
+    row_var = np.array([0, 1, 0, 1, 1, 0])
+    orders = (2, 3)
+    got = series_inv_sqrt_det(sigma_tilde, row_var, orders).coefficients
+
+    def direct(s0, s1):
+        t = np.sqrt(1 + np.where(row_var == 0, s0, s1))
+        a = np.eye(n) + t[:, None] * sigma_tilde * t[None, :] / 2
+        return np.linalg.det(a) ** -0.5
+
+    ts = np.linspace(-0.1, 0.1, 9)
+    x, y = (g.ravel() for g in np.meshgrid(ts, ts, indexing="ij"))
+    deg = (orders[0] + 4, orders[1] + 4)
+    vander = np.polynomial.polynomial.polyvander2d(x, y, deg)
+    vals = np.array([direct(a, b) for a, b in zip(x, y)])
+    fitted = np.linalg.lstsq(vander, vals, rcond=None)[0].reshape(
+        deg[0] + 1, deg[1] + 1)
+    np.testing.assert_allclose(got.reshape(3, 4), fitted[:3, :4],
+                               rtol=1e-6, atol=1e-7)

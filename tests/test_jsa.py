@@ -127,6 +127,18 @@ def test_default_grid_resolves_bandwidth():
     assert grid.center == spec.signal_center
 
 
+def test_default_grid_step_fits_waveguide_bandwidth():
+    """The sinc-widened waveguide span is capped by the zeta/4 step limit."""
+    spec = JsaSpec("waveguide", 0.3, 1e11, walkoff=29 * PS)
+    grid = default_grid(spec)
+    assert grid.step == spec.zeta / 4
+    j = build_jsa(spec, grid)
+    assert j.f.shape == (41, 41)
+    # a grid that was already fine enough is unchanged
+    fine = default_grid(spec, n_bins=101)
+    assert fine.step == 2 * 4.0 * (2 * np.pi / spec.walkoff) / 100
+
+
 def test_export_csv_roundtrip(tmp_path):
     spec = JsaSpec("gaussian", 0.2, 0.1 * THZ)
     j = build_jsa(spec, default_grid(spec, n_bins=33))

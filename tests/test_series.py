@@ -48,81 +48,17 @@ def test_mul_broadcasts_trailing_axes():
     np.testing.assert_allclose(c[1], 2 * a[0] * a[1])
 
 
-def test_inv_and_log_exp_roundtrip():
-    ctx = SeriesContext((3,))
-    a = poly(ctx, {(0,): 2.0, (1,): 0.5, (2,): -0.3, (3,): 0.1})
-    one = series.mul(ctx, a, series.inv(ctx, a))
-    np.testing.assert_allclose(one, poly(ctx, {(0,): 1.0}), atol=1e-14)
-    back = series.exp(ctx, series.log(ctx, a))
-    np.testing.assert_allclose(back, a, atol=1e-14)
-
-
-def test_inv_rejects_zero_constant():
-    ctx = SeriesContext((2,))
-    with pytest.raises(ZeroDivisionError):
-        series.inv(ctx, poly(ctx, {(1,): 1.0}))
-
-
-def test_power_half_squares_back():
-    ctx = SeriesContext((4,))
-    a = poly(ctx, {(0,): 3.0, (1,): 1.0, (3,): 0.2})
-    root = series.power(ctx, a, 0.5)
-    np.testing.assert_allclose(series.mul(ctx, root, root), a, atol=1e-13)
-
-
-def test_sqrt_one_plus_var_taylor():
-    ctx = SeriesContext((4,))
-    s = series.sqrt_one_plus_var(ctx, 0)
-    # sqrt(1+x) = 1 + x/2 - x^2/8 + x^3/16 - 5 x^4/128
-    np.testing.assert_allclose(
-        s, [1.0, 0.5, -0.125, 0.0625, -5.0 / 128], atol=1e-15)
-    sq = series.mul(ctx, s, s)
-    np.testing.assert_allclose(sq, poly(ctx, {(0,): 1.0, (1,): 1.0}), atol=1e-15)
-
-
-def test_lu_det_matches_symbolic_2x2():
-    ctx = SeriesContext((1, 1))
-    # A = [[1 + x, 2], [3 y, 4]]; det = 4 + 4x - 6y
-    a = np.zeros((ctx.size, 2, 2), dtype=complex)
-    a[ctx.flat_index((0, 0))] = [[1, 2], [0, 4]]
-    a[ctx.flat_index((1, 0)), 0, 0] = 1
-    a[ctx.flat_index((0, 1)), 1, 0] = 3
-    det = series.lu_det(ctx, a)
-    expected = poly(ctx, {(0, 0): 4, (1, 0): 4, (0, 1): -6})
-    np.testing.assert_allclose(det, expected, atol=1e-14)
-
-
-def test_lu_det_random_vs_finite_differences(rng):
-    """Jet determinant coefficients equal numerically fitted Taylor coefficients."""
-    n, order = 4, 3
-    base = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 4 * np.eye(n)
-    lin = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    ctx = SeriesContext((order,))
-    a = np.zeros((ctx.size, n, n), dtype=complex)
-    a[0] = base
-    a[1] = lin
-    det = series.lu_det(ctx, a)
-    # fit the polynomial det(base + t lin) on a small stencil
-    ts = np.linspace(-0.1, 0.1, 9)
-    vals = [np.linalg.det(base + t * lin) for t in ts]
-    fitted = np.polynomial.polynomial.polyfit(ts, vals, order + 2)
-    np.testing.assert_allclose(det[: order + 1], fitted[: order + 1],
-                               rtol=1e-6, atol=1e-6)
-
-
-def test_lu_det_pivots_on_zero_leading_entry():
-    ctx = SeriesContext((1,))
-    a = np.zeros((2, 2, 2), dtype=complex)
-    a[0] = np.array([[0, 1], [1, 0]])
-    det = series.lu_det(ctx, a)
-    np.testing.assert_allclose(det, [-1.0, 0.0], atol=1e-14)
-
-
-def test_lu_det_singular_raises():
-    ctx = SeriesContext((1,))
-    a = np.zeros((2, 2, 2), dtype=complex)
-    with pytest.raises(np.linalg.LinAlgError):
-        series.lu_det(ctx, a)
+def test_exp_matches_factorial_coefficients():
+    # exp(x + y) has coefficients 1 / (a! b!); a constant term scales by e^c
+    ctx = SeriesContext((4, 2))
+    e = series.exp(ctx, poly(ctx, {(0, 0): 0.5, (1, 0): 1.0, (0, 1): 1.0}))
+    expected = poly(ctx, {(a, b): math.exp(0.5) / (math.factorial(a) * math.factorial(b))
+                          for a in range(5) for b in range(3)})
+    np.testing.assert_allclose(e, expected, rtol=1e-14, atol=1e-15)
+    ctx1 = SeriesContext((8,))
+    e1 = series.exp(ctx1, poly(ctx1, {(1,): 1.0}))
+    np.testing.assert_allclose(e1, [1 / math.factorial(j) for j in range(9)],
+                               rtol=1e-15)
 
 
 def test_truncated_series_coefficient_lookup():
