@@ -10,7 +10,6 @@ from .core import (
     apply,
     apply_passive_channel,
     apply_symplectic,
-    embed,
     reduce,
     vacuum_state,
 )
@@ -56,7 +55,7 @@ from .jsa import PS, THZ, JsaMatrix, JsaSpec, SchmidtData, build_jsa, default_gr
 
 __all__ = [
     "CovarianceState", "FrequencyGrid", "ModeLayout", "Transform",
-    "apply", "apply_passive_channel", "apply_symplectic", "embed", "reduce",
+    "apply", "apply_passive_channel", "apply_symplectic", "reduce",
     "vacuum_state",
     "DetectionPattern", "UnphysicalStateError",
     "p_pnr", "p_threshold", "p_vacuum", "pnr_distribution", "probability",

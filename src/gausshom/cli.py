@@ -12,7 +12,6 @@ unphysical-state error, 4 verification failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -28,18 +27,10 @@ from .core import FrequencyGrid, ModeLayout, vacuum_state, apply
 from .detection import UnphysicalStateError, p_pnr, p_threshold
 from .elements import beam_splitter, delay as delay_element, loss as loss_element, squeezer
 from .experiments import (
-    CSV_COLUMNS,
     HhomConfig,
     N_SPATIAL,
     SweepResult,
-    build_hhom,
-    bunching,
     filter_study_config,
-    four_fold,
-    heralding_efficiency,
-    heralding_rate,
-    hom_visibility,
-    mzi_visibility,
     structured_source_config,
     sweep_row,
 )
@@ -324,7 +315,7 @@ def parse_run_config(doc) -> RunConfig:
     if experiment == "probe":
         if "sweep" in doc:
             raise ConfigError("sweep", "probe evaluates a single point; no sweep")
-        return RunConfig(experiment, config, None, (), prefix, plot)
+        return RunConfig(experiment, config, experiments.PROBE_AXIS, (0.0,), prefix, plot)
     if "sweep" not in doc:
         raise ConfigError("sweep", "required key missing")
     axis, values = parse_sweep(doc["sweep"], experiment, "sweep")
@@ -347,17 +338,6 @@ def load_run_config(path: str) -> RunConfig:
 
 def execute(rc: RunConfig, threads: int) -> SweepResult:
     """Evaluate all sweep rows (in parallel) in deterministic order."""
-    if rc.experiment == "probe":
-        c = rc.config
-        state = build_hhom(c)
-        row = {"param": "probe", "value": 0.0,
-               "p4": four_fold(state, c.detector),
-               "p_bunch": bunching(state, c.detector),
-               "p_herald": heralding_rate(state, c.detector),
-               "eta_herald": heralding_efficiency(c),
-               "v_hom": hom_visibility(c),
-               "v_mzi": mzi_visibility(c)}
-        return SweepResult("probe", (row,), c.detector, c.config_hash())
     visibilities = rc.axis not in ("delay", "bs_angle")
     if threads > 1 and len(rc.values) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -7,12 +7,17 @@ modes and ``n_spectral`` frequency bins, mode ``(i, w)`` sits at row
 ``i * n_spectral + w`` in the annihilation block and at that row plus
 ``N = n_spatial * n_spectral`` in the creation block.  The vacuum has
 covariance matrix equal to the 2N identity.
+
+An element is kept as its own matrix block plus the spatial modes it acts
+on (``Transform``), and ``apply`` updates only those rows and columns of
+the covariance matrix: an element on k spatial modes costs O((k n_f)^2 N)
+instead of the O(N^3) of a dense 2N x 2N product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -87,39 +92,70 @@ class FrequencyGrid:
 
 @dataclass(frozen=True)
 class Transform:
-    """Either a symplectic matrix (unitary element) or a passive channel.
+    """An element's own matrix block and the spatial modes of ``layout`` it acts on.
 
-    ``kind == "symplectic"``: ``matrix`` is the 2N x 2N matrix M satisfying
-    M K M^dag = K, applied as sigma -> M sigma M^dag.
+    ``modes`` names the target spatial modes in block order (all modes of
+    the layout when omitted); every other mode sees the identity.  With
+    ``k`` target modes of ``n_f`` bins each:
 
-    ``kind == "passive"``: ``matrix`` is the N x N contraction U acting
-    identically (conjugated) on the creation block, applied as
-    sigma -> U_full (sigma - 1) U_full^dag + 1 with U_full = diag(U, U*).
+    ``kind == "symplectic"``: ``block`` is the 2 k n_f square matrix M with
+    M K M^dag = K, in the basis (annihilation operators of the targets,
+    then their creation operators), applied as sigma -> M sigma M^dag on the
+    target rows and columns.
+
+    ``kind == "passive"``: ``block`` is the k n_f square contraction U on
+    the target annihilation operators, acting conjugated on their creation
+    operators: sigma - 1 -> diag(U, U*) (sigma - 1) diag(U, U*)^dag.
+
+    Both checks run on the block alone, which is exact: identity (+) block
+    is symplectic or contractive exactly when the block is.  ``matrix``
+    builds the full-layout matrix on request.
     """
 
     kind: str
-    matrix: np.ndarray = field(repr=False)
+    block: np.ndarray = field(repr=False)
     layout: ModeLayout
+    modes: tuple | None = None
 
     def __post_init__(self):
-        n = self.layout.n_modes
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
+        modes = tuple(range(self.layout.n_spatial)) if self.modes is None else tuple(self.modes)
+        object.__setattr__(self, "modes", modes)
+        # validates the modes: nonempty, distinct and inside the layout
+        rows = subset_indices(self.layout, modes)
+        m = np.asarray(self.block, dtype=complex)
+        object.__setattr__(self, "block", m)
         if self.kind == "symplectic":
-            if m.shape != (2 * n, 2 * n):
-                raise ValueError(f"symplectic matrix must be {2 * n}x{2 * n}")
-            k = self.layout.metric()
-            residual = np.max(np.abs(m @ k @ m.conj().T - k))
+            if m.shape != (rows.size, rows.size):
+                raise ValueError(f"symplectic block must be {rows.size}x{rows.size}")
+            k = np.diagonal(ModeLayout(len(modes), self.layout.n_spectral).metric())
+            residual = np.max(np.abs((m * k) @ m.conj().T - np.diag(k)))
             if residual > SYMPLECTIC_TOL * max(1.0, np.max(np.abs(m)) ** 2):
                 raise ValueError(f"matrix is not symplectic (residual {residual:.2e})")
         elif self.kind == "passive":
+            n = rows.size // 2
             if m.shape != (n, n):
-                raise ValueError(f"passive matrix must be {n}x{n}")
+                raise ValueError(f"passive block must be {n}x{n}")
             smax = np.linalg.norm(m, 2)
             if smax > 1 + 1e-12:
                 raise ValueError(f"passive matrix is not contractive (s_max = {smax})")
         else:
             raise ValueError(f"unknown transform kind {self.kind!r}")
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Doubled-basis rows of the target modes, annihilation then creation."""
+        return subset_indices(self.layout, self.modes)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The full-layout matrix: 2N x 2N if symplectic, N x N if passive."""
+        rows = self.rows
+        if self.kind == "passive":
+            rows = rows[:rows.size // 2]
+        out = np.eye(2 * self.layout.n_modes if self.kind == "symplectic"
+                     else self.layout.n_modes, dtype=complex)
+        out[np.ix_(rows, rows)] = self.block
+        return out
 
 
 @dataclass(frozen=True)
@@ -134,11 +170,16 @@ class CovarianceState:
         s = np.asarray(self.sigma, dtype=complex)
         if s.shape != (2 * n, 2 * n):
             raise ValueError(f"covariance matrix must be {2 * n}x{2 * n}")
-        scale = max(1.0, np.linalg.norm(s))
-        if np.max(np.abs(s - s.conj().T)) > HERMITICITY_TOL * scale:
-            raise ValueError("covariance matrix is not Hermitian")
+        # sigma^dag as a contiguous copy, so the passes below stream through memory
+        s_dag = np.ascontiguousarray(s.T)
+        np.conjugate(s_dag, out=s_dag)
         # re-symmetrize to bound drift over long circuits
-        object.__setattr__(self, "sigma", (s + s.conj().T) / 2)
+        hermitian = s + s_dag
+        hermitian *= 0.5
+        s_dag -= s
+        if np.max(np.abs(s_dag)) > HERMITICITY_TOL * max(1.0, np.linalg.norm(s)):
+            raise ValueError("covariance matrix is not Hermitian")
+        object.__setattr__(self, "sigma", hermitian)
 
     @property
     def sigma_tilde(self) -> np.ndarray:
@@ -151,38 +192,47 @@ def vacuum_state(layout: ModeLayout) -> CovarianceState:
     return CovarianceState(layout, np.eye(2 * layout.n_modes, dtype=complex))
 
 
-def apply_symplectic(state: CovarianceState, t: Transform) -> CovarianceState:
-    """sigma -> M sigma M^dag."""
-    if t.kind != "symplectic":
-        raise ValueError("expected a symplectic transform")
+def apply(state: CovarianceState, t: Transform) -> CovarianceState:
+    """Apply a transform on its own rows and columns of sigma.
+
+    A symplectic block M updates sigma[rows, :] <- M sigma[rows, :] and then
+    sigma[:, rows] <- sigma[:, rows] M^dag; a passive channel does the same
+    to sigma - 1 with M = diag(U, U*).  A diagonal M multiplies elementwise.
+    """
     if t.layout != state.layout:
         raise ValueError("transform layout does not match state layout")
-    m = t.matrix
-    return CovarianceState(state.layout, m @ state.sigma @ m.conj().T)
+    rows = t.rows
+    out = state.sigma.copy()
+    diagonal = np.diag_indices_from(out)
+    if t.kind == "symplectic":
+        m = t.block
+    else:
+        m = scipy.linalg.block_diag(t.block, t.block.conj())
+        out[diagonal] -= 1
+    if np.count_nonzero(m) == np.count_nonzero(np.diagonal(m)):
+        # a diagonal block (loss, filter, delay, phase) scales rows and columns
+        out[rows, :] *= np.diagonal(m)[:, None]
+        out[:, rows] *= np.diagonal(m).conj()
+    else:
+        out[rows, :] = m @ out[rows, :]
+        out[:, rows] = out[:, rows] @ m.conj().T
+    if t.kind == "passive":
+        out[diagonal] += 1
+    return CovarianceState(state.layout, out)
+
+
+def apply_symplectic(state: CovarianceState, t: Transform) -> CovarianceState:
+    """``apply`` restricted to symplectic transforms."""
+    if t.kind != "symplectic":
+        raise ValueError("expected a symplectic transform")
+    return apply(state, t)
 
 
 def apply_passive_channel(state: CovarianceState, t: Transform) -> CovarianceState:
-    """sigma -> diag(U, U*) (sigma - 1) diag(U, U*)^dag + 1."""
+    """``apply`` restricted to passive channels."""
     if t.kind != "passive":
         raise ValueError("expected a passive transform")
-    if t.layout != state.layout:
-        raise ValueError("transform layout does not match state layout")
-    u = t.matrix
-    n = state.layout.n_modes
-    st = state.sigma_tilde
-    out = np.empty_like(st)
-    out[:n, :n] = u @ st[:n, :n] @ u.conj().T
-    out[:n, n:] = u @ st[:n, n:] @ u.T
-    out[n:, :n] = u.conj() @ st[n:, :n] @ u.conj().T
-    out[n:, n:] = u.conj() @ st[n:, n:] @ u.T
-    return CovarianceState(state.layout, out + np.eye(2 * n))
-
-
-def apply(state: CovarianceState, t: Transform) -> CovarianceState:
-    """Dispatch on the transform kind."""
-    if t.kind == "symplectic":
-        return apply_symplectic(state, t)
-    return apply_passive_channel(state, t)
+    return apply(state, t)
 
 
 def subset_indices(layout: ModeLayout, spatial_subset: Sequence[int]) -> np.ndarray:
@@ -205,32 +255,6 @@ def reduce(state: CovarianceState, spatial_subset: Sequence[int]) -> CovarianceS
     idx = subset_indices(state.layout, subset)
     sub_layout = ModeLayout(len(subset), state.layout.n_spectral)
     return CovarianceState(sub_layout, state.sigma[np.ix_(idx, idx)])
-
-
-def embed(t: Transform, acting_spatial_modes: Sequence[int], layout: ModeLayout) -> Transform:
-    """Block-embed an element transform on the named spatial modes of ``layout``."""
-    modes = list(acting_spatial_modes)
-    if len(modes) != t.layout.n_spatial:
-        raise ValueError("number of target modes does not match the element")
-    if len(set(modes)) != len(modes):
-        raise ValueError("target spatial modes overlap")
-    if t.layout.n_spectral != layout.n_spectral:
-        raise ValueError("spectral bin counts differ")
-    for i in modes:
-        if not 0 <= i < layout.n_spatial:
-            raise IndexError(f"spatial index {i} out of range")
-
-    ann = np.concatenate([layout.spatial_block(i) for i in modes])
-    if t.kind == "passive":
-        out = np.eye(layout.n_modes, dtype=complex)
-        out[np.ix_(ann, ann)] = t.matrix
-        return Transform("passive", out, layout)
-
-    n_el = t.layout.n_modes
-    idx = np.concatenate([ann, ann + layout.n_modes])
-    out = np.eye(2 * layout.n_modes, dtype=complex)
-    out[np.ix_(idx, idx)] = t.matrix
-    return Transform("symplectic", out, layout)
 
 
 def symplectic_from_hamiltonian(h: np.ndarray, layout: ModeLayout) -> Transform:

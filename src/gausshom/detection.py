@@ -113,10 +113,20 @@ def p_vacuum(state: CovarianceState, spatial_subset: Sequence[int]) -> float:
 
 def p_threshold(state: CovarianceState, on_modes: Sequence[int],
                 off_modes: Sequence[int] = ()) -> float:
-    """Click in every mode of ``on_modes`` and vacuum in every ``off_modes``.
+    """Click in every mode of ``on_modes`` and vacuum in every ``off_modes``."""
+    return inclusion_exclusion(lambda modes: p_vacuum(state, modes), on_modes, off_modes)
 
-    Exact inclusion-exclusion over the power set of the on-modes; subsets
-    are enumerated in binary-counter order for reproducible summation.
+
+def inclusion_exclusion(vacuum, on_modes: Sequence[int],
+                        off_modes: Sequence[int] = ()) -> float:
+    """Threshold probability as a signed sum of vacuum probabilities.
+
+    ``vacuum(modes)`` is the vacuum probability of a sorted tuple of spatial
+    modes; a caller that evaluates several patterns on one state can pass a
+    memoized one, since the patterns share their vacuum terms.  Exact
+    inclusion-exclusion over the power set of the on-detectors; subsets are
+    enumerated in order of size, then lexicographically, for reproducible
+    summation.
     """
     groups = _as_groups(on_modes)
     off = [m for g in _as_groups(off_modes) for m in g] if off_modes else []
@@ -128,36 +138,42 @@ def p_threshold(state: CovarianceState, on_modes: Sequence[int],
     total = 0.0
     for r in range(len(groups) + 1):
         for subset in combinations(groups, r):
-            modes = [m for g in subset for m in g] + off
-            total += (-1) ** r * p_vacuum(state, modes)
+            modes = tuple(sorted([m for g in subset for m in g] + off))
+            total += (-1) ** r * vacuum(modes)
     return _clamp(total, "p_threshold")
 
 
 @lru_cache(maxsize=None)
-def _power_plan(orders: tuple[int, ...]) -> tuple:
-    """Multi-indices of the truncation box in order of total degree.
+def _power_plan(orders: tuple[int, ...], patterns: tuple[tuple[int, ...], ...]) -> tuple:
+    """Multi-indices at or below one of ``patterns``, in order of total degree.
 
-    Each entry is (m, j, preds, extend): the flat index m, its degree j,
-    the pairs (v, flat index of m - e_v) for every v with m_v > 0, and
-    whether some m + e_v is still in the box, so that M_m must be formed.
-    The constant term is left out.
+    Each entry is (m, j, preds, extend): the flat index m in the box
+    ``orders``, its degree j, the pairs (v, flat index of m - e_v) for
+    every v with m_v > 0, and whether some m + e_v is still wanted, so that
+    M_m must be formed.  The constant term is left out.
     """
     box = tuple(n + 1 for n in orders)
+    wanted = {m for p in patterns for m in product(*(range(n + 1) for n in p))}
     plan = []
-    for m in sorted(product(*(range(b) for b in box)), key=sum)[1:]:
+    for m in sorted(wanted, key=lambda m: (sum(m), m))[1:]:
         preds = tuple((v, int(np.ravel_multi_index(m[:v] + (m[v] - 1,) + m[v + 1:], box)))
                       for v in range(len(m)) if m[v] > 0)
-        plan.append((int(np.ravel_multi_index(m, box)), sum(m), preds, m != orders))
+        extend = any(m[:v] + (m[v] + 1,) + m[v + 1:] in wanted for v in range(len(m)))
+        plan.append((int(np.ravel_multi_index(m, box)), sum(m), preds, extend))
     return tuple(plan)
 
 
 def series_inv_sqrt_det(sigma_tilde: np.ndarray, row_variable: np.ndarray,
-                        orders: Sequence[int]) -> TruncatedSeries:
+                        orders: Sequence[int],
+                        patterns: Sequence[Sequence[int]] | None = None) -> TruncatedSeries:
     """Taylor expansion of det(1 + T sigma_tilde T / 2)^(-1/2) about t = 1.
 
     ``row_variable[a]`` names the series variable (detected spatial mode)
     that weights row/column ``a`` of the reduced sigma_tilde; T applies
-    sqrt(t_var) on each side.  Expansion variables are s = t - 1.
+    sqrt(t_var) on each side.  Expansion variables are s = t - 1.  The
+    result is exact on every multi-index at or below one of ``patterns``
+    (default: the whole box ``orders``); other coefficients of the box are
+    left incomplete.
 
     With S = sigma_tilde / 2 and T^2 = 1 + D(s), D the diagonal of row
     variables, Sylvester's identity gives
@@ -165,10 +181,11 @@ def series_inv_sqrt_det(sigma_tilde: np.ndarray, row_variable: np.ndarray,
     log det(1 + Z D) = sum_j (-1)^(j+1) / j tr((Z D)^j) is exact up to the
     total order.  (Z D)^j splits by multi-index m, |m| = j, into
     M_m = sum_v M_(m - e_v) Z P_v, where P_v keeps the columns of variable
-    v; only multi-indices inside the truncation box are formed, and the
-    trace of M_m is taken elementwise from its predecessors.
+    v; only the wanted multi-indices are formed, and the trace of M_m is
+    taken elementwise from its predecessors.
     """
     ctx = SeriesContext(tuple(orders))
+    patterns = (ctx.orders,) if patterns is None else tuple(tuple(p) for p in patterns)
     n2 = sigma_tilde.shape[0]
     s_half = 0.5 * sigma_tilde
     one_plus_s = np.eye(n2) + s_half
@@ -182,47 +199,61 @@ def series_inv_sqrt_det(sigma_tilde: np.ndarray, row_variable: np.ndarray,
     logser = np.zeros(ctx.size, dtype=complex)
     logser[0] = np.log(sign) + logabsdet
     # M_m is nonzero only in the columns of the variables m uses: keep
-    # those columns (indices, block) and multiply by the matching rows of Z
-    powers = {0: (np.arange(n2), np.eye(n2, dtype=complex))}
-    for m, j, preds, extend in _power_plan(ctx.orders):
+    # those columns (indices, block) and multiply by the matching rows of Z.
+    # Degree j needs only the M_m of degree j - 1, so older ones are dropped.
+    previous, current = {0: (np.arange(n2), np.eye(n2, dtype=complex))}, {}
+    degree = 1
+    for m, j, preds, extend in _power_plan(ctx.orders, patterns):
+        if j > degree:
+            previous, current, degree = current, {}, j
         trace, blocks = 0.0, []
         for v, p in preds:
-            idx, mat = powers[p]
+            idx, mat = previous[p]
             z_block = z[np.ix_(idx, cols[v])]
             trace += np.sum(mat[cols[v]] * z_block.T)
             if extend:
                 blocks.append(mat @ z_block)
         logser[m] = (-1) ** (j + 1) / j * trace
         if extend:
-            powers[m] = (np.concatenate([cols[v] for v, _ in preds]), np.hstack(blocks))
+            current[m] = (np.concatenate([cols[v] for v, _ in preds]), np.hstack(blocks))
     return TruncatedSeries(ctx, series.exp(ctx, -0.5 * logser))
 
 
 def p_pnr(state: CovarianceState, spatial_modes: Sequence[int],
-          counts: Sequence[int], cutoff: int = DEFAULT_PNR_CUTOFF) -> float:
+          counts: Sequence, cutoff: int = DEFAULT_PNR_CUTOFF):
     """Probability of detecting exactly ``counts`` photons per detector.
 
     Each entry of ``spatial_modes`` is a spatial mode or a group of them;
     a group models one detector collecting several spatial modes.
+    ``counts`` may also be a sequence of count patterns on the same
+    detectors: all of them then come from one expansion, which forms only
+    the multi-indices at or below some pattern, and a list of
+    probabilities is returned.
     """
     groups = _as_groups(spatial_modes)
-    counts = list(counts)
-    if len(groups) != len(counts):
-        raise ValueError("one count per detector required")
-    if any(n < 0 for n in counts):
-        raise ValueError("photon counts must be nonnegative")
-    if sum(counts) > cutoff:
-        raise ValueError(f"total count {sum(counts)} exceeds cutoff {cutoff}")
+    single = all(isinstance(n, (int, np.integer)) for n in counts)
+    patterns = [tuple(counts)] if single else [tuple(p) for p in counts]
+    for pattern in patterns:
+        if len(groups) != len(pattern):
+            raise ValueError("one count per detector required")
+        if any(n < 0 for n in pattern):
+            raise ValueError("photon counts must be nonnegative")
+        if sum(pattern) > cutoff:
+            raise ValueError(f"total count {sum(pattern)} exceeds cutoff {cutoff}")
     flat = [m for g in groups for m in g]
     reduced = reduce(state, flat)
     nf = reduced.layout.n_spectral
     var_of_mode = np.array([v for v, g in enumerate(groups) for _ in g])
     row_var = np.concatenate([np.repeat(var_of_mode, nf)] * 2)
-    f = series_inv_sqrt_det(reduced.sigma_tilde, row_var, counts)
-    coeff = f.coefficient(tuple(counts)) * (-1) ** sum(counts)
-    if abs(coeff.imag) > DET_IMAG_TOL:
-        raise UnphysicalStateError(f"p_pnr has imaginary part {coeff.imag}")
-    return _clamp(coeff.real, "p_pnr")
+    box = tuple(max(column) for column in zip(*patterns))
+    f = series_inv_sqrt_det(reduced.sigma_tilde, row_var, box, patterns)
+    probs = []
+    for pattern in patterns:
+        coeff = f.coefficient(pattern) * (-1) ** sum(pattern)
+        if abs(coeff.imag) > DET_IMAG_TOL:
+            raise UnphysicalStateError(f"p_pnr has imaginary part {coeff.imag}")
+        probs.append(_clamp(coeff.real, "p_pnr"))
+    return probs[0] if single else probs
 
 
 def pnr_distribution(state: CovarianceState, spatial_mode: int,

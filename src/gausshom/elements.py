@@ -1,9 +1,10 @@
 """Optical elements as Transforms: squeezers, beam-splitters, phases, delays,
 loss and bandpass filters.
 
-Unitary elements are returned as symplectic transforms with the block form
+Each element is a Transform holding only its own block and its target
+spatial modes.  Unitary elements are symplectic blocks of the form
 diag(alpha, alpha*); loss and filtering are passive channels described by a
-contraction on the annihilation block alone.
+contraction on the annihilation operators of their target modes alone.
 """
 
 from __future__ import annotations
@@ -11,17 +12,16 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
 
-from .core import FrequencyGrid, ModeLayout, Transform, embed
+from .core import FrequencyGrid, ModeLayout, Transform
 from .jsa import JsaMatrix, schmidt_decompose
 
 
-def _unitary_symplectic(alpha: np.ndarray, layout: ModeLayout) -> Transform:
-    n = layout.n_modes
-    m = np.zeros((2 * n, 2 * n), dtype=complex)
-    m[:n, :n] = alpha
-    m[n:, n:] = alpha.conj()
-    return Transform("symplectic", m, layout)
+def _unitary_symplectic(alpha: np.ndarray, modes: Sequence[int],
+                        layout: ModeLayout) -> Transform:
+    block = scipy.linalg.block_diag(alpha, alpha.conj())
+    return Transform("symplectic", block, layout, tuple(modes))
 
 
 def squeezer(j: JsaMatrix, signal_spatial: int, idler_spatial: int,
@@ -57,8 +57,7 @@ def squeezer(j: JsaMatrix, signal_spatial: int, idler_spatial: int,
     u_big[2 * nf:, 2 * nf:] = u_small.conj()
 
     m = u_big @ m_d @ u_big.conj().T
-    element = Transform("symplectic", m, ModeLayout(2, nf))
-    return embed(element, [signal_spatial, idler_spatial], layout)
+    return Transform("symplectic", m, layout, (signal_spatial, idler_spatial))
 
 
 def beam_splitter(theta: float, mode_pair: Sequence[int], layout: ModeLayout) -> Transform:
@@ -66,15 +65,13 @@ def beam_splitter(theta: float, mode_pair: Sequence[int], layout: ModeLayout) ->
     rot = np.array([[np.cos(theta), -np.sin(theta)],
                     [np.sin(theta), np.cos(theta)]])
     alpha = np.kron(rot, np.eye(layout.n_spectral))
-    element = _unitary_symplectic(alpha, ModeLayout(2, layout.n_spectral))
-    return embed(element, list(mode_pair), layout)
+    return _unitary_symplectic(alpha, mode_pair, layout)
 
 
 def phase_shifter(phi: float, spatial_mode: int, layout: ModeLayout) -> Transform:
     """Dispersionless phase shift on one spatial mode."""
     alpha = np.exp(1j * phi) * np.eye(layout.n_spectral)
-    element = _unitary_symplectic(alpha, ModeLayout(1, layout.n_spectral))
-    return embed(element, [spatial_mode], layout)
+    return _unitary_symplectic(alpha, (spatial_mode,), layout)
 
 
 def delay(tau: float, spatial_mode: int, grid: FrequencyGrid,
@@ -90,20 +87,16 @@ def delay(tau: float, spatial_mode: int, grid: FrequencyGrid,
     if grid.n_bins != layout.n_spectral:
         raise ValueError("grid bin count does not match the layout")
     alpha = np.diag(np.exp(1j * grid.offsets() * tau))
-    element = _unitary_symplectic(alpha, ModeLayout(1, grid.n_bins))
-    return embed(element, [spatial_mode], layout)
+    return _unitary_symplectic(alpha, (spatial_mode,), layout)
 
 
 def loss(epsilon: float, spatial_modes: Sequence[int], layout: ModeLayout) -> Transform:
     """Frequency-independent loss epsilon on the named spatial modes."""
     if not 0 <= epsilon <= 1:
         raise ValueError("loss parameter must lie in [0, 1]")
-    u = np.eye(layout.n_modes, dtype=complex)
-    t = np.sqrt(1 - epsilon)
-    for i in set(spatial_modes):
-        block = layout.spatial_block(i)
-        u[block, block] = t
-    return Transform("passive", u, layout)
+    modes = sorted(set(spatial_modes))
+    u = np.sqrt(1 - epsilon) * np.eye(len(modes) * layout.n_spectral)
+    return Transform("passive", u, layout, tuple(modes))
 
 
 def bandpass_filter(nu0: float, half_width: float, spatial_modes: Sequence[int],
@@ -121,8 +114,6 @@ def bandpass_filter(nu0: float, half_width: float, spatial_modes: Sequence[int],
     passing = (freqs >= nu0 - half_width) & (freqs <= nu0 + half_width)
     if not np.any(passing):
         raise ValueError("filter passband lies entirely outside the frequency grid")
-    u = np.eye(layout.n_modes, dtype=complex)
-    for i in set(spatial_modes):
-        block = layout.spatial_block(i)
-        u[block, block] = passing.astype(float)
-    return Transform("passive", u, layout)
+    modes = sorted(set(spatial_modes))
+    u = np.diag(np.tile(passing.astype(float), len(modes)))
+    return Transform("passive", u, layout, tuple(modes))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import math
@@ -25,12 +26,18 @@ from typing import Sequence
 import numpy as np
 
 from .core import CovarianceState, FrequencyGrid, ModeLayout, apply, vacuum_state
-from .detection import p_pnr, p_threshold
+from .detection import inclusion_exclusion, p_pnr, p_threshold, p_vacuum
 from .elements import bandpass_filter, beam_splitter, delay, loss, squeezer
 from .jsa import JsaSpec, build_jsa
 
 HERALD_MODES = (0, 3)
 IDLER_MODES = (1, 2)
+FOUR_ARMS = (0, 1, 2, 3)
+FOUR_FOLD_COUNTS = (1, 1, 1, 1)
+BUNCHING_COUNTS = ((1, 0, 2, 1), (1, 2, 0, 1))
+# composite detectors of the distinguishable limit: idler 1 pairs with
+# ancilla 5 and idler 2 with ancilla 4 (see ``build_distinguishable``)
+DISTINGUISHABLE_DETECTORS = (0, (1, 5), (2, 4), 3)
 DELAY_MODE = 1
 N_SPATIAL = 4
 
@@ -84,46 +91,69 @@ class HhomConfig:
         return hashlib.sha256(repr(self).encode()).hexdigest()[:16]
 
 
-def build_hhom(config: HhomConfig) -> CovarianceState:
-    """Final covariance state of the heralded-HOM circuit."""
-    lay = config.layout()
-    state = vacuum_state(lay)
+def _sources_and_channels(config: HhomConfig, n_spatial: int) -> CovarianceState:
+    """Both pair sources, the bandpass filters and per-arm loss on ``n_spatial`` modes.
 
+    This stage is shared by the interfering circuit and its distinguishable
+    limit; spatial modes beyond the four arms stay in vacuum.
+    """
+    lay = ModeLayout(n_spatial, config.grid.n_bins)
+    state = vacuum_state(lay)
     for spec, (sig, idl) in ((config.source_a, (0, 1)),
                              (config.source_b, (3, 2))):
         if spec.xi > 0:
             j = build_jsa(spec, config.grid)
             state = apply(state, squeezer(j, sig, idl, lay))
-
-    if config.delay != 0.0:
-        state = apply(state, delay(config.delay, DELAY_MODE, config.grid, lay))
-
     if config.filter_modes:
         state = apply(state, bandpass_filter(config.filter_center,
                                              config.filter_half_width,
                                              config.filter_modes,
                                              config.grid, lay))
-    for mode, eps in enumerate(config.loss):
-        if eps > 0:
-            state = apply(state, loss(eps, [mode], lay))
-
-    if config.bs_angle != 0.0:
-        state = apply(state, beam_splitter(config.bs_angle, IDLER_MODES, lay))
+    # one channel per distinct loss value, on every arm that has it
+    for eps in sorted(set(config.loss) - {0.0}):
+        arms = [mode for mode, e in enumerate(config.loss) if e == eps]
+        state = apply(state, loss(eps, arms, lay))
     return state
+
+
+def build_hhom(config: HhomConfig) -> CovarianceState:
+    """Final covariance state of the heralded-HOM circuit."""
+    state = _sources_and_channels(config, N_SPATIAL)
+    if config.delay != 0.0:
+        state = apply(state, delay(config.delay, DELAY_MODE, config.grid, state.layout))
+    if config.bs_angle != 0.0:
+        state = apply(state, beam_splitter(config.bs_angle, IDLER_MODES, state.layout))
+    return state
+
+
+def build_distinguishable(config: HhomConfig) -> CovarianceState:
+    """Six-mode state of the fully distinguishable (infinite-delay) limit.
+
+    On a finite frequency lattice a physical delay can never decohere
+    photon pairs that occupy the same frequency bin, so the large-delay
+    plateau of the four-fold probability retains a grid artifact.  The
+    exact limit is instead obtained by splitting each idler arm on its own
+    balanced beam-splitter against a vacuum ancilla (modes 4 and 5) and
+    pairing the outputs into the composite ``DISTINGUISHABLE_DETECTORS``,
+    which reproduces the routing statistics of fully distinguishable
+    photons with no spurious interference.
+    """
+    state = _sources_and_channels(config, N_SPATIAL + 2)
+    state = apply(state, beam_splitter(math.pi / 4, (1, 4), state.layout))
+    return apply(state, beam_splitter(math.pi / 4, (2, 5), state.layout))
 
 
 def four_fold(state: CovarianceState, detector: str = "pnr") -> float:
     """One detection event in each of the four arms."""
     if detector == "pnr":
-        return p_pnr(state, (0, 1, 2, 3), (1, 1, 1, 1))
-    return p_threshold(state, (0, 1, 2, 3))
+        return p_pnr(state, FOUR_ARMS, FOUR_FOLD_COUNTS)
+    return p_threshold(state, FOUR_ARMS)
 
 
 def bunching(state: CovarianceState, detector: str = "pnr") -> float:
     """Both idler photons leave through the same beam-splitter port."""
     if detector == "pnr":
-        return (p_pnr(state, (0, 1, 2, 3), (1, 0, 2, 1))
-                + p_pnr(state, (0, 1, 2, 3), (1, 2, 0, 1)))
+        return sum(p_pnr(state, FOUR_ARMS, BUNCHING_COUNTS))
     return (p_threshold(state, (0, 2, 3), (1,))
             + p_threshold(state, (0, 1, 3), (2,)))
 
@@ -135,68 +165,146 @@ def heralding_rate(state: CovarianceState, detector: str = "pnr") -> float:
     return p_threshold(state, HERALD_MODES)
 
 
+def distinguishable_four_fold(config: HhomConfig) -> float:
+    """Four-fold probability in the fully distinguishable (infinite-delay) limit."""
+    state = build_distinguishable(config)
+    if config.detector == "pnr":
+        return p_pnr(state, DISTINGUISHABLE_DETECTORS, FOUR_FOLD_COUNTS)
+    return p_threshold(state, DISTINGUISHABLE_DETECTORS)
+
+
+class _Figures:
+    """Four-fold, bunching and heralding probabilities of one four-arm state.
+
+    Each detection quantity is evaluated once.  With PNR detectors the
+    four-fold and both bunching patterns come from one expansion; with
+    threshold detectors every figure is an inclusion-exclusion sum over the
+    same 16 vacuum probabilities of the four arms.
+    """
+
+    def __init__(self, state: CovarianceState, detector: str):
+        self.state = state
+        self.detector = detector
+        self._vacuum = {}
+
+    def _p_vacuum(self, modes: tuple) -> float:
+        if modes not in self._vacuum:
+            self._vacuum[modes] = p_vacuum(self.state, modes)
+        return self._vacuum[modes]
+
+    def _threshold(self, on_modes, off_modes=()) -> float:
+        return inclusion_exclusion(self._p_vacuum, on_modes, off_modes)
+
+    @functools.cached_property
+    def four_fold_and_bunching(self) -> tuple[float, float]:
+        if self.detector == "pnr":
+            p4, *p_bunch = p_pnr(self.state, FOUR_ARMS,
+                                 (FOUR_FOLD_COUNTS,) + BUNCHING_COUNTS)
+            return p4, sum(p_bunch)
+        return (self._threshold(FOUR_ARMS),
+                self._threshold((0, 2, 3), (1,)) + self._threshold((0, 1, 3), (2,)))
+
+    @property
+    def four_fold(self) -> float:
+        return self.four_fold_and_bunching[0]
+
+    @property
+    def single_pair(self) -> float:
+        """Four-fold plus bunching: heralds fire and two idler photons emerge."""
+        p4, p_bunch = self.four_fold_and_bunching
+        return p4 + p_bunch
+
+    @functools.cached_property
+    def heralding_rate(self) -> float:
+        if self.detector == "pnr":
+            return p_pnr(self.state, HERALD_MODES, (1, 1))
+        return self._threshold(HERALD_MODES)
+
+
+class _RowPlan:
+    """Figures of merit of one configuration from its distinct states.
+
+    Every state the figures need is built once, keyed by (delay,
+    beam-splitter angle), and each of its detection quantities is evaluated
+    once.  A plan serves one sweep row or one public call and holds no
+    state beyond it, so rows on different threads share nothing.
+    """
+
+    def __init__(self, config: HhomConfig):
+        self.config = config
+        self._figures = {}
+
+    def figures(self, delay: float | None = None,
+                bs_angle: float | None = None) -> _Figures:
+        """Figures of the circuit at this delay and angle (default: the config's)."""
+        key = (self.config.delay if delay is None else delay,
+               self.config.bs_angle if bs_angle is None else bs_angle)
+        if key not in self._figures:
+            state = build_hhom(dataclasses.replace(self.config, delay=key[0],
+                                                   bs_angle=key[1]))
+            self._figures[key] = _Figures(state, self.config.detector)
+        return self._figures[key]
+
+    def heralding_efficiency(self) -> float:
+        p_sps = self.figures(bs_angle=0.0).single_pair
+        at45 = self.figures(bs_angle=math.pi / 4)
+        if abs(p_sps - at45.single_pair) > SPS_ANGLE_TOL:
+            raise RuntimeError("heralded-pair probability depends on the beam-splitter "
+                               f"angle ({p_sps} vs {at45.single_pair})")
+        if at45.heralding_rate <= 0:
+            raise ZeroDivisionError("heralding rate is zero")
+        return p_sps / at45.heralding_rate
+
+    def hom_visibility(self, plateau: str = "exact",
+                       check_plateau: bool = False) -> float:
+        if plateau == "exact":
+            p_plateau = distinguishable_four_fold(self.config)
+        elif plateau == "delay":
+            tau = plateau_delay(self.config)
+            p_plateau = self.figures(tau, math.pi / 4).four_fold
+            if check_plateau:
+                p_double = self.figures(2 * tau, math.pi / 4).four_fold
+                if abs(p_double - p_plateau) > PLATEAU_CHECK_TOL * max(p_plateau, 1e-300):
+                    raise RuntimeError("four-fold probability has not reached its "
+                                       "large-delay plateau")
+        else:
+            raise ValueError(f"unknown plateau method {plateau!r}")
+        return visibility_hom(self.figures(0.0, math.pi / 4).four_fold, p_plateau)
+
+    def mzi_visibility(self) -> float:
+        return visibility_mzi(self.figures(bs_angle=0.0).four_fold,
+                              self.figures(bs_angle=math.pi / 4).four_fold)
+
+    def row(self, param: str, value: float, visibilities: bool) -> dict:
+        here = self.figures()
+        p4, p_bunch = here.four_fold_and_bunching
+        row = {"param": param, "value": value, "p4": p4, "p_bunch": p_bunch,
+               "p_herald": here.heralding_rate,
+               "eta_herald": None, "v_hom": None, "v_mzi": None}
+        if visibilities:
+            row["eta_herald"] = self.heralding_efficiency()
+            row["v_hom"] = self.hom_visibility()
+            row["v_mzi"] = self.mzi_visibility()
+        return row
+
+
 def single_pair_probability(config: HhomConfig) -> float:
     """P_SPS: heralds fire and exactly two idler photons emerge, any split.
 
     Evaluated with the beam-splitter removed; the value is independent of
     the beam-splitter angle, which ``heralding_efficiency`` asserts.
     """
-    state = build_hhom(dataclasses.replace(config, bs_angle=0.0))
-    return four_fold(state, config.detector) + bunching(state, config.detector)
+    return _RowPlan(config).figures(bs_angle=0.0).single_pair
 
 
 def heralding_efficiency(config: HhomConfig) -> float:
     """Heralded-pair probability over heralding rate.
 
-    Recomputes the numerator at beam-splitter angle pi/4 and insists the
-    two agree, as the pattern sum must be invariant under the passive
-    mixing of the idler arms.
+    The numerator is evaluated both without the beam-splitter and at angle
+    pi/4, and the two must agree, as the pattern sum is invariant under the
+    passive mixing of the idler arms.
     """
-    p_sps = single_pair_probability(config)
-    state45 = build_hhom(dataclasses.replace(config, bs_angle=math.pi / 4))
-    p_sps_45 = four_fold(state45, config.detector) + bunching(state45, config.detector)
-    if abs(p_sps - p_sps_45) > SPS_ANGLE_TOL:
-        raise RuntimeError("heralded-pair probability depends on the beam-splitter "
-                           f"angle ({p_sps} vs {p_sps_45})")
-    p_herald = heralding_rate(state45, config.detector)
-    if p_herald <= 0:
-        raise ZeroDivisionError("heralding rate is zero")
-    return p_sps / p_herald
-
-
-def distinguishable_four_fold(config: HhomConfig) -> float:
-    """Four-fold probability in the fully distinguishable (infinite-delay) limit.
-
-    On a finite frequency lattice a physical delay can never decohere
-    photon pairs that occupy the same frequency bin, so the large-delay
-    plateau of the four-fold probability retains a grid artifact.  The
-    exact limit is instead obtained by splitting each idler arm on its own
-    balanced beam-splitter against vacuum and pairing the outputs into two
-    composite detectors, which reproduces the routing statistics of fully
-    distinguishable photons with no spurious interference.
-    """
-    lay = ModeLayout(N_SPATIAL + 2, config.grid.n_bins)
-    state = vacuum_state(lay)
-    for spec, (sig, idl) in ((config.source_a, (0, 1)),
-                             (config.source_b, (3, 2))):
-        if spec.xi > 0:
-            j = build_jsa(spec, config.grid)
-            state = apply(state, squeezer(j, sig, idl, lay))
-    if config.filter_modes:
-        state = apply(state, bandpass_filter(config.filter_center,
-                                             config.filter_half_width,
-                                             config.filter_modes,
-                                             config.grid, lay))
-    for mode, eps in enumerate(config.loss):
-        if eps > 0:
-            state = apply(state, loss(eps, [mode], lay))
-    # private balanced splitters against the vacuum ancillas 4 and 5
-    state = apply(state, beam_splitter(math.pi / 4, (1, 4), lay))
-    state = apply(state, beam_splitter(math.pi / 4, (2, 5), lay))
-    detectors = (0, (1, 5), (2, 4), 3)
-    if config.detector == "pnr":
-        return p_pnr(state, detectors, (1, 1, 1, 1))
-    return p_threshold(state, detectors)
+    return _RowPlan(config).heralding_efficiency()
 
 
 def visibility_hom(p4_dip: float, p4_plateau: float) -> float:
@@ -219,11 +327,6 @@ def plateau_delay(config: HhomConfig) -> float:
     return PLATEAU_FACTOR / zeta
 
 
-def _p4_at(config: HhomConfig, **overrides) -> float:
-    state = build_hhom(dataclasses.replace(config, **overrides))
-    return four_fold(state, config.detector)
-
-
 def hom_visibility(config: HhomConfig, plateau: str = "exact",
                    check_plateau: bool = False) -> float:
     """Delay-dip visibility of a configuration.
@@ -235,26 +338,12 @@ def hom_visibility(config: HhomConfig, plateau: str = "exact",
     recomputes the finite-delay plateau at twice the delay and errors if
     the value has not converged.
     """
-    if plateau == "exact":
-        p_plateau = distinguishable_four_fold(config)
-    elif plateau == "delay":
-        tau = plateau_delay(config)
-        p_plateau = _p4_at(config, delay=tau, bs_angle=math.pi / 4)
-        if check_plateau:
-            p_double = _p4_at(config, delay=2 * tau, bs_angle=math.pi / 4)
-            if abs(p_double - p_plateau) > PLATEAU_CHECK_TOL * max(p_plateau, 1e-300):
-                raise RuntimeError("four-fold probability has not reached its "
-                                   "large-delay plateau")
-    else:
-        raise ValueError(f"unknown plateau method {plateau!r}")
-    p_dip = _p4_at(config, delay=0.0, bs_angle=math.pi / 4)
-    return visibility_hom(p_dip, p_plateau)
+    return _RowPlan(config).hom_visibility(plateau, check_plateau)
 
 
 def mzi_visibility(config: HhomConfig) -> float:
     """Fringe visibility between beam-splitter angles 0 and pi/4."""
-    return visibility_mzi(_p4_at(config, bs_angle=0.0),
-                          _p4_at(config, bs_angle=math.pi / 4))
+    return _RowPlan(config).mzi_visibility()
 
 
 @dataclass(frozen=True)
@@ -273,7 +362,8 @@ def ratio_r(config: HhomConfig) -> RatioResult:
     Conventions in the literature disagree on which value is the numerator,
     so both orderings are returned.
     """
-    p4_max = _p4_at(config, bs_angle=0.0)
+    p4_max = four_fold(build_hhom(dataclasses.replace(config, bs_angle=0.0)),
+                       config.detector)
     p4_plateau = distinguishable_four_fold(config)
     if p4_max <= 0 or p4_plateau <= 0:
         raise ZeroDivisionError("four-fold probability vanishes")
@@ -358,6 +448,7 @@ def structured_source_config(detector: str = "pnr",
 
 
 SWEEP_AXES = ("delay", "bs_angle", "xi", "loss", "filter_width")
+PROBE_AXIS = "probe"   # one row of the configuration as given
 
 
 @dataclass(frozen=True)
@@ -397,6 +488,8 @@ def _format_cell(v) -> str:
 
 
 def _with_axis_value(config: HhomConfig, axis: str, value: float) -> HhomConfig:
+    if axis == PROBE_AXIS:
+        return config
     if axis == "delay":
         return dataclasses.replace(config, delay=float(value))
     if axis == "bs_angle":
@@ -436,16 +529,10 @@ def sweep(config: HhomConfig, axis: str, values: Sequence[float],
 
 def sweep_row(config: HhomConfig, axis: str, value: float,
               visibilities: bool) -> dict:
-    """Figures of merit of one sweep point, as a CSV-contract row dict."""
-    c = _with_axis_value(config, axis, float(value))
-    state = build_hhom(c)
-    row = {"param": axis, "value": float(value),
-           "p4": four_fold(state, c.detector),
-           "p_bunch": bunching(state, c.detector),
-           "p_herald": heralding_rate(state, c.detector),
-           "eta_herald": None, "v_hom": None, "v_mzi": None}
-    if visibilities:
-        row["eta_herald"] = heralding_efficiency(c)
-        row["v_hom"] = hom_visibility(c)
-        row["v_mzi"] = mzi_visibility(c)
-    return row
+    """Figures of merit of one sweep point, as a CSV-contract row dict.
+
+    ``axis="probe"`` evaluates the configuration as given, under the
+    param label ``probe``.
+    """
+    plan = _RowPlan(_with_axis_value(config, axis, float(value)))
+    return plan.row(axis, float(value), visibilities)

@@ -7,6 +7,7 @@ delays and walk-off lengths).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -104,7 +105,8 @@ def default_grid(spec: JsaSpec, n_bins: int = 41, span_factor: float = 4.0) -> F
     The scale is the bandwidth, widened for waveguide JSAs whose sinc factor
     has side lobes on the scale 2 pi / walkoff.  The step never exceeds
     zeta / 4, the coarsest step ``build_jsa`` accepts; where that cap binds,
-    the span narrows instead.
+    the span narrows instead, with a warning that names the bin count that
+    would cover the full span.
     """
     scale = spec.zeta
     if spec.variant == "waveguide":
@@ -112,7 +114,14 @@ def default_grid(spec: JsaSpec, n_bins: int = 41, span_factor: float = 4.0) -> F
     if spec.variant == "double_lobe":
         scale = max(scale, spec.lobe_separation / 8 + spec.zeta)
     half_span = span_factor * scale
-    step = min(2 * half_span / max(n_bins - 1, 1), spec.zeta / 4)
+    step = 2 * half_span / max(n_bins - 1, 1)
+    if step > spec.zeta / 4:
+        step = spec.zeta / 4
+        needed = math.ceil(2 * half_span / step) + 1
+        warnings.warn(f"default grid narrowed: with the step capped at zeta/4 = "
+                      f"{step:.3e} rad/s, {n_bins} bins span +-{(n_bins - 1) / 2 * step:.3e} "
+                      f"rad/s instead of +-{half_span:.3e} rad/s; {needed} bins would "
+                      "cover it", stacklevel=2)
     return FrequencyGrid(spec.signal_center, step, n_bins)
 
 

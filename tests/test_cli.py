@@ -160,6 +160,21 @@ def test_probe_single_row(tmp_path):
     assert not (tmp_path / "one.svg").exists()
 
 
+def test_probe_row_carries_every_metric(tmp_path):
+    doc = {
+        "experiment": "probe",
+        "output_prefix": "one",
+        "source": TINY_POWER_SWEEP["source"] | {"xi": 0.2},
+        "grid": TINY_POWER_SWEEP["grid"],
+    }
+    path = write_config(tmp_path, doc)
+    assert main(["--output-dir", str(tmp_path), "run", path]) == 0
+    header, row = (tmp_path / "one.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["param"] == "probe" and float(cells["value"]) == 0.0
+    assert all(cells[name] for name in CSV_COLUMNS[2:])
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, {"experiment": "nope"})
     assert main(["run", path]) == 2

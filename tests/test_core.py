@@ -11,13 +11,19 @@ from gausshom.core import (
     apply,
     apply_passive_channel,
     apply_symplectic,
-    embed,
     reduce,
     subset_indices,
     symplectic_from_hamiltonian,
     vacuum_state,
 )
-from gausshom.elements import beam_splitter, loss, phase_shifter, squeezer
+from gausshom.elements import (
+    bandpass_filter,
+    beam_splitter,
+    delay,
+    loss,
+    phase_shifter,
+    squeezer,
+)
 from gausshom.jsa import JsaMatrix
 
 
@@ -179,3 +185,71 @@ def test_phase_shifter_leaves_probabilities_invariant():
     for counts in ((0, 0), (1, 1), (2, 2)):
         assert p_pnr(state, (0, 1), counts) == pytest.approx(
             p_pnr(rotated, (0, 1), counts), abs=1e-14)
+
+
+def _dense_apply(state, t):
+    """Reference: the full-layout matrix applied as a dense product."""
+    m = t.matrix
+    if t.kind == "symplectic":
+        return m @ state.sigma @ m.conj().T
+    u = np.block([[m, np.zeros_like(m)], [np.zeros_like(m), m.conj()]])
+    return u @ state.sigma_tilde @ u.conj().T + np.eye(state.sigma.shape[0])
+
+
+def _generic_state(layout, grid, rng):
+    """Every spatial mode squeezed against a partner, then mixed."""
+    state = vacuum_state(layout)
+    n = layout.n_spatial
+    for a in range(0, n - 1, 2):
+        f = rng.normal(size=(grid.n_bins,) * 2) + 1j * rng.normal(size=(grid.n_bins,) * 2)
+        j = JsaMatrix(0.4 * f / np.linalg.norm(f), grid, grid)
+        state = apply(state, squeezer(j, a, a + 1, layout))
+    for a in range(n - 1):
+        state = apply(state, beam_splitter(0.3 + 0.1 * a, (a, a + 1), layout))
+    return state
+
+
+@pytest.mark.parametrize("n_spatial", [4, 6])
+def test_blockwise_apply_matches_dense_product(n_spatial):
+    rng = np.random.default_rng(7)
+    grid = FrequencyGrid(0.0, 1.0, 3)
+    lay = ModeLayout(n_spatial, 3)
+    state = _generic_state(lay, grid, rng)
+    f = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    j = JsaMatrix(0.5 * f / np.linalg.norm(f), grid, grid)
+    h = rng.normal(size=(2 * lay.n_modes,) * 2) + 1j * rng.normal(size=(2 * lay.n_modes,) * 2)
+    last = n_spatial - 1
+    transforms = [
+        squeezer(j, 1, 0, lay),
+        squeezer(j, 3, 1, lay),
+        squeezer(j, last, 2, lay),
+        beam_splitter(0.7, (1, 0), lay),
+        beam_splitter(-0.4, (3, 1), lay),
+        phase_shifter(1.1, 2, lay),
+        delay(0.8, last, grid, lay),
+        loss(0.35, [3, 1], lay),
+        loss(0.2, [0], lay),
+        bandpass_filter(0.0, 0.5, [2, 0], grid, lay),
+        # a whole-layout transform is a block on every mode
+        symplectic_from_hamiltonian(0.05 * (h + h.conj().T), lay),
+    ]
+    for t in transforms:
+        out = apply(state, t)
+        np.testing.assert_allclose(out.sigma, _dense_apply(state, t), rtol=0, atol=1e-12)
+        state = out
+
+
+def test_block_checks_run_at_full_strength_on_a_subset_of_modes():
+    lay = ModeLayout(4, 2)
+    good = np.eye(8)
+    assert apply(vacuum_state(lay), Transform("symplectic", good, lay, (3, 1))).layout == lay
+    with pytest.raises(ValueError, match="not symplectic"):
+        Transform("symplectic", (1 + 1e-9) * good, lay, (3, 1))
+    with pytest.raises(ValueError, match="not contractive"):
+        Transform("passive", (1 + 1e-9) * np.eye(4), lay, (0, 2))
+    with pytest.raises(ValueError, match="must be 8x8"):
+        Transform("symplectic", np.eye(4), lay, (0, 2))
+    with pytest.raises(ValueError, match="duplicates"):
+        Transform("passive", np.eye(4), lay, (1, 1))
+    with pytest.raises(IndexError):
+        Transform("passive", np.eye(4), lay, (1, 4))

@@ -113,6 +113,25 @@ def test_pnr_cutoff_guard():
         p_pnr(state, (0, 1), (1,))
 
 
+def test_pnr_pattern_list_shares_one_expansion(rng):
+    """Several patterns on one detector set equal their separate expansions."""
+    n_f = 2
+    lay = ModeLayout(4, n_f)
+    state = vacuum_state(lay)
+    for sig, idl in ((0, 1), (3, 2)):
+        j = JsaMatrix(random_jsa(rng, n_f, 0.5), grid_of(n_f), grid_of(n_f))
+        state = apply(state, squeezer(j, sig, idl, lay))
+    state = apply(state, beam_splitter(0.6, (1, 2), lay))
+    state = apply(state, loss(0.2, [2], lay))
+    patterns = [(1, 1, 1, 1), (1, 0, 2, 1), (1, 2, 0, 1), (0, 3, 0, 0)]
+    together = p_pnr(state, (0, 1, 2, 3), patterns)
+    assert isinstance(together, list) and len(together) == len(patterns)
+    for pattern, p in zip(patterns, together):
+        assert p == pytest.approx(p_pnr(state, (0, 1, 2, 3), pattern), rel=1e-12)
+    with pytest.raises(ValueError, match="one count per detector"):
+        p_pnr(state, (0, 1, 2, 3), [(1, 1, 1, 1), (1, 1)])
+
+
 def test_pnr_multimode_marginalizes_spectral_bins(rng):
     """A detector sums over its spectral bins: rotating them is invisible."""
     n_f = 2

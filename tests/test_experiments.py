@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from gausshom import detection, experiments
 from gausshom.core import FrequencyGrid
 from gausshom.experiments import (
     CSV_COLUMNS,
+    DETECTORS,
     HhomConfig,
     build_hhom,
     bunching,
@@ -24,6 +26,7 @@ from gausshom.experiments import (
     single_pair_probability,
     structured_source_config,
     sweep,
+    sweep_row,
     analytic_heralded_purity,
     visibility_hom,
     visibility_mzi,
@@ -219,3 +222,88 @@ def test_named_configs_are_well_formed():
     assert ss.source_b.variant == "double_lobe"
     assert ss.source_b.relative_sign == -1
     assert ss.grid.step <= ss.source_b.zeta / 4
+
+
+def lossy_waveguide_config(detector, **kwargs):
+    """Multi-bin, non-separable, filtered and lossy: no figure is trivial."""
+    spec = JsaSpec("waveguide", 0.3, 4.0, signal_center=0.0, idler_center=0.0,
+                   walkoff=1.0)
+    grid = FrequencyGrid(0.0, 1.0, 5)
+    return HhomConfig(spec, spec, grid, loss=(0.1, 0.2, 0.15, 0.05),
+                      filter_center=0.0, filter_half_width=1.5,
+                      filter_modes=(1, 2), detector=detector, **kwargs)
+
+
+@pytest.mark.parametrize("delay", [0.0, 0.7])
+@pytest.mark.parametrize("detector", DETECTORS)
+def test_sweep_row_matches_standalone_figures(detector, delay):
+    config = lossy_waveguide_config(detector, delay=delay)
+    row = sweep_row(config, "xi", 0.4, visibilities=True)
+
+    c = dataclasses.replace(config, source_a=dataclasses.replace(config.source_a, xi=0.4),
+                            source_b=dataclasses.replace(config.source_b, xi=0.4))
+    here = build_hhom(c)
+    split = build_hhom(dataclasses.replace(c, bs_angle=0.0))
+    dip = build_hhom(dataclasses.replace(c, delay=0.0))
+    plateau = distinguishable_four_fold(c)
+    expected = {
+        "p4": four_fold(here, detector),
+        "p_bunch": bunching(here, detector),
+        "p_herald": heralding_rate(here, detector),
+        "eta_herald": heralding_efficiency(c),
+        "v_hom": hom_visibility(c),
+        "v_mzi": mzi_visibility(c),
+    }
+    # the same figures from one state at a time
+    independent = {
+        "eta_herald": (four_fold(split, detector) + bunching(split, detector))
+        / heralding_rate(here, detector),
+        "v_hom": visibility_hom(four_fold(dip, detector), plateau),
+        "v_mzi": visibility_mzi(four_fold(split, detector), four_fold(here, detector)),
+    }
+    assert row["param"] == "xi" and row["value"] == 0.4
+    for name, value in expected.items():
+        assert row[name] == pytest.approx(value, rel=1e-12, abs=1e-15), name
+    for name, value in independent.items():
+        assert row[name] == pytest.approx(value, rel=1e-12, abs=1e-15), name
+
+
+@pytest.mark.parametrize("detector", DETECTORS)
+def test_visibility_row_builds_and_detects_each_distinct_state_once(monkeypatch, detector):
+    built, vacuum_calls, pnr_calls = [], [], []
+    stage = experiments._sources_and_channels
+    hhom = experiments.build_hhom
+    p_vacuum = experiments.p_vacuum
+    p_pnr = experiments.p_pnr
+
+    def counting_stage(config, n_spatial):
+        built.append(n_spatial)
+        return stage(config, n_spatial)
+
+    def counting_hhom(config):
+        built.append("hhom")
+        return hhom(config)
+
+    def counting_vacuum(state, modes):
+        vacuum_calls.append((id(state), tuple(modes)))
+        return p_vacuum(state, modes)
+
+    def counting_pnr(state, modes, counts, *args):
+        pnr_calls.append((id(state), repr(modes)))
+        return p_pnr(state, modes, counts, *args)
+
+    monkeypatch.setattr(experiments, "_sources_and_channels", counting_stage)
+    monkeypatch.setattr(experiments, "build_hhom", counting_hhom)
+    monkeypatch.setattr(experiments, "p_vacuum", counting_vacuum)
+    monkeypatch.setattr(detection, "p_vacuum", counting_vacuum)
+    monkeypatch.setattr(experiments, "p_pnr", counting_pnr)
+    sweep_row(lossy_waveguide_config(detector), "xi", 0.3, visibilities=True)
+
+    # bs = pi/4 and bs = 0 at delay 0, plus the six-mode distinguishable limit
+    assert sorted(built, key=str) == [4, 4, 6, "hhom", "hhom"]
+    if detector == "threshold":
+        # the 16 subsets of 4 detectors on each of 3 states
+        assert len(vacuum_calls) == len(set(vacuum_calls)) == 48
+    else:
+        # one expansion per (state, detector set)
+        assert len(pnr_calls) == len(set(pnr_calls)) == 4

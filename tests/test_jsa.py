@@ -1,5 +1,7 @@
 """JSA models, discretization, normalization, Schmidt decomposition."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,18 @@ def test_default_grid_step_fits_waveguide_bandwidth():
     # a grid that was already fine enough is unchanged
     fine = default_grid(spec, n_bins=101)
     assert fine.step == 2 * 4.0 * (2 * np.pi / spec.walkoff) / 100
+
+
+def test_default_grid_warns_when_the_step_cap_narrows_the_span():
+    spec = JsaSpec("waveguide", 0.3, 1e11, walkoff=29 * PS)
+    with pytest.warns(UserWarning, match="default grid narrowed.*71 bins would cover"):
+        grid = default_grid(spec, n_bins=41)
+    assert grid == FrequencyGrid(spec.signal_center, spec.zeta / 4, 41)
+    # grids the cap leaves alone raise no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        default_grid(spec, n_bins=71)
+        default_grid(JsaSpec("gaussian", 0.1, 0.1 * THZ), n_bins=33)
 
 
 def test_export_csv_roundtrip(tmp_path):
