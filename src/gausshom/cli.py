@@ -115,6 +115,13 @@ def _number(node, field: str, lo=None, hi=None) -> float:
     return v
 
 
+def _whole(node, field: str, lo=None) -> int:
+    v = _number(node, field, lo=lo)
+    if not v.is_integer():
+        raise ConfigError(field, f"must be a whole number, got {v}")
+    return int(v)
+
+
 SOURCE_KEYS = ("variant", "xi", "bandwidth", "signal_center", "idler_center",
                "walkoff", "lobe_separation", "relative_sign")
 
@@ -160,7 +167,7 @@ def parse_grid(node, source: JsaSpec, field: str) -> FrequencyGrid:
         return default_grid(source)
     node = _require_mapping(node, field)
     _check_keys(node, GRID_KEYS, field)
-    n_bins = int(_number(node.get("n_bins", 41), f"{field}.n_bins", lo=1))
+    n_bins = _whole(node.get("n_bins", 41), f"{field}.n_bins", lo=1)
     if "step" in node:
         if "span_factor" in node:
             raise ConfigError(f"{field}.span_factor", "give step or span_factor, not both")
@@ -220,7 +227,7 @@ def parse_sweep(node, experiment: str, field: str) -> tuple[str, list[float]]:
     for key in ("start", "stop", "count"):
         if key not in node:
             raise ConfigError(f"{field}.{key}", "required key missing")
-    count = int(_number(node["count"], f"{field}.count", lo=2))
+    count = _whole(node["count"], f"{field}.count", lo=2)
     lo = one(node["start"], f"{field}.start")
     hi = one(node["stop"], f"{field}.stop")
     return axis, list(np.linspace(lo, hi, count))
@@ -265,8 +272,7 @@ def parse_run_config(doc) -> RunConfig:
             if key in doc:
                 raise ConfigError(key, "structured_sources uses its built-in "
                                        "sources, grid and filter")
-        n_bins = int(_number(doc.get("n_bins", experiments.STRUCTURED_N_BINS),
-                             "n_bins", lo=3))
+        n_bins = _whole(doc.get("n_bins", experiments.STRUCTURED_N_BINS), "n_bins", lo=3)
         config = structured_source_config(detector=detector, n_bins=n_bins)
     elif experiment == "filter_study" and "source" not in doc:
         for key in ("source_a", "source_b", "grid", "filter"):
@@ -275,8 +281,7 @@ def parse_run_config(doc) -> RunConfig:
         filtered = doc.get("filtered", True)
         if not isinstance(filtered, bool):
             raise ConfigError("filtered", f"expected true/false, got {filtered!r}")
-        n_bins = int(_number(doc.get("n_bins", experiments.FILTER_STUDY_N_BINS),
-                             "n_bins", lo=3))
+        n_bins = _whole(doc.get("n_bins", experiments.FILTER_STUDY_N_BINS), "n_bins", lo=3)
         xi = _number(doc.get("xi", 0.1), "xi", lo=0.0)
         config = filter_study_config(xi, filtered=filtered, detector=detector,
                                      n_bins=n_bins)

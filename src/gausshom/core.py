@@ -8,6 +8,15 @@ modes and ``n_spectral`` frequency bins, mode ``(i, w)`` sits at row
 ``N = n_spatial * n_spectral`` in the creation block.  The vacuum has
 covariance matrix equal to the 2N identity.
 
+The covariance matrix sigma stays complex in this basis through the whole
+circuit.  Detection reads it once per state in the real quadrature basis,
+x = (a + a^dag)/sqrt 2 and p = -i (a - a^dag)/sqrt 2 at the same rows:
+``CovarianceState.quadrature`` is Re(Q sigma Q^dag), real symmetric with
+the same determinants, plus the imaginary residual that Q sigma Q^dag
+drops.  That residual is zero exactly when sigma has the conjugate block
+structure [[A, B], [B*, A*]] of a physical state, so it serves as the
+structure check.
+
 An element is kept as its own matrix block plus the spatial modes it acts
 on (``Transform``), and ``apply`` updates only those rows and columns of
 the covariance matrix: an element on k spatial modes costs O((k n_f)^2 N)
@@ -17,6 +26,7 @@ instead of the O(N^3) of a dense 2N x 2N product.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -135,7 +145,9 @@ class Transform:
             n = rows.size // 2
             if m.shape != (n, n):
                 raise ValueError(f"passive block must be {n}x{n}")
-            smax = np.linalg.norm(m, 2)
+            # a diagonal block (loss, filter) has its largest |entry| as s_max
+            diagonal = np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
+            smax = np.max(np.abs(np.diagonal(m))) if diagonal else np.linalg.norm(m, 2)
             if smax > 1 + 1e-12:
                 raise ValueError(f"passive matrix is not contractive (s_max = {smax})")
         else:
@@ -180,6 +192,31 @@ class CovarianceState:
         if np.max(np.abs(s_dag)) > HERMITICITY_TOL * max(1.0, np.linalg.norm(s)):
             raise ValueError("covariance matrix is not Hermitian")
         object.__setattr__(self, "sigma", hermitian)
+
+    @cached_property
+    def quadrature(self) -> tuple[np.ndarray, float]:
+        """Re(Q sigma Q^dag) in the real (x, p) basis, and the imaginary residual.
+
+        Mode k keeps rows k and k + N, so ``subset_indices`` selects a
+        spatial subset here as in sigma, and every principal minor keeps its
+        determinant.  The residual is the largest |Im(Q sigma Q^dag)|
+        relative to max(1, largest |Re|): zero up to rounding for a physical
+        state.  Computed on first use and kept as long as the state.
+        """
+        n = self.layout.n_modes
+        s = self.sigma
+        a, b, c, d = s[:n, :n], s[:n, n:], s[n:, :n], s[n:, n:]
+        u, v, w, y = a + d, b + c, a - d, b - c
+        # Q sigma Q^dag = [[u + v, i (w - y)], [-i (w + y), u - v]] / 2
+        blocks = ((u + v, 1j * (w - y)), (-1j * (w + y), u - v))
+        real = np.empty((2 * n, 2 * n))
+        imag = 0.0
+        for i, row in enumerate(blocks):
+            for j, block in enumerate(row):
+                real[i * n:(i + 1) * n, j * n:(j + 1) * n] = block.real
+                imag = max(imag, np.max(np.abs(block.imag)))
+        real *= 0.5
+        return real, 0.5 * imag / max(1.0, np.max(np.abs(real)))
 
     @property
     def sigma_tilde(self) -> np.ndarray:

@@ -1,5 +1,12 @@
 """Vacuum-projection, threshold and photon-number-resolving probabilities.
 
+Every quantity is read from ``CovarianceState.quadrature``, the real
+symmetric Re(Q sigma Q^dag) of the state in the (x, p) basis, indexed by
+the detected rows: no reduced state is built, and every determinant and
+solve runs in real arithmetic.  Its imaginary residual is the structure
+check: a state without the conjugate block structure of a physical sigma
+is rejected once the determinant sign has been checked.
+
 Threshold probabilities come from inclusion-exclusion over vacuum
 projections; number-resolved probabilities are mixed Taylor coefficients of
 det(1 + T sigma_tilde T / 2)^(-1/2) about t = 1.  Those come from one dense
@@ -20,19 +27,20 @@ from typing import Sequence
 import numpy as np
 
 from . import series
-from .core import CovarianceState, reduce
+from .core import CovarianceState, subset_indices
 from .series import SeriesContext, TruncatedSeries
 
 log = logging.getLogger(__name__)
 
 DET_IMAG_TOL = 1e-10
+STRUCTURE_TOL = 1e-10
 CLAMP_TOL = 1e-10
 MAX_THRESHOLD_MODES = 16
 DEFAULT_PNR_CUTOFF = 12
 
 
 class UnphysicalStateError(ValueError):
-    """A determinant came out negative or complex beyond tolerance."""
+    """A determinant came out negative, or sigma lacks the conjugate structure."""
 
 
 def _as_groups(spatial_modes) -> list[tuple[int, ...]]:
@@ -98,16 +106,38 @@ def _clamp(p: float, label: str) -> float:
     return min(p, 1.0)
 
 
+def _detected(state: CovarianceState, spatial_modes: Sequence[int]) -> np.ndarray:
+    """Rows and columns of the given spatial modes in Re(Q sigma Q^dag)."""
+    idx = subset_indices(state.layout, spatial_modes)
+    return state.quadrature[0][np.ix_(idx, idx)]
+
+
+def _detected_tilde(state: CovarianceState, spatial_modes: Sequence[int]) -> np.ndarray:
+    """``_detected`` minus the identity: sigma_tilde in the (x, p) basis."""
+    sigma_tilde = _detected(state, spatial_modes)
+    sigma_tilde[np.diag_indices_from(sigma_tilde)] -= 1
+    return sigma_tilde
+
+
+def _check_structure(state: CovarianceState) -> None:
+    residual = state.quadrature[1]
+    if residual > STRUCTURE_TOL:
+        raise UnphysicalStateError(
+            f"covariance matrix lacks the conjugate block structure "
+            f"(relative |Im(Q sigma Q^dag)| = {residual:.2e})")
+
+
 def p_vacuum(state: CovarianceState, spatial_subset: Sequence[int]) -> float:
     """Probability of vacuum on every spectral bin of the given spatial modes."""
     subset = list(spatial_subset)
     if not subset:
         return 1.0
-    sigma_s = reduce(state, subset).sigma
+    sigma_s = _detected(state, subset)
     n2 = sigma_s.shape[0]
     sign, logdet = np.linalg.slogdet((np.eye(n2) + sigma_s) / 2)
-    if abs(sign.imag) > DET_IMAG_TOL or sign.real <= 0:
+    if sign <= 0:
         raise UnphysicalStateError(f"vacuum-projection determinant has sign {sign}")
+    _check_structure(state)
     return _clamp(float(np.exp(-0.5 * logdet)), "p_vacuum")
 
 
@@ -169,11 +199,12 @@ def series_inv_sqrt_det(sigma_tilde: np.ndarray, row_variable: np.ndarray,
     """Taylor expansion of det(1 + T sigma_tilde T / 2)^(-1/2) about t = 1.
 
     ``row_variable[a]`` names the series variable (detected spatial mode)
-    that weights row/column ``a`` of the reduced sigma_tilde; T applies
+    that weights row/column ``a`` of the detected sigma_tilde; T applies
     sqrt(t_var) on each side.  Expansion variables are s = t - 1.  The
     result is exact on every multi-index at or below one of ``patterns``
     (default: the whole box ``orders``); other coefficients of the box are
-    left incomplete.
+    left incomplete.  Real input is expanded in real arithmetic and gives
+    real coefficients; complex Hermitian input gives complex ones.
 
     With S = sigma_tilde / 2 and T^2 = 1 + D(s), D the diagonal of row
     variables, Sylvester's identity gives
@@ -196,12 +227,12 @@ def series_inv_sqrt_det(sigma_tilde: np.ndarray, row_variable: np.ndarray,
     z = np.linalg.solve(one_plus_s, s_half)
     cols = [np.flatnonzero(row_variable == v) for v in range(len(ctx.orders))]
 
-    logser = np.zeros(ctx.size, dtype=complex)
+    logser = np.zeros(ctx.size, dtype=z.dtype)
     logser[0] = np.log(sign) + logabsdet
     # M_m is nonzero only in the columns of the variables m uses: keep
     # those columns (indices, block) and multiply by the matching rows of Z.
     # Degree j needs only the M_m of degree j - 1, so older ones are dropped.
-    previous, current = {0: (np.arange(n2), np.eye(n2, dtype=complex))}, {}
+    previous, current = {0: (np.arange(n2), np.eye(n2, dtype=z.dtype))}, {}
     degree = 1
     for m, j, preds, extend in _power_plan(ctx.orders, patterns):
         if j > degree:
@@ -241,29 +272,23 @@ def p_pnr(state: CovarianceState, spatial_modes: Sequence[int],
         if sum(pattern) > cutoff:
             raise ValueError(f"total count {sum(pattern)} exceeds cutoff {cutoff}")
     flat = [m for g in groups for m in g]
-    reduced = reduce(state, flat)
-    nf = reduced.layout.n_spectral
     var_of_mode = np.array([v for v, g in enumerate(groups) for _ in g])
-    row_var = np.concatenate([np.repeat(var_of_mode, nf)] * 2)
+    row_var = np.concatenate([np.repeat(var_of_mode, state.layout.n_spectral)] * 2)
     box = tuple(max(column) for column in zip(*patterns))
-    f = series_inv_sqrt_det(reduced.sigma_tilde, row_var, box, patterns)
-    probs = []
-    for pattern in patterns:
-        coeff = f.coefficient(pattern) * (-1) ** sum(pattern)
-        if abs(coeff.imag) > DET_IMAG_TOL:
-            raise UnphysicalStateError(f"p_pnr has imaginary part {coeff.imag}")
-        probs.append(_clamp(coeff.real, "p_pnr"))
+    f = series_inv_sqrt_det(_detected_tilde(state, flat), row_var, box, patterns)
+    _check_structure(state)
+    probs = [_clamp(f.coefficient(pattern).real * (-1) ** sum(pattern), "p_pnr")
+             for pattern in patterns]
     return probs[0] if single else probs
 
 
 def pnr_distribution(state: CovarianceState, spatial_mode: int,
                      n_max: int) -> np.ndarray:
     """P(0), ..., P(n_max) for one spatial mode, from a single jet expansion."""
-    reduced = reduce(state, [spatial_mode])
-    row_var = np.zeros(2 * reduced.layout.n_spectral, dtype=int)
-    f = series_inv_sqrt_det(reduced.sigma_tilde, row_var, (n_max,))
-    signs = (-1.0) ** np.arange(n_max + 1)
-    probs = (signs * f.coefficients).real
+    row_var = np.zeros(2 * state.layout.n_spectral, dtype=int)
+    f = series_inv_sqrt_det(_detected_tilde(state, [spatial_mode]), row_var, (n_max,))
+    _check_structure(state)
+    probs = (-1.0) ** np.arange(n_max + 1) * f.coefficients
     return np.array([_clamp(float(p), f"pnr_distribution[{n}]")
                      for n, p in enumerate(probs)])
 

@@ -84,9 +84,6 @@ class HhomConfig:
         if any(not 0 <= m < N_SPATIAL for m in self.filter_modes):
             raise ValueError("filter modes must be spatial modes 0..3")
 
-    def layout(self) -> ModeLayout:
-        return ModeLayout(N_SPATIAL, self.grid.n_bins)
-
     def config_hash(self) -> str:
         return hashlib.sha256(repr(self).encode()).hexdigest()[:16]
 

@@ -181,6 +181,22 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "experiment" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, field", [
+    ({"grid": {"n_bins": 7.9, "step": "1e10 rad/s"}}, "grid.n_bins"),
+    ({"sweep": {"start": 0.1, "stop": 0.3, "count": 2.7}}, "sweep.count"),
+    ({"experiment": "filter_study", "n_bins": 7.9, "source": None, "grid": None,
+      "sweep": {"values": ["1e11 rad/s"]}}, "n_bins"),
+])
+def test_non_whole_counts_are_config_errors(tmp_path, capsys, edit, field):
+    """Bin and row counts are not truncated: 7.9 bins is an error, not 7."""
+    doc = {k: v for k, v in {**TINY_POWER_SWEEP, **edit}.items() if v is not None}
+    path = write_config(tmp_path, doc)
+    assert main(["--output-dir", str(tmp_path), "run", path]) == 2
+    assert f"'{field}': must be a whole number" in capsys.readouterr().err
+    whole = dict(TINY_POWER_SWEEP, sweep={"start": 0.1, "stop": 0.3, "count": 3.0})
+    assert len(parse_run_config(whole).values) == 3
+
+
 def test_unreadable_config_exit_code(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.yaml")]) == 2
     capsys.readouterr()

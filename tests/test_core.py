@@ -100,6 +100,13 @@ def test_transform_passive_rejects_expanding():
     lay = ModeLayout(1, 1)
     with pytest.raises(ValueError, match="contractive"):
         Transform("passive", 1.5 * np.eye(1), lay)
+    # diagonal blocks are checked by their largest |entry|, others by s_max
+    lay2 = ModeLayout(1, 2)
+    Transform("passive", np.diag([np.exp(0.3j), 0.5]), lay2)
+    with pytest.raises(ValueError, match="contractive"):
+        Transform("passive", np.diag([0.5, (1 + 1e-9) * np.exp(2j)]), lay2)
+    with pytest.raises(ValueError, match="contractive"):
+        Transform("passive", np.array([[0.9, 0.5], [0.0, 0.9]]), lay2)
 
 
 def test_apply_dispatch_and_kind_check():

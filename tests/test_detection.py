@@ -220,6 +220,21 @@ def test_pnr_unphysical_state_detected():
         p_pnr(bad, (0,), (1,))
 
 
+def test_state_without_conjugate_structure_rejected():
+    """A Hermitian sigma not of the form [[A, B], [B*, A*]] is not detected.
+
+    diag(2, 1) on one mode is Hermitian and positive, but its annihilation
+    and creation blocks are not conjugates, so Q sigma Q^dag is not real.
+    """
+    from gausshom.core import CovarianceState
+    bad = CovarianceState(ModeLayout(1, 1), np.diag([2.0, 1.0]))
+    for detect in (lambda: p_vacuum(bad, [0]),
+                   lambda: p_pnr(bad, (0,), (1,)),
+                   lambda: pnr_distribution(bad, 0, 3)):
+        with pytest.raises(UnphysicalStateError, match="conjugate block structure"):
+            detect()
+
+
 def test_clamp_rejects_probability_above_one():
     assert _clamp(1.0 + 0.5e-10, "p") == 1.0
     assert _clamp(-0.5e-10, "p") == 0.0
