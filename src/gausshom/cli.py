@@ -3,7 +3,8 @@
 Configs are YAML files in which every dimensioned quantity carries an
 explicit unit suffix ("0.1 THz", "29 ps", "1.2e11 rad/s"); dimensionless
 quantities (squeezing, angles in radians, loss fractions) are plain
-numbers.  Unknown keys are rejected before any computation.
+numbers.  Unknown keys are rejected before any computation.  A run
+evaluates its sweep rows one at a time through ``experiments.sweep``.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical or
 unphysical-state error, 4 verification failure.
@@ -16,8 +17,7 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
@@ -29,10 +29,8 @@ from .elements import beam_splitter, delay as delay_element, loss as loss_elemen
 from .experiments import (
     HhomConfig,
     N_SPATIAL,
-    SweepResult,
     filter_study_config,
     structured_source_config,
-    sweep_row,
 )
 from .jsa import JsaSpec, build_jsa, default_grid
 
@@ -300,22 +298,28 @@ def parse_run_config(doc) -> RunConfig:
             raise ConfigError("source", "required key missing")
         grid = parse_grid(doc.get("grid"), source_a, "grid")
         kwargs = dict(detector=detector)
-        if "delay" in doc:
-            kwargs["delay"] = parse_quantity(doc["delay"], "time", "delay")
-        if "bs_angle" in doc:
-            kwargs["bs_angle"] = _number(doc["bs_angle"], "bs_angle")
-        if "loss" in doc:
-            raw = doc["loss"]
-            if not isinstance(raw, list) or len(raw) != N_SPATIAL:
-                raise ConfigError("loss", f"expected {N_SPATIAL} values, got {raw!r}")
-            kwargs["loss"] = tuple(_number(v, f"loss[{i}]", lo=0.0, hi=1.0)
-                                   for i, v in enumerate(raw))
         if "filter" in doc:
             kwargs.update(parse_filter(doc["filter"], source_a, "filter"))
+        elif experiment == "filter_study":
+            raise ConfigError("filter", "a filter study with its own source "
+                                        "needs a filter to sweep")
         try:
             config = HhomConfig(source_a, source_b, grid, **kwargs)
         except ValueError as exc:
             raise ConfigError("", str(exc)) from None
+
+    circuit = {}
+    if "delay" in doc:
+        circuit["delay"] = parse_quantity(doc["delay"], "time", "delay")
+    if "bs_angle" in doc:
+        circuit["bs_angle"] = _number(doc["bs_angle"], "bs_angle")
+    if "loss" in doc:
+        raw = doc["loss"]
+        if not isinstance(raw, list) or len(raw) != N_SPATIAL:
+            raise ConfigError("loss", f"expected {N_SPATIAL} values, got {raw!r}")
+        circuit["loss"] = tuple(_number(v, f"loss[{i}]", lo=0.0, hi=1.0)
+                                for i, v in enumerate(raw))
+    config = replace(config, **circuit)
 
     if experiment == "probe":
         if "sweep" in doc:
@@ -339,20 +343,6 @@ def load_run_config(path: str) -> RunConfig:
     except yaml.YAMLError as exc:
         raise ConfigError("", f"invalid YAML in {path}: {exc}") from None
     return parse_run_config(doc)
-
-
-def execute(rc: RunConfig, threads: int) -> SweepResult:
-    """Evaluate all sweep rows (in parallel) in deterministic order."""
-    visibilities = rc.axis not in ("delay", "bs_angle")
-    if threads > 1 and len(rc.values) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(
-                lambda v: sweep_row(rc.config, rc.axis, v, visibilities),
-                rc.values))
-    else:
-        rows = [sweep_row(rc.config, rc.axis, v, visibilities) for v in rc.values]
-    return SweepResult(rc.axis, tuple(rows), rc.config.detector,
-                       rc.config.config_hash())
 
 
 def svg_plot(x, y, xlabel: str, ylabel: str, path: str,
@@ -404,9 +394,9 @@ def svg_plot(x, y, xlabel: str, ylabel: str, path: str,
         fh.write("\n".join(parts) + "\n")
 
 
-def run_command(config_path: str, output_dir: str, threads: int) -> int:
+def run_command(config_path: str, output_dir: str) -> int:
     rc = load_run_config(config_path)
-    result = execute(rc, threads)
+    result = experiments.sweep(rc.config, rc.axis, rc.values)
     os.makedirs(output_dir, exist_ok=True)
     prefix = os.path.join(output_dir, rc.output_prefix)
     result.to_csv(prefix + ".csv")
@@ -426,8 +416,7 @@ def run_command(config_path: str, output_dir: str, threads: int) -> int:
 
 
 def _verify_oracle() -> tuple[bool, str]:
-    from .fock import (apply_passive_fock, fock_detection, fock_from_jsa,
-                       fock_vacuum, combine)
+    from .fock import apply_passive_fock, fock_detection, fock_from_jsa
     from .detection import DetectionPattern
 
     layout = ModeLayout(2, 2)
@@ -547,8 +536,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="gausshom",
         description="Heralded Hong-Ou-Mandel sweeps over Gaussian states")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="parallel sweep workers (default: all cores)")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="has no effect: sweep rows run one at a time "
+                             "(must be at least 1)")
     parser.add_argument("--output-dir", default=".",
                         help="directory for CSV/SVG artifacts")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -563,7 +553,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return verify_command()
-        return run_command(args.config, args.output_dir, args.threads)
+        return run_command(args.config, args.output_dir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ import functools
 import hashlib
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -224,7 +224,7 @@ class _RowPlan:
     Every state the figures need is built once, keyed by (delay,
     beam-splitter angle), and each of its detection quantities is evaluated
     once.  A plan serves one sweep row or one public call and holds no
-    state beyond it, so rows on different threads share nothing.
+    state beyond it.
     """
 
     def __init__(self, config: HhomConfig):
@@ -444,8 +444,8 @@ def structured_source_config(detector: str = "pnr",
                       filter_modes=(0, 1), detector=detector)
 
 
-SWEEP_AXES = ("delay", "bs_angle", "xi", "loss", "filter_width")
 PROBE_AXIS = "probe"   # one row of the configuration as given
+SWEEP_AXES = ("delay", "bs_angle", "xi", "loss", "filter_width", PROBE_AXIS)
 
 
 @dataclass(frozen=True)
@@ -510,7 +510,8 @@ def sweep(config: HhomConfig, axis: str, values: Sequence[float],
     Per row: four-fold, bunching and heralding probabilities at the row's
     circuit, plus (unless the swept axis is the delay or the beam-splitter
     angle itself, or ``visibilities`` is False) the heralding efficiency
-    and both visibilities.
+    and both visibilities.  Rows are evaluated one at a time, in order.
+    ``axis="probe"`` evaluates the configuration as given, once per value.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")

@@ -3,13 +3,14 @@
 import math
 import os
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from gausshom import cli
+from gausshom import cli, experiments
 from gausshom.cli import (
     ConfigError,
     RunConfig,
@@ -245,3 +246,69 @@ def test_shipped_config_runs(config, tmp_path):
     assert main(["--output-dir", str(tmp_path), "run", str(config)]) == 0
     header = (tmp_path / f"{prefix}.csv").read_text().splitlines()[0]
     assert header == ",".join(CSV_COLUMNS)
+
+
+def test_rows_run_on_the_calling_thread_through_sweep(tmp_path, monkeypatch):
+    """``--threads`` is accepted but starts no workers: rows go through ``sweep``."""
+    row_threads = []
+    sweep_row = experiments.sweep_row
+
+    def recording_row(*args, **kwargs):
+        row_threads.append(threading.get_ident())
+        return sweep_row(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "sweep_row", recording_row)
+    path = write_config(tmp_path, TINY_POWER_SWEEP)
+    assert main(["--output-dir", str(tmp_path), "--threads", "2", "run", path]) == 0
+    assert row_threads == [threading.get_ident()] * 2
+    rc = parse_run_config(TINY_POWER_SWEEP)
+    expected = experiments.sweep(rc.config, rc.axis, rc.values).to_csv()
+    assert (tmp_path / "tiny.csv").read_text() == expected
+
+
+BUILT_IN_FILTER_STUDY = {
+    "experiment": "filter_study",
+    "xi": 0.1,
+    "n_bins": 33,
+    "output_prefix": "fs",
+    "sweep": {"values": ["1.12e11 rad/s"]},
+}
+
+
+def test_built_in_studies_apply_delay_angle_and_loss(tmp_path):
+    """delay, bs_angle and loss reach the circuit of every experiment."""
+    edits = {"loss": [0.5] * 4, "delay": "3 ps", "bs_angle": 0.3}
+    for doc in (BUILT_IN_FILTER_STUDY,
+                {"experiment": "structured_sources", "sweep": {"values": ["0 ps"]}}):
+        config = parse_run_config({**doc, **edits}).config
+        assert (config.loss, config.delay, config.bs_angle) == ((0.5,) * 4, 3e-12, 0.3)
+    p_herald = []
+    for sub, loss in (("open", [0.0] * 4), ("lossy", [0.5] * 4)):
+        path = write_config(tmp_path, {**BUILT_IN_FILTER_STUDY, "loss": loss}, f"{sub}.yaml")
+        assert main(["--output-dir", str(tmp_path / sub), "run", path]) == 0
+        rows = (tmp_path / sub / "fs.csv").read_text().splitlines()
+        p_herald.append(float(dict(zip(rows[0].split(","), rows[1].split(",")))["p_herald"]))
+    assert p_herald[1] < p_herald[0]
+
+
+@pytest.mark.parametrize("edit, field", [
+    ({"loss": [0.5, 0.5, 1.5, 0.5]}, "loss[2]"),
+    ({"loss": [0.5, 0.5]}, "loss"),
+    ({"delay": "3 parsec"}, "delay"),
+    ({"bs_angle": "wide"}, "bs_angle"),
+])
+def test_built_in_circuit_keys_are_validated(edit, field):
+    with pytest.raises(ConfigError) as info:
+        parse_run_config({**BUILT_IN_FILTER_STUDY, **edit})
+    assert info.value.field == field
+
+
+def test_custom_source_filter_study_needs_a_filter(tmp_path, capsys):
+    """Sweeping filter_width over a circuit with no filter is a config error."""
+    doc = {"experiment": "filter_study",
+           "source": TINY_POWER_SWEEP["source"],
+           "grid": TINY_POWER_SWEEP["grid"],
+           "sweep": {"values": ["1e10 rad/s", "2e10 rad/s", "3e10 rad/s"]}}
+    path = write_config(tmp_path, doc)
+    assert main(["--output-dir", str(tmp_path), "run", path]) == 2
+    assert "'filter'" in capsys.readouterr().err

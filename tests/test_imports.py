@@ -1,0 +1,45 @@
+"""Every module of the package uses each name it imports.
+
+No linter ships with the test dependencies, so this parses the sources with
+``ast``.  ``__init__.py`` (re-exports) and ``from __future__`` imports are
+exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gausshom"
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in sorted(imported.items(),
+                                                            key=lambda kv: kv[1])
+            if name not in used]
+
+
+def test_checker_flags_unused_and_accepts_used():
+    source = ("from __future__ import annotations\n"
+              "import os, sys\n"
+              "from math import pi as half_turn, tau\n"
+              "def f():\n"
+              "    from json import dumps\n"
+              "    return os.sep, half_turn\n")
+    assert unused_imports(source) == ["line 2: sys", "line 3: tau", "line 5: dumps"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")
+                                          if p.name != "__init__.py"))
+def test_module_has_no_unused_imports(module):
+    assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []

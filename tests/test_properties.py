@@ -2,9 +2,12 @@
 
 Detection reads Re(Q sigma Q^dag) in the real quadrature basis; these tests
 compare it with the same quantities computed directly from the complex
-sigma, and check the identities that tie threshold, PNR and grouped
-detectors together.
+sigma, check the identities that tie threshold, PNR and grouped detectors
+together, bound the summed pattern probabilities, and check invariance
+under elements that act alike on every detector.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -127,3 +130,50 @@ def test_grouped_detector_vacuum_is_joint_vacuum(data):
     joint = p_vacuum(state, group)
     assert p_pnr(state, (group,), (0,)) == pytest.approx(joint, rel=REL, abs=FLOOR)
     assert p_threshold(state, (group,)) == pytest.approx(1 - joint, abs=1e-12)
+
+
+def assert_close(got, expected):
+    np.testing.assert_allclose(got, expected, rtol=REL, atol=FLOOR)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_box_sum_is_at_most_one_and_grows_with_the_cutoff(data):
+    layout, grid, ops = data.draw(circuits())
+    state = run_gaussian(layout, grid, ops)
+    modes = tuple(range(layout.n_spatial))
+    sums = []
+    for n_max in (1, 2, 3):
+        box = list(itertools.product(range(n_max + 1), repeat=len(modes)))
+        sums.append(sum(p_pnr(state, modes, box)))
+    assert sums[-1] <= 1 + 1e-12
+    assert sums[0] <= sums[1] + 1e-12 and sums[1] <= sums[2] + 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), kind=st.sampled_from(["phase", "delay"]),
+       amount=st.floats(-3.0, 3.0))
+def test_common_phase_or_delay_leaves_detection_unchanged(data, kind, amount):
+    layout, grid, ops = data.draw(circuits())
+    state = run_gaussian(layout, grid, ops)
+    shifted = run_gaussian(layout, grid, ops + [(kind, amount, m)
+                                                for m in range(layout.n_spatial)])
+    modes = tuple(data.draw(st.lists(st.integers(0, layout.n_spatial - 1),
+                                     min_size=1, max_size=layout.n_spatial, unique=True)))
+    assert_close(p_vacuum(shifted, modes), p_vacuum(state, modes))
+    patterns = data.draw(st.lists(st.tuples(*[st.integers(0, 2)] * len(modes)),
+                                  min_size=1, max_size=4, unique=True))
+    assert_close(p_pnr(shifted, modes, patterns), p_pnr(state, modes, patterns))
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_quarter_turn_beam_splitter_swaps_its_modes(data):
+    layout, grid, ops = data.draw(circuits())
+    state = run_gaussian(layout, grid, ops)
+    a, b = data.draw(st.lists(st.integers(0, layout.n_spatial - 1),
+                              min_size=2, max_size=2, unique=True))
+    swapped = run_gaussian(layout, grid, ops + [("bs", np.pi / 2, (a, b))])
+    patterns = list(itertools.product(range(3), repeat=2))
+    assert_close(p_pnr(swapped, (a, b), [(m, n) for n, m in patterns]),
+                 p_pnr(state, (a, b), patterns))
