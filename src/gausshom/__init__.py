@@ -8,9 +8,6 @@ from .core import (
     ModeLayout,
     Transform,
     apply,
-    apply_passive_channel,
-    apply_symplectic,
-    reduce,
     vacuum_state,
 )
 from .detection import (
@@ -55,8 +52,7 @@ from .jsa import PS, THZ, JsaMatrix, JsaSpec, SchmidtData, build_jsa, default_gr
 
 __all__ = [
     "CovarianceState", "FrequencyGrid", "ModeLayout", "Transform",
-    "apply", "apply_passive_channel", "apply_symplectic", "reduce",
-    "vacuum_state",
+    "apply", "vacuum_state",
     "DetectionPattern", "UnphysicalStateError",
     "p_pnr", "p_threshold", "p_vacuum", "pnr_distribution", "probability",
     "bandpass_filter", "beam_splitter", "delay", "loss", "phase_shifter",

@@ -114,10 +114,10 @@ def _number(node, field: str, lo=None, hi=None) -> float:
 
 
 def _whole(node, field: str, lo=None) -> int:
-    v = _number(node, field, lo=lo)
+    v = _number(node, field)
     if not v.is_integer():
         raise ConfigError(field, f"must be a whole number, got {v}")
-    return int(v)
+    return int(_number(node, field, lo=lo))
 
 
 SOURCE_KEYS = ("variant", "xi", "bandwidth", "signal_center", "idler_center",
@@ -233,7 +233,7 @@ def parse_sweep(node, experiment: str, field: str) -> tuple[str, list[float]]:
 
 TOP_KEYS = ("experiment", "detector", "output_prefix", "plot", "source",
             "source_a", "source_b", "grid", "delay", "bs_angle", "loss",
-            "filter", "sweep", "n_bins", "filtered", "xi")
+            "filter", "sweep", "n_bins", "xi")
 
 
 @dataclass(frozen=True)
@@ -265,8 +265,7 @@ def parse_run_config(doc) -> RunConfig:
         raise ConfigError("plot", f"expected true/false, got {plot!r}")
 
     if experiment == "structured_sources":
-        for key in ("source", "source_a", "source_b", "grid", "filter",
-                    "filtered", "xi"):
+        for key in ("source", "source_a", "source_b", "grid", "filter", "xi"):
             if key in doc:
                 raise ConfigError(key, "structured_sources uses its built-in "
                                        "sources, grid and filter")
@@ -276,15 +275,12 @@ def parse_run_config(doc) -> RunConfig:
         for key in ("source_a", "source_b", "grid", "filter"):
             if key in doc:
                 raise ConfigError(key, "the built-in filter study sets this itself")
-        filtered = doc.get("filtered", True)
-        if not isinstance(filtered, bool):
-            raise ConfigError("filtered", f"expected true/false, got {filtered!r}")
-        n_bins = _whole(doc.get("n_bins", experiments.FILTER_STUDY_N_BINS), "n_bins", lo=3)
+        n_bins = _whole(doc.get("n_bins", experiments.FILTER_STUDY_N_BINS), "n_bins",
+                        lo=experiments.FILTER_STUDY_MIN_BINS)
         xi = _number(doc.get("xi", 0.1), "xi", lo=0.0)
-        config = filter_study_config(xi, filtered=filtered, detector=detector,
-                                     n_bins=n_bins)
+        config = filter_study_config(xi, detector=detector, n_bins=n_bins)
     else:
-        for key in ("filtered", "xi", "n_bins"):
+        for key in ("xi", "n_bins"):
             if key in doc:
                 raise ConfigError(key, "only valid for the built-in filter study")
         if "source" in doc:
@@ -345,13 +341,13 @@ def load_run_config(path: str) -> RunConfig:
     return parse_run_config(doc)
 
 
-def svg_plot(x, y, xlabel: str, ylabel: str, path: str,
-             width: int = 640, height: int = 420) -> None:
-    """Self-contained SVG polyline plot with axis labels and range ticks."""
+def svg_plot(x, y, xlabel: str, ylabel: str, path: str) -> None:
+    """Self-contained 640 x 420 SVG polyline plot with axis labels and range ticks."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     keep = np.isfinite(x) & np.isfinite(y)
     x, y = x[keep], y[keep]
+    width, height = 640, 420
     ml, mr, mt, mb = 70, 20, 20, 50
     pw, ph = width - ml - mr, height - mt - mb
 

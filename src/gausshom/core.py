@@ -258,20 +258,6 @@ def apply(state: CovarianceState, t: Transform) -> CovarianceState:
     return CovarianceState(state.layout, out)
 
 
-def apply_symplectic(state: CovarianceState, t: Transform) -> CovarianceState:
-    """``apply`` restricted to symplectic transforms."""
-    if t.kind != "symplectic":
-        raise ValueError("expected a symplectic transform")
-    return apply(state, t)
-
-
-def apply_passive_channel(state: CovarianceState, t: Transform) -> CovarianceState:
-    """``apply`` restricted to passive channels."""
-    if t.kind != "passive":
-        raise ValueError("expected a passive transform")
-    return apply(state, t)
-
-
 def subset_indices(layout: ModeLayout, spatial_subset: Sequence[int]) -> np.ndarray:
     """Doubled-basis row indices of a spatial subset, annihilation then creation."""
     subset = list(spatial_subset)
@@ -284,27 +270,3 @@ def subset_indices(layout: ModeLayout, spatial_subset: Sequence[int]) -> np.ndar
             raise IndexError(f"spatial index {i} out of range")
     ann = np.concatenate([layout.spatial_block(i) for i in subset])
     return np.concatenate([ann, ann + layout.n_modes])
-
-
-def reduce(state: CovarianceState, spatial_subset: Sequence[int]) -> CovarianceState:
-    """Covariance state of a spatial subset (spectral bins kept)."""
-    subset = list(spatial_subset)
-    idx = subset_indices(state.layout, subset)
-    sub_layout = ModeLayout(len(subset), state.layout.n_spectral)
-    return CovarianceState(sub_layout, state.sigma[np.ix_(idx, idx)])
-
-
-def symplectic_from_hamiltonian(h: np.ndarray, layout: ModeLayout) -> Transform:
-    """M = exp(-2i K H) for a Hermitian coefficient matrix H.
-
-    Fallback for elements without a closed form; every element shipped here
-    uses its closed form instead.
-    """
-    h = np.asarray(h, dtype=complex)
-    n = layout.n_modes
-    if h.shape != (2 * n, 2 * n):
-        raise ValueError(f"Hamiltonian matrix must be {2 * n}x{2 * n}")
-    if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL * max(1.0, np.linalg.norm(h)):
-        raise ValueError("Hamiltonian coefficient matrix must be Hermitian")
-    m = scipy.linalg.expm(-2j * layout.metric() @ h)
-    return Transform("symplectic", m, layout)

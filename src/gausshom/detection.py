@@ -250,8 +250,7 @@ def series_inv_sqrt_det(sigma_tilde: np.ndarray, row_variable: np.ndarray,
     return TruncatedSeries(ctx, series.exp(ctx, -0.5 * logser))
 
 
-def p_pnr(state: CovarianceState, spatial_modes: Sequence[int],
-          counts: Sequence, cutoff: int = DEFAULT_PNR_CUTOFF):
+def p_pnr(state: CovarianceState, spatial_modes: Sequence[int], counts: Sequence):
     """Probability of detecting exactly ``counts`` photons per detector.
 
     Each entry of ``spatial_modes`` is a spatial mode or a group of them;
@@ -259,7 +258,7 @@ def p_pnr(state: CovarianceState, spatial_modes: Sequence[int],
     ``counts`` may also be a sequence of count patterns on the same
     detectors: all of them then come from one expansion, which forms only
     the multi-indices at or below some pattern, and a list of
-    probabilities is returned.
+    probabilities is returned.  A pattern holds at most ``DEFAULT_PNR_CUTOFF`` photons.
     """
     groups = _as_groups(spatial_modes)
     single = all(isinstance(n, (int, np.integer)) for n in counts)
@@ -269,8 +268,8 @@ def p_pnr(state: CovarianceState, spatial_modes: Sequence[int],
             raise ValueError("one count per detector required")
         if any(n < 0 for n in pattern):
             raise ValueError("photon counts must be nonnegative")
-        if sum(pattern) > cutoff:
-            raise ValueError(f"total count {sum(pattern)} exceeds cutoff {cutoff}")
+        if sum(pattern) > DEFAULT_PNR_CUTOFF:
+            raise ValueError(f"total count {sum(pattern)} exceeds cutoff {DEFAULT_PNR_CUTOFF}")
     flat = [m for g in groups for m in g]
     var_of_mode = np.array([v for v, g in enumerate(groups) for _ in g])
     row_var = np.concatenate([np.repeat(var_of_mode, state.layout.n_spectral)] * 2)
@@ -293,11 +292,10 @@ def pnr_distribution(state: CovarianceState, spatial_mode: int,
                      for n, p in enumerate(probs)])
 
 
-def probability(state: CovarianceState, pattern: DetectionPattern,
-                cutoff: int = DEFAULT_PNR_CUTOFF) -> float:
+def probability(state: CovarianceState, pattern: DetectionPattern) -> float:
     """Probability of a detection pattern, PNR or threshold."""
     if pattern.is_pnr:
-        return p_pnr(state, pattern.spatial_modes, pattern.outcomes, cutoff)
+        return p_pnr(state, pattern.spatial_modes, pattern.outcomes)
     on = [m for m, o in zip(pattern.spatial_modes, pattern.outcomes) if o == "on"]
     off = [m for m, o in zip(pattern.spatial_modes, pattern.outcomes) if o == "off"]
     return p_threshold(state, on, off)

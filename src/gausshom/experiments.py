@@ -41,8 +41,6 @@ DISTINGUISHABLE_DETECTORS = (0, (1, 5), (2, 4), 3)
 DELAY_MODE = 1
 N_SPATIAL = 4
 
-PLATEAU_FACTOR = 50.0          # "infinite" delay in units of 1 / bandwidth
-PLATEAU_CHECK_TOL = 1e-6
 SPS_ANGLE_TOL = 1e-8
 
 DETECTORS = ("pnr", "threshold")
@@ -252,21 +250,9 @@ class _RowPlan:
             raise ZeroDivisionError("heralding rate is zero")
         return p_sps / at45.heralding_rate
 
-    def hom_visibility(self, plateau: str = "exact",
-                       check_plateau: bool = False) -> float:
-        if plateau == "exact":
-            p_plateau = distinguishable_four_fold(self.config)
-        elif plateau == "delay":
-            tau = plateau_delay(self.config)
-            p_plateau = self.figures(tau, math.pi / 4).four_fold
-            if check_plateau:
-                p_double = self.figures(2 * tau, math.pi / 4).four_fold
-                if abs(p_double - p_plateau) > PLATEAU_CHECK_TOL * max(p_plateau, 1e-300):
-                    raise RuntimeError("four-fold probability has not reached its "
-                                       "large-delay plateau")
-        else:
-            raise ValueError(f"unknown plateau method {plateau!r}")
-        return visibility_hom(self.figures(0.0, math.pi / 4).four_fold, p_plateau)
+    def hom_visibility(self) -> float:
+        return visibility_hom(self.figures(0.0, math.pi / 4).four_fold,
+                              distinguishable_four_fold(self.config))
 
     def mzi_visibility(self) -> float:
         return visibility_mzi(self.figures(bs_angle=0.0).four_fold,
@@ -318,24 +304,13 @@ def visibility_mzi(p4_max: float, p4_min: float) -> float:
     return (p4_max - p4_min) / (p4_max + p4_min)
 
 
-def plateau_delay(config: HhomConfig) -> float:
-    """Delay long enough for the dip to have fully decayed."""
-    zeta = min(config.source_a.zeta, config.source_b.zeta)
-    return PLATEAU_FACTOR / zeta
+def hom_visibility(config: HhomConfig) -> float:
+    """Delay-dip visibility, normalized by ``distinguishable_four_fold``.
 
-
-def hom_visibility(config: HhomConfig, plateau: str = "exact",
-                   check_plateau: bool = False) -> float:
-    """Delay-dip visibility of a configuration.
-
-    ``plateau="exact"`` normalizes by the exact distinguishable limit from
-    ``distinguishable_four_fold``; ``plateau="delay"`` instead evaluates a
-    finite delay of 50 inverse bandwidths, which carries a frequency-lattice
-    artifact for strongly non-separable sources.  ``check_plateau``
-    recomputes the finite-delay plateau at twice the delay and errors if
-    the value has not converged.
+    That exact limit replaces a large finite delay, which on a frequency
+    lattice never fully decoheres the pairs (see ``build_distinguishable``).
     """
-    return _RowPlan(config).hom_visibility(plateau, check_plateau)
+    return _RowPlan(config).hom_visibility()
 
 
 def mzi_visibility(config: HhomConfig) -> float:
@@ -389,6 +364,8 @@ FILTER_STUDY_ZETA = 1e11                 # rad/s
 FILTER_STUDY_WALKOFF = 29e-12            # s
 FILTER_STUDY_HALF_WIDTH = 1.12e11        # rad/s, fitted
 FILTER_STUDY_N_BINS = 61
+# the grid spans 8 zeta, and build_jsa needs a step of at most zeta / 4
+FILTER_STUDY_MIN_BINS = 33
 
 
 def filter_study_config(xi: float, filtered: bool = True,

@@ -197,30 +197,3 @@ def fock_detection(state: FockState, pattern: DetectionPattern) -> float:
         if ok:
             prob += abs(amp) ** 2
     return prob
-
-
-def conditional_idler_matrix(state: FockState, signal_spatial: int,
-                             idler_spatial: int) -> np.ndarray:
-    """Unnormalized idler density matrix after a 1-photon signal detection.
-
-    Restricted to the single-photon idler subspace, in the frequency-bin
-    basis; used to cross-check the analytic heralded-purity formula.
-    """
-    nf = state.layout.n_spectral
-    sig = range(signal_spatial * nf, (signal_spatial + 1) * nf)
-    idl = list(range(idler_spatial * nf, (idler_spatial + 1) * nf))
-    rho = np.zeros((nf, nf), dtype=complex)
-    groups: dict = {}
-    for occ, amp in state.amplitudes.items():
-        if sum(occ[k] for k in sig) != 1:
-            continue
-        if sum(occ[k] for k in idl) != 1:
-            continue
-        rest = tuple(occ[k] for k in range(len(occ)) if k not in idl)
-        w = next(i for i, k in enumerate(idl) if occ[k] == 1)
-        groups.setdefault(rest, []).append((w, amp))
-    for entries in groups.values():
-        for w1, a1 in entries:
-            for w2, a2 in entries:
-                rho[w1, w2] += a1 * np.conj(a2)
-    return rho

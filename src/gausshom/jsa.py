@@ -95,9 +95,6 @@ class SchmidtData:
     u: np.ndarray = field(repr=False)
     vh: np.ndarray = field(repr=False)
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.values) @ self.vh
-
 
 def default_grid(spec: JsaSpec, n_bins: int = 41, span_factor: float = 4.0) -> FrequencyGrid:
     """Grid spanning ``+- span_factor * scale`` around the signal center.
@@ -129,19 +126,21 @@ def _lobe(offsets: np.ndarray, center: float, width: float) -> np.ndarray:
     return np.exp(-0.5 * ((offsets - center) / width) ** 2)
 
 
-def build_jsa(spec: JsaSpec, grid_signal: FrequencyGrid,
-              grid_idler: FrequencyGrid | None = None) -> JsaMatrix:
-    """Sample a JSA model on frequency grids and normalize to the spec's xi."""
-    if grid_idler is None:
-        grid_idler = FrequencyGrid(spec.idler_center, grid_signal.step, grid_signal.n_bins)
-    if grid_signal.step > spec.zeta / 4 or grid_idler.step > spec.zeta / 4:
+def build_jsa(spec: JsaSpec, grid_signal: FrequencyGrid) -> JsaMatrix:
+    """Sample a JSA model and normalize it to the spec's xi.
+
+    The idler grid is the signal grid moved to the spec's idler center.
+    """
+    grid_idler = FrequencyGrid(spec.idler_center, grid_signal.step, grid_signal.n_bins)
+    if grid_signal.step > spec.zeta / 4:
         raise ValueError("frequency grid is too coarse for this bandwidth "
                          f"(step {grid_signal.step:.3e} > zeta/4 = {spec.zeta / 4:.3e})")
-    for grid, center in ((grid_signal, spec.signal_center), (grid_idler, spec.idler_center)):
-        span = (grid.n_bins - 1) / 2 * grid.step
-        if span < 4 * spec.zeta or abs(grid.center - center) > grid.step / 2:
-            warnings.warn("frequency grid does not cover +-4 zeta around the JSA center",
-                          stacklevel=2)
+    # the idler grid has the same span and sits on its center by construction
+    span = (grid_signal.n_bins - 1) / 2 * grid_signal.step
+    off_center = abs(grid_signal.center - spec.signal_center) > grid_signal.step / 2
+    if span < 4 * spec.zeta or off_center:
+        warnings.warn("frequency grid does not cover +-4 zeta around the JSA center",
+                      stacklevel=2)
 
     d1 = grid_signal.frequencies() - spec.signal_center  # signal offsets, rad/s
     d2 = grid_idler.frequencies() - spec.idler_center
@@ -171,21 +170,3 @@ def schmidt_decompose(j: JsaMatrix) -> SchmidtData:
         raise ValueError("JSA matrix contains non-finite entries")
     u, s, vh = np.linalg.svd(j.f)
     return SchmidtData(s, u, vh)
-
-
-def schmidt_purity(values: np.ndarray) -> float:
-    """sum(a_l^4) for the normalized Schmidt weights a_l = lambda_l / xi."""
-    v = np.asarray(values, dtype=float)
-    total = np.sum(v ** 2)
-    if total == 0:
-        return 1.0
-    return float(np.sum(v ** 4) / total ** 2)
-
-
-def export_csv(j: JsaMatrix, path) -> None:
-    """Write real and imaginary parts as CSV (row = signal bin, col = idler bin)."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("# real part\n")
-        np.savetxt(fh, j.f.real, delimiter=",")
-        fh.write("# imaginary part\n")
-        np.savetxt(fh, j.f.imag, delimiter=",")

@@ -20,10 +20,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import scipy.linalg
+
 from gausshom.core import (
+    HERMITICITY_TOL,
     CovarianceState,
     FrequencyGrid,
     ModeLayout,
+    Transform,
     apply,
     vacuum_state,
 )
@@ -46,6 +50,21 @@ from gausshom.fock import (
     fock_vacuum,
 )
 from gausshom.jsa import JsaMatrix
+
+
+def symplectic_from_hamiltonian(h: np.ndarray, layout: ModeLayout) -> Transform:
+    """M = exp(-2i K H) for a Hermitian coefficient matrix H.
+
+    An independent reference for the closed forms of the elements.
+    """
+    h = np.asarray(h, dtype=complex)
+    n = layout.n_modes
+    if h.shape != (2 * n, 2 * n):
+        raise ValueError(f"Hamiltonian matrix must be {2 * n}x{2 * n}")
+    if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL * max(1.0, np.linalg.norm(h)):
+        raise ValueError("Hamiltonian coefficient matrix must be Hermitian")
+    m = scipy.linalg.expm(-2j * layout.metric() @ h)
+    return Transform("symplectic", m, layout)
 
 
 def element_transform(op, grid: FrequencyGrid, layout: ModeLayout):

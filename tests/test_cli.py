@@ -296,11 +296,25 @@ def test_built_in_studies_apply_delay_angle_and_loss(tmp_path):
     ({"loss": [0.5, 0.5]}, "loss"),
     ({"delay": "3 parsec"}, "delay"),
     ({"bs_angle": "wide"}, "bs_angle"),
+    # the grid spans 8 zeta and build_jsa needs a step of at most zeta / 4
+    ({"n_bins": 21}, "n_bins"),
+    # the built-in study always filters; a probe gives the unfiltered numbers
+    ({"filtered": False}, "filtered"),
 ])
 def test_built_in_circuit_keys_are_validated(edit, field):
     with pytest.raises(ConfigError) as info:
         parse_run_config({**BUILT_IN_FILTER_STUDY, **edit})
     assert info.value.field == field
+
+
+def test_probe_gives_the_unfiltered_filter_study():
+    """The unfiltered reference of the built-in filter study, as a probe."""
+    doc = {"experiment": "probe",
+           "source": {"variant": "waveguide", "xi": 0.2, "bandwidth": "1e11 rad/s",
+                      "walkoff": "29 ps"},
+           "grid": {"n_bins": 33, "step": "2.5e10 rad/s"}}
+    config = parse_run_config(doc).config
+    assert config == experiments.filter_study_config(0.2, filtered=False, n_bins=33)
 
 
 def test_custom_source_filter_study_needs_a_filter(tmp_path, capsys):

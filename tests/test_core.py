@@ -9,11 +9,7 @@ from gausshom.core import (
     ModeLayout,
     Transform,
     apply,
-    apply_passive_channel,
-    apply_symplectic,
-    reduce,
     subset_indices,
-    symplectic_from_hamiltonian,
     vacuum_state,
 )
 from gausshom.elements import (
@@ -25,6 +21,8 @@ from gausshom.elements import (
     squeezer,
 )
 from gausshom.jsa import JsaMatrix
+
+from conftest import symplectic_from_hamiltonian
 
 
 def test_layout_indexing():
@@ -112,12 +110,7 @@ def test_transform_passive_rejects_expanding():
 def test_apply_dispatch_and_kind_check():
     lay = ModeLayout(1, 1)
     state = vacuum_state(lay)
-    passive = Transform("passive", 0.5 * np.eye(1), lay)
     sympl = Transform("symplectic", np.eye(2), lay)
-    with pytest.raises(ValueError):
-        apply_symplectic(state, passive)
-    with pytest.raises(ValueError):
-        apply_passive_channel(state, sympl)
     assert np.allclose(apply(state, sympl).sigma, state.sigma)
 
 
@@ -136,18 +129,6 @@ def test_subset_indices_order():
         subset_indices(lay, [])
     with pytest.raises(ValueError):
         subset_indices(lay, [1, 1])
-
-
-def test_reduce_keeps_spectral_blocks():
-    lay = ModeLayout(2, 2)
-    grid = FrequencyGrid(0.0, 1.0, 2)
-    f = 0.3 * np.array([[1.0, 0.2], [0.1, 0.8]], dtype=complex)
-    f *= 0.3 / np.linalg.norm(f)
-    state = apply(vacuum_state(lay), squeezer(JsaMatrix(f, grid, grid), 0, 1, lay))
-    red = reduce(state, [1])
-    assert red.layout == ModeLayout(1, 2)
-    idx = subset_indices(lay, [1])
-    np.testing.assert_array_equal(red.sigma, state.sigma[np.ix_(idx, idx)])
 
 
 def test_embed_permutation_consistency():

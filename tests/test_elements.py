@@ -7,7 +7,6 @@ from gausshom.core import (
     FrequencyGrid,
     ModeLayout,
     apply,
-    symplectic_from_hamiltonian,
     vacuum_state,
 )
 from gausshom.detection import p_pnr, pnr_distribution
@@ -21,7 +20,7 @@ from gausshom.elements import (
 )
 from gausshom.jsa import JsaMatrix
 
-from conftest import random_jsa
+from conftest import random_jsa, symplectic_from_hamiltonian
 
 
 def grid_of(n_bins):

@@ -1,6 +1,7 @@
 """Heralded-HOM circuit assembly, figures of merit, and sweeps."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,9 +9,11 @@ import pytest
 
 from gausshom import detection, experiments
 from gausshom.core import FrequencyGrid
+from gausshom.detection import p_pnr, p_threshold
 from gausshom.experiments import (
     CSV_COLUMNS,
     DETECTORS,
+    FOUR_ARMS,
     HhomConfig,
     build_hhom,
     bunching,
@@ -21,7 +24,6 @@ from gausshom.experiments import (
     heralding_rate,
     hom_visibility,
     mzi_visibility,
-    plateau_delay,
     ratio_r,
     single_pair_probability,
     structured_source_config,
@@ -136,30 +138,6 @@ def test_visibility_helpers_and_errors():
         visibility_hom(0.1, 0.0)
     with pytest.raises(ZeroDivisionError):
         visibility_mzi(0.0, 0.0)
-    config = gaussian_config(0.2)
-    with pytest.raises(ValueError, match="plateau"):
-        hom_visibility(config, plateau="nonsense")
-
-
-def test_delay_plateau_carries_lattice_artifact():
-    """The finite-delay plateau underestimates distinguishability on a
-    coarse grid, so the exact reference never gives a smaller visibility."""
-    import warnings
-    spec = JsaSpec("waveguide", 0.15, 4.0, signal_center=0.0, idler_center=0.0,
-                   walkoff=2.0)
-    grid = FrequencyGrid(0.0, 1.0, 5)
-    config = HhomConfig(spec, spec, grid)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        v_exact = hom_visibility(config, plateau="exact")
-        v_delay = hom_visibility(config, plateau="delay")
-    assert 0.0 < v_exact <= 1.0 + 1e-12
-    assert v_delay <= v_exact + 1e-9
-
-
-def test_plateau_delay_scales_inverse_bandwidth():
-    config = gaussian_config(0.1)
-    assert plateau_delay(config) == pytest.approx(50.0)
 
 
 def test_analytic_heralded_purity():
@@ -288,9 +266,9 @@ def test_visibility_row_builds_and_detects_each_distinct_state_once(monkeypatch,
         vacuum_calls.append((id(state), tuple(modes)))
         return p_vacuum(state, modes)
 
-    def counting_pnr(state, modes, counts, *args):
+    def counting_pnr(state, modes, counts):
         pnr_calls.append((id(state), repr(modes)))
-        return p_pnr(state, modes, counts, *args)
+        return p_pnr(state, modes, counts)
 
     monkeypatch.setattr(experiments, "_sources_and_channels", counting_stage)
     monkeypatch.setattr(experiments, "build_hhom", counting_hhom)
@@ -307,3 +285,29 @@ def test_visibility_row_builds_and_detects_each_distinct_state_once(monkeypatch,
     else:
         # one expansion per (state, detector set)
         assert len(pnr_calls) == len(set(pnr_calls)) == 4
+
+
+@pytest.mark.parametrize("bs_angle", [0.3, math.pi / 4])
+def test_swapping_the_sources_mirrors_every_pattern(bs_angle):
+    """Swapping two different sources, with their filter and loss, relabels
+    the arms 0 <-> 3 and 1 <-> 2 and changes no probability."""
+    waveguide = JsaSpec("waveguide", 0.3, 4.0, signal_center=0.0, idler_center=0.0,
+                        walkoff=1.0)
+    gaussian = JsaSpec("gaussian", 0.2, 4.0, signal_center=0.0, idler_center=0.0)
+    config = HhomConfig(waveguide, gaussian, FrequencyGrid(0.0, 1.0, 7),
+                        bs_angle=bs_angle, loss=(0.1, 0.2, 0.15, 0.05),
+                        filter_center=0.0, filter_half_width=1.5, filter_modes=(0, 1))
+    swapped = dataclasses.replace(config, source_a=gaussian, source_b=waveguide,
+                                  loss=config.loss[::-1], filter_modes=(3, 2))
+    state, mirror = build_hhom(config), build_hhom(swapped)
+
+    patterns = list(itertools.product(range(3), repeat=4))
+    expected = p_pnr(state, FOUR_ARMS, [p[::-1] for p in patterns])
+    for pattern, got, want in zip(patterns, p_pnr(mirror, FOUR_ARMS, patterns), expected):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15), pattern
+    # threshold sums cancel near 1, so they are compared to an absolute bound
+    for on in itertools.chain.from_iterable(
+            itertools.combinations(FOUR_ARMS, r) for r in range(5)):
+        off = tuple(m for m in FOUR_ARMS if m not in on)
+        want = p_threshold(state, [3 - m for m in on], [3 - m for m in off])
+        assert p_threshold(mirror, on, off) == pytest.approx(want, abs=1e-12), on

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and the package
+exports exactly what its `__init__.py` imports.
 
 No linter ships with the test dependencies, so this parses the sources with
 ``ast``.  ``__init__.py`` (re-exports) and ``from __future__`` imports are
@@ -43,3 +44,15 @@ def test_checker_flags_unused_and_accepts_used():
                                           if p.name != "__init__.py"))
 def test_module_has_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_init_exports_exactly_what_it_imports():
+    """``__all__`` lists each name ``__init__.py`` imports, and each resolves."""
+    import gausshom
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(imported) == sorted(gausshom.__all__)
+    assert len(set(gausshom.__all__)) == len(gausshom.__all__)
+    assert [name for name in gausshom.__all__ if not hasattr(gausshom, name)] == []

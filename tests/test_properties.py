@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from gausshom.core import FrequencyGrid, ModeLayout, subset_indices
 from gausshom.detection import (
+    CLAMP_TOL,
     p_pnr,
     p_threshold,
     p_vacuum,
@@ -77,7 +78,11 @@ def complex_p_vacuum(state, modes):
 
 
 def complex_p_pnr(state, groups, patterns):
-    """series_inv_sqrt_det on the complex sigma_tilde of the detected modes."""
+    """series_inv_sqrt_det on the complex sigma_tilde of the detected modes.
+
+    Clamped by the library's rule: rounding within CLAMP_TOL outside [0, 1]
+    is cut off, so an exact zero compares as 0, not as -1e-15.
+    """
     groups = [(g,) if isinstance(g, int) else g for g in groups]
     flat = [m for g in groups for m in g]
     idx = subset_indices(state.layout, flat)
@@ -87,7 +92,8 @@ def complex_p_pnr(state, groups, patterns):
     f = series_inv_sqrt_det(state.sigma_tilde[np.ix_(idx, idx)], row_var, box, patterns)
     coeffs = [f.coefficient(p) * (-1) ** sum(p) for p in patterns]
     assert all(abs(c.imag) < 1e-10 for c in coeffs)
-    return [c.real for c in coeffs]
+    return [min(max(c.real, 0.0), 1.0) if -CLAMP_TOL <= c.real <= 1 + CLAMP_TOL
+            else c.real for c in coeffs]
 
 
 @PROPERTY_SETTINGS
