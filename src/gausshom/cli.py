@@ -496,12 +496,20 @@ def _verify_csv_determinism() -> tuple[bool, str]:
     spec = JsaSpec("gaussian", 0.2, 2 * math.pi * 1e11)
     grid = default_grid(spec, n_bins=33)
     config = HhomConfig(spec, spec, grid)
+    delays = [0.0, 2e-12]
+    threshold = HhomConfig(spec, spec, grid, detector="threshold")
     texts = []
     for _ in range(2):
-        res = experiments.sweep(config, "xi", [0.1, 0.2], visibilities=False)
-        texts.append(res.to_csv())
-    ok = texts[0] == texts[1]
-    return ok, "byte-identical CSV" if ok else "CSV output differs between runs"
+        texts.append(experiments.sweep(config, "xi", [0.1, 0.2], visibilities=False).to_csv()
+                     + experiments.sweep(threshold, "delay", delays).to_csv())
+    # the delay sweep derives both rows from one source stage; one-row
+    # sweeps build their own, and the rows must not differ by a bit
+    singles = [experiments.sweep(threshold, "delay", [d]).to_csv().splitlines(keepends=True)
+               for d in delays]
+    ok = (texts[0] == texts[1]
+          and texts[0].endswith(singles[0][0] + "".join(lines[1] for lines in singles)))
+    return ok, ("byte-identical CSV" if ok else
+                "CSV output differs between runs or from one-row sweeps")
 
 
 VERIFY_SUITES = (

@@ -2,9 +2,18 @@
 
 The circuit uses four spatial modes: 0 and 3 are herald (signal) arms with
 a detector each, 1 and 2 are the interfering idler arms.  Source A pumps
-the pair (0, 1), source B the pair (3, 2); a variable delay sits on idler
-1, optional bandpass filters and per-arm loss follow, and a beam-splitter
-of angle theta mixes idlers (1, 2) before detection.
+the pair (0, 1), source B the pair (3, 2); optional bandpass filters and
+per-arm loss follow, then a variable delay on idler 1 and a beam-splitter
+of angle theta that mixes idlers (1, 2) before detection.
+
+The circuit splits into a source stage (sources, filters and loss, the
+expensive part) and a suffix (delay and beam-splitter).  Every state a
+sweep row needs is derived from one stage: the state without the
+beam-splitter is the stage itself (plus any delay), the state at pi/4
+adds the splitter, and the fully distinguishable limit embeds the stage
+on six modes and splits each idler against a vacuum ancilla.  A sweep
+along the delay, the beam-splitter angle or a probe builds the stage once
+for all of its rows.
 
 Figures of merit: the four-fold coincidence probability, the two bunching
 patterns, both visibility definitions (delay dip and beam-splitter-angle
@@ -25,7 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CovarianceState, FrequencyGrid, ModeLayout, apply, vacuum_state
+from .core import (CovarianceState, FrequencyGrid, ModeLayout, apply, subset_indices,
+                   vacuum_state)
 from .detection import inclusion_exclusion, p_pnr, p_threshold, p_vacuum
 from .elements import bandpass_filter, beam_splitter, delay, loss, squeezer
 from .jsa import JsaSpec, build_jsa
@@ -86,19 +96,26 @@ class HhomConfig:
         return hashlib.sha256(repr(self).encode()).hexdigest()[:16]
 
 
-def _sources_and_channels(config: HhomConfig, n_spatial: int) -> CovarianceState:
-    """Both pair sources, the bandpass filters and per-arm loss on ``n_spatial`` modes.
+def _sources_and_channels(config: HhomConfig) -> CovarianceState:
+    """The source stage: both pair sources, the bandpass filters and per-arm loss.
 
-    This stage is shared by the interfering circuit and its distinguishable
-    limit; spatial modes beyond the four arms stay in vacuum.
+    Every state of a configuration is derived from this four-arm state by a
+    short suffix (``_with_suffix``, ``_distinguishable``), and it does not
+    depend on the delay or the beam-splitter angle.
     """
-    lay = ModeLayout(n_spatial, config.grid.n_bins)
+    lay = ModeLayout(N_SPATIAL, config.grid.n_bins)
     state = vacuum_state(lay)
-    for spec, (sig, idl) in ((config.source_a, (0, 1)),
-                             (config.source_b, (3, 2))):
-        if spec.xi > 0:
-            j = build_jsa(spec, config.grid)
-            state = apply(state, squeezer(j, sig, idl, lay))
+    if config.source_a.xi > 0:
+        pump_a = squeezer(build_jsa(config.source_a, config.grid), 0, 1, lay)
+        state = apply(state, pump_a)
+    if config.source_b.xi > 0:
+        if config.source_b == config.source_a:
+            # one JSA, Schmidt decomposition and squeezer block serve both
+            # sources: the block does not depend on its target modes
+            pump_b = dataclasses.replace(pump_a, modes=(3, 2))
+        else:
+            pump_b = squeezer(build_jsa(config.source_b, config.grid), 3, 2, lay)
+        state = apply(state, pump_b)
     if config.filter_modes:
         state = apply(state, bandpass_filter(config.filter_center,
                                              config.filter_half_width,
@@ -111,14 +128,35 @@ def _sources_and_channels(config: HhomConfig, n_spatial: int) -> CovarianceState
     return state
 
 
-def build_hhom(config: HhomConfig) -> CovarianceState:
-    """Final covariance state of the heralded-HOM circuit."""
-    state = _sources_and_channels(config, N_SPATIAL)
+def _with_suffix(stage: CovarianceState, config: HhomConfig) -> CovarianceState:
+    """The config's delay and beam-splitter applied to its source stage."""
+    state = stage
     if config.delay != 0.0:
         state = apply(state, delay(config.delay, DELAY_MODE, config.grid, state.layout))
     if config.bs_angle != 0.0:
         state = apply(state, beam_splitter(config.bs_angle, IDLER_MODES, state.layout))
     return state
+
+
+def _distinguishable(stage: CovarianceState) -> CovarianceState:
+    """The source stage embedded on six modes, each idler split against an ancilla.
+
+    The ancillas 4 and 5 are vacuum until the splitters, so copying the
+    four-arm sigma into the six-mode identity is exact.
+    """
+    lay = ModeLayout(N_SPATIAL + 2, stage.layout.n_spectral)
+    rows = subset_indices(lay, FOUR_ARMS)
+    sigma = np.eye(2 * lay.n_modes, dtype=complex)
+    sigma[np.ix_(rows, rows)] = stage.sigma
+    state = CovarianceState(lay, sigma)
+    del sigma   # the state holds its own symmetrized copy
+    state = apply(state, beam_splitter(math.pi / 4, (1, 4), lay))
+    return apply(state, beam_splitter(math.pi / 4, (2, 5), lay))
+
+
+def build_hhom(config: HhomConfig) -> CovarianceState:
+    """Final covariance state of the heralded-HOM circuit."""
+    return _with_suffix(_sources_and_channels(config), config)
 
 
 def build_distinguishable(config: HhomConfig) -> CovarianceState:
@@ -133,9 +171,7 @@ def build_distinguishable(config: HhomConfig) -> CovarianceState:
     which reproduces the routing statistics of fully distinguishable
     photons with no spurious interference.
     """
-    state = _sources_and_channels(config, N_SPATIAL + 2)
-    state = apply(state, beam_splitter(math.pi / 4, (1, 4), state.layout))
-    return apply(state, beam_splitter(math.pi / 4, (2, 5), state.layout))
+    return _distinguishable(_sources_and_channels(config))
 
 
 def four_fold(state: CovarianceState, detector: str = "pnr") -> float:
@@ -162,10 +198,7 @@ def heralding_rate(state: CovarianceState, detector: str = "pnr") -> float:
 
 def distinguishable_four_fold(config: HhomConfig) -> float:
     """Four-fold probability in the fully distinguishable (infinite-delay) limit."""
-    state = build_distinguishable(config)
-    if config.detector == "pnr":
-        return p_pnr(state, DISTINGUISHABLE_DETECTORS, FOUR_FOLD_COUNTS)
-    return p_threshold(state, DISTINGUISHABLE_DETECTORS)
+    return _RowPlan(config).distinguishable_four_fold
 
 
 class _Figures:
@@ -219,15 +252,30 @@ class _Figures:
 class _RowPlan:
     """Figures of merit of one configuration from its distinct states.
 
-    Every state the figures need is built once, keyed by (delay,
-    beam-splitter angle), and each of its detection quantities is evaluated
-    once.  A plan serves one sweep row or one public call and holds no
-    state beyond it.
+    Every state the figures need is derived from one source stage
+    (``_sources_and_channels``): the state at (delay, beam-splitter angle)
+    adds those two elements to it, and the distinguishable limit embeds it
+    on six modes.  Each state is built once, keyed by (delay, angle), and
+    each of its detection quantities is evaluated once.  The plan keeps
+    the stage only once ``share_stage`` says it will derive more than one
+    state from it; a sweep whose axis leaves the stage unchanged passes in
+    the stage it built.  A plan serves one sweep row or one public call
+    and holds no state beyond it.
     """
 
-    def __init__(self, config: HhomConfig):
+    def __init__(self, config: HhomConfig, stage: CovarianceState | None = None):
         self.config = config
+        self._stage = stage
         self._figures = {}
+
+    def share_stage(self) -> _RowPlan:
+        """Build the stage now and keep it for the states derived from it."""
+        if self._stage is None:
+            self._stage = _sources_and_channels(self.config)
+        return self
+
+    def _stage_or_build(self) -> CovarianceState:
+        return self._stage if self._stage is not None else _sources_and_channels(self.config)
 
     def figures(self, delay: float | None = None,
                 bs_angle: float | None = None) -> _Figures:
@@ -235,12 +283,20 @@ class _RowPlan:
         key = (self.config.delay if delay is None else delay,
                self.config.bs_angle if bs_angle is None else bs_angle)
         if key not in self._figures:
-            state = build_hhom(dataclasses.replace(self.config, delay=key[0],
-                                                   bs_angle=key[1]))
+            config = dataclasses.replace(self.config, delay=key[0], bs_angle=key[1])
+            state = _with_suffix(self._stage_or_build(), config)
             self._figures[key] = _Figures(state, self.config.detector)
         return self._figures[key]
 
+    @functools.cached_property
+    def distinguishable_four_fold(self) -> float:
+        state = _distinguishable(self._stage_or_build())
+        if self.config.detector == "pnr":
+            return p_pnr(state, DISTINGUISHABLE_DETECTORS, FOUR_FOLD_COUNTS)
+        return p_threshold(state, DISTINGUISHABLE_DETECTORS)
+
     def heralding_efficiency(self) -> float:
+        self.share_stage()
         p_sps = self.figures(bs_angle=0.0).single_pair
         at45 = self.figures(bs_angle=math.pi / 4)
         if abs(p_sps - at45.single_pair) > SPS_ANGLE_TOL:
@@ -251,14 +307,18 @@ class _RowPlan:
         return p_sps / at45.heralding_rate
 
     def hom_visibility(self) -> float:
+        self.share_stage()
         return visibility_hom(self.figures(0.0, math.pi / 4).four_fold,
-                              distinguishable_four_fold(self.config))
+                              self.distinguishable_four_fold)
 
     def mzi_visibility(self) -> float:
+        self.share_stage()
         return visibility_mzi(self.figures(bs_angle=0.0).four_fold,
                               self.figures(bs_angle=math.pi / 4).four_fold)
 
     def row(self, param: str, value: float, visibilities: bool) -> dict:
+        if visibilities:
+            self.share_stage()
         here = self.figures()
         p4, p_bunch = here.four_fold_and_bunching
         row = {"param": param, "value": value, "p4": p4, "p_bunch": p_bunch,
@@ -334,9 +394,9 @@ def ratio_r(config: HhomConfig) -> RatioResult:
     Conventions in the literature disagree on which value is the numerator,
     so both orderings are returned.
     """
-    p4_max = four_fold(build_hhom(dataclasses.replace(config, bs_angle=0.0)),
-                       config.detector)
-    p4_plateau = distinguishable_four_fold(config)
+    plan = _RowPlan(config).share_stage()
+    p4_max = four_fold(plan.figures(bs_angle=0.0).state, config.detector)
+    p4_plateau = plan.distinguishable_four_fold
     if p4_max <= 0 or p4_plateau <= 0:
         raise ZeroDivisionError("four-fold probability vanishes")
     return RatioResult(p4_max, p4_plateau, p4_max / p4_plateau, p4_plateau / p4_max)
@@ -423,6 +483,8 @@ def structured_source_config(detector: str = "pnr",
 
 PROBE_AXIS = "probe"   # one row of the configuration as given
 SWEEP_AXES = ("delay", "bs_angle", "xi", "loss", "filter_width", PROBE_AXIS)
+# axes that leave the source stage unchanged: a sweep builds it once for all rows
+STAGE_AXES = ("delay", "bs_angle", PROBE_AXIS)
 
 
 @dataclass(frozen=True)
@@ -489,6 +551,11 @@ def sweep(config: HhomConfig, axis: str, values: Sequence[float],
     angle itself, or ``visibilities`` is False) the heralding efficiency
     and both visibilities.  Rows are evaluated one at a time, in order.
     ``axis="probe"`` evaluates the configuration as given, once per value.
+
+    The delay, beam-splitter and probe axes leave the source stage
+    unchanged, so a sweep of several values on them builds the stage once
+    and derives every row's states from it; it is dropped when the sweep
+    returns.  Every other axis builds one stage per row.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
@@ -498,16 +565,23 @@ def sweep(config: HhomConfig, axis: str, values: Sequence[float],
     if visibilities is None:
         visibilities = axis not in ("delay", "bs_angle")
 
-    rows = [sweep_row(config, axis, v, visibilities) for v in values]
+    stage = None
+    if axis in STAGE_AXES and len(values) > 1:
+        stage = _sources_and_channels(config)
+    rows = [sweep_row(config, axis, v, visibilities, stage=stage) for v in values]
     return SweepResult(axis, tuple(rows), config.detector, config.config_hash())
 
 
 def sweep_row(config: HhomConfig, axis: str, value: float,
-              visibilities: bool) -> dict:
+              visibilities: bool, stage: CovarianceState | None = None) -> dict:
     """Figures of merit of one sweep point, as a CSV-contract row dict.
 
     ``axis="probe"`` evaluates the configuration as given, under the
-    param label ``probe``.
+    param label ``probe``.  ``stage``, if given, is the source stage of
+    ``config`` (``_sources_and_channels``); only an axis in ``STAGE_AXES``
+    can take it, since every other axis changes the stage.
     """
-    plan = _RowPlan(_with_axis_value(config, axis, float(value)))
+    if stage is not None and axis not in STAGE_AXES:
+        raise ValueError(f"the {axis!r} axis changes the source stage")
+    plan = _RowPlan(_with_axis_value(config, axis, float(value)), stage)
     return plan.row(axis, float(value), visibilities)

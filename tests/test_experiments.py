@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 
 from gausshom import detection, experiments
-from gausshom.core import FrequencyGrid
+from gausshom.core import FrequencyGrid, ModeLayout, apply, vacuum_state
+from gausshom.elements import bandpass_filter, beam_splitter, loss, squeezer
 from gausshom.detection import p_pnr, p_threshold
 from gausshom.experiments import (
     CSV_COLUMNS,
     DETECTORS,
     FOUR_ARMS,
     HhomConfig,
+    build_distinguishable,
     build_hhom,
     bunching,
     distinguishable_four_fold,
@@ -34,7 +36,7 @@ from gausshom.experiments import (
     visibility_mzi,
     xi_to_db,
 )
-from gausshom.jsa import JsaSpec
+from gausshom.jsa import JsaSpec, build_jsa
 
 
 def gaussian_config(xi=0.3, detector="pnr", **kwargs):
@@ -248,19 +250,14 @@ def test_sweep_row_matches_standalone_figures(detector, delay):
 
 @pytest.mark.parametrize("detector", DETECTORS)
 def test_visibility_row_builds_and_detects_each_distinct_state_once(monkeypatch, detector):
-    built, vacuum_calls, pnr_calls = [], [], []
+    stages, vacuum_calls, pnr_calls = [], [], []
     stage = experiments._sources_and_channels
-    hhom = experiments.build_hhom
     p_vacuum = experiments.p_vacuum
     p_pnr = experiments.p_pnr
 
-    def counting_stage(config, n_spatial):
-        built.append(n_spatial)
-        return stage(config, n_spatial)
-
-    def counting_hhom(config):
-        built.append("hhom")
-        return hhom(config)
+    def counting_stage(config):
+        stages.append(config)
+        return stage(config)
 
     def counting_vacuum(state, modes):
         vacuum_calls.append((id(state), tuple(modes)))
@@ -271,20 +268,110 @@ def test_visibility_row_builds_and_detects_each_distinct_state_once(monkeypatch,
         return p_pnr(state, modes, counts)
 
     monkeypatch.setattr(experiments, "_sources_and_channels", counting_stage)
-    monkeypatch.setattr(experiments, "build_hhom", counting_hhom)
     monkeypatch.setattr(experiments, "p_vacuum", counting_vacuum)
     monkeypatch.setattr(detection, "p_vacuum", counting_vacuum)
     monkeypatch.setattr(experiments, "p_pnr", counting_pnr)
     sweep_row(lossy_waveguide_config(detector), "xi", 0.3, visibilities=True)
 
-    # bs = pi/4 and bs = 0 at delay 0, plus the six-mode distinguishable limit
-    assert sorted(built, key=str) == [4, 4, 6, "hhom", "hhom"]
+    # one source stage serves bs = pi/4, bs = 0 and the six-mode distinguishable limit
+    assert len(stages) == 1
     if detector == "threshold":
         # the 16 subsets of 4 detectors on each of 3 states
         assert len(vacuum_calls) == len(set(vacuum_calls)) == 48
+        assert len({state for state, _ in vacuum_calls}) == 3
     else:
         # one expansion per (state, detector set)
         assert len(pnr_calls) == len(set(pnr_calls)) == 4
+        assert len({state for state, _ in pnr_calls}) == 3
+
+
+def count_stages(monkeypatch) -> list:
+    """Record every source-stage build from here on."""
+    stages = []
+    stage = experiments._sources_and_channels
+
+    def counting_stage(config):
+        stages.append(config)
+        return stage(config)
+
+    monkeypatch.setattr(experiments, "_sources_and_channels", counting_stage)
+    return stages
+
+
+def sources_filter_and_loss(config, lay):
+    """The source stage on ``lay``, assembled element by element, one squeezer per source."""
+    state = vacuum_state(lay)
+    for spec, (sig, idl) in ((config.source_a, (0, 1)), (config.source_b, (3, 2))):
+        state = apply(state, squeezer(build_jsa(spec, config.grid), sig, idl, lay))
+    state = apply(state, bandpass_filter(config.filter_center, config.filter_half_width,
+                                         config.filter_modes, config.grid, lay))
+    for eps in sorted(set(config.loss)):
+        arms = [m for m, e in enumerate(config.loss) if e == eps]
+        state = apply(state, loss(eps, arms, lay))
+    return state
+
+
+def test_identical_sources_share_one_squeezer(monkeypatch):
+    jsa_calls = []
+    build = experiments.build_jsa
+
+    def counting_jsa(spec, grid):
+        jsa_calls.append(spec)
+        return build(spec, grid)
+
+    monkeypatch.setattr(experiments, "build_jsa", counting_jsa)
+    gaussian = JsaSpec("gaussian", 0.2, 4.0, signal_center=0.0, idler_center=0.0)
+    identical = lossy_waveguide_config("pnr")
+    for config, n_jsa in ((identical, 1),
+                          (dataclasses.replace(identical, source_b=gaussian), 2)):
+        jsa_calls.clear()
+        got = experiments._sources_and_channels(config)
+        assert len(jsa_calls) == n_jsa
+        want = sources_filter_and_loss(config, ModeLayout(4, config.grid.n_bins))
+        assert np.array_equal(got.sigma, want.sigma)
+
+
+def test_embedded_distinguishable_state_matches_six_mode_circuit():
+    """Copying the four-arm stage into six modes is exact: the ancillas are vacuum."""
+    gaussian = JsaSpec("gaussian", 0.25, 4.0, signal_center=0.0, idler_center=0.5)
+    config = dataclasses.replace(lossy_waveguide_config("pnr"), source_b=gaussian,
+                                 filter_modes=(0, 1, 3))
+    lay = ModeLayout(6, config.grid.n_bins)
+    want = sources_filter_and_loss(config, lay)
+    want = apply(want, beam_splitter(math.pi / 4, (1, 4), lay))
+    want = apply(want, beam_splitter(math.pi / 4, (2, 5), lay))
+    got = build_distinguishable(config)
+    assert got.layout == lay
+    assert np.array_equal(got.sigma, want.sigma)
+
+
+@pytest.mark.parametrize("axis, values", [("delay", [0.0, 0.4, 1.1]),
+                                          (experiments.PROBE_AXIS, [0.0, 1.0])])
+def test_stage_axis_sweep_builds_one_stage(monkeypatch, axis, values):
+    config = lossy_waveguide_config("threshold", delay=0.2)
+    stages = count_stages(monkeypatch)
+    text = sweep(config, axis, values).to_csv()
+    assert len(stages) == 1
+    # one-value sweeps build their own stage and give the same bytes
+    singles = [sweep(config, axis, [v]).to_csv().splitlines(keepends=True)
+               for v in values]
+    assert len(stages) == 1 + len(values)
+    assert text == singles[0][0] + "".join(lines[1] for lines in singles)
+
+
+def test_xi_sweep_builds_one_stage_per_row(monkeypatch):
+    stages = count_stages(monkeypatch)
+    sweep(lossy_waveguide_config("threshold"), "xi", [0.1, 0.2, 0.3])
+    assert [s.source_a.xi for s in stages] == [0.1, 0.2, 0.3]
+
+
+def test_only_stage_axes_take_a_stage():
+    config = lossy_waveguide_config("pnr")
+    stage = experiments._sources_and_channels(config)
+    with pytest.raises(ValueError, match="source stage"):
+        sweep_row(config, "xi", 0.2, visibilities=False, stage=stage)
+    shared = sweep_row(config, "delay", 0.5, False, stage=stage)
+    assert shared == sweep_row(config, "delay", 0.5, False)
 
 
 @pytest.mark.parametrize("bs_angle", [0.3, math.pi / 4])
