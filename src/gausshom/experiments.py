@@ -9,11 +9,17 @@ of angle theta that mixes idlers (1, 2) before detection.
 The circuit splits into a source stage (sources, filters and loss, the
 expensive part) and a suffix (delay and beam-splitter).  Every state a
 sweep row needs is derived from one stage: the state without the
-beam-splitter is the stage itself (plus any delay), the state at pi/4
-adds the splitter, and the fully distinguishable limit embeds the stage
-on six modes and splits each idler against a vacuum ancilla.  A sweep
-along the delay, the beam-splitter angle or a probe builds the stage once
-for all of its rows.
+beam-splitter is the stage itself (plus any delay), and the state at pi/4
+adds the splitter.  A sweep along the delay, the beam-splitter angle or a
+probe builds the stage once for all of its rows.
+
+The fully distinguishable (infinite-delay) limit is the circuit that
+splits each idler against a vacuum ancilla, with detectors A and B each
+collecting half of both idlers.  Its generating function is the four-arm
+one with both idler variables (t_A + t_B) / 2, so with PNR detectors it is
+half of P(1,1,1,1) + P(1,2,0,1) + P(1,0,2,1) at angle 0, and with
+threshold detectors P(A and B) = P(A) + P(B) - P(A or B), where vacuum in
+A alone is vacuum in both idlers after 50% loss.
 
 Figures of merit: the four-fold coincidence probability, the two bunching
 patterns, both visibility definitions (delay dip and beam-splitter-angle
@@ -34,8 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (CovarianceState, FrequencyGrid, ModeLayout, apply, subset_indices,
-                   vacuum_state)
+from .core import CovarianceState, FrequencyGrid, ModeLayout, apply, vacuum_state
 from .detection import inclusion_exclusion, p_pnr, p_threshold, p_vacuum
 from .elements import bandpass_filter, beam_splitter, delay, loss, squeezer
 from .jsa import JsaSpec, build_jsa
@@ -45,9 +50,6 @@ IDLER_MODES = (1, 2)
 FOUR_ARMS = (0, 1, 2, 3)
 FOUR_FOLD_COUNTS = (1, 1, 1, 1)
 BUNCHING_COUNTS = ((1, 0, 2, 1), (1, 2, 0, 1))
-# composite detectors of the distinguishable limit: idler 1 pairs with
-# ancilla 5 and idler 2 with ancilla 4 (see ``build_distinguishable``)
-DISTINGUISHABLE_DETECTORS = (0, (1, 5), (2, 4), 3)
 DELAY_MODE = 1
 N_SPATIAL = 4
 
@@ -100,8 +102,8 @@ def _sources_and_channels(config: HhomConfig) -> CovarianceState:
     """The source stage: both pair sources, the bandpass filters and per-arm loss.
 
     Every state of a configuration is derived from this four-arm state by a
-    short suffix (``_with_suffix``, ``_distinguishable``), and it does not
-    depend on the delay or the beam-splitter angle.
+    short suffix (``_with_suffix``), and it does not depend on the delay or
+    the beam-splitter angle.
     """
     lay = ModeLayout(N_SPATIAL, config.grid.n_bins)
     state = vacuum_state(lay)
@@ -138,40 +140,9 @@ def _with_suffix(stage: CovarianceState, config: HhomConfig) -> CovarianceState:
     return state
 
 
-def _distinguishable(stage: CovarianceState) -> CovarianceState:
-    """The source stage embedded on six modes, each idler split against an ancilla.
-
-    The ancillas 4 and 5 are vacuum until the splitters, so copying the
-    four-arm sigma into the six-mode identity is exact.
-    """
-    lay = ModeLayout(N_SPATIAL + 2, stage.layout.n_spectral)
-    rows = subset_indices(lay, FOUR_ARMS)
-    sigma = np.eye(2 * lay.n_modes, dtype=complex)
-    sigma[np.ix_(rows, rows)] = stage.sigma
-    state = CovarianceState(lay, sigma)
-    del sigma   # the state holds its own symmetrized copy
-    state = apply(state, beam_splitter(math.pi / 4, (1, 4), lay))
-    return apply(state, beam_splitter(math.pi / 4, (2, 5), lay))
-
-
 def build_hhom(config: HhomConfig) -> CovarianceState:
     """Final covariance state of the heralded-HOM circuit."""
     return _with_suffix(_sources_and_channels(config), config)
-
-
-def build_distinguishable(config: HhomConfig) -> CovarianceState:
-    """Six-mode state of the fully distinguishable (infinite-delay) limit.
-
-    On a finite frequency lattice a physical delay can never decohere
-    photon pairs that occupy the same frequency bin, so the large-delay
-    plateau of the four-fold probability retains a grid artifact.  The
-    exact limit is instead obtained by splitting each idler arm on its own
-    balanced beam-splitter against a vacuum ancilla (modes 4 and 5) and
-    pairing the outputs into the composite ``DISTINGUISHABLE_DETECTORS``,
-    which reproduces the routing statistics of fully distinguishable
-    photons with no spurious interference.
-    """
-    return _distinguishable(_sources_and_channels(config))
 
 
 def four_fold(state: CovarianceState, detector: str = "pnr") -> float:
@@ -197,7 +168,11 @@ def heralding_rate(state: CovarianceState, detector: str = "pnr") -> float:
 
 
 def distinguishable_four_fold(config: HhomConfig) -> float:
-    """Four-fold probability in the fully distinguishable (infinite-delay) limit."""
+    """Four-fold probability in the fully distinguishable (infinite-delay) limit.
+
+    Exact, unlike a large finite delay, which on a frequency lattice never
+    decoheres pairs in the same bin; see the module docstring.
+    """
     return _RowPlan(config).distinguishable_four_fold
 
 
@@ -215,13 +190,13 @@ class _Figures:
         self.detector = detector
         self._vacuum = {}
 
-    def _p_vacuum(self, modes: tuple) -> float:
+    def vacuum(self, modes: tuple) -> float:
         if modes not in self._vacuum:
             self._vacuum[modes] = p_vacuum(self.state, modes)
         return self._vacuum[modes]
 
     def _threshold(self, on_modes, off_modes=()) -> float:
-        return inclusion_exclusion(self._p_vacuum, on_modes, off_modes)
+        return inclusion_exclusion(self.vacuum, on_modes, off_modes)
 
     @functools.cached_property
     def four_fold_and_bunching(self) -> tuple[float, float]:
@@ -254,13 +229,13 @@ class _RowPlan:
 
     Every state the figures need is derived from one source stage
     (``_sources_and_channels``): the state at (delay, beam-splitter angle)
-    adds those two elements to it, and the distinguishable limit embeds it
-    on six modes.  Each state is built once, keyed by (delay, angle), and
-    each of its detection quantities is evaluated once.  The plan keeps
-    the stage only once ``share_stage`` says it will derive more than one
-    state from it; a sweep whose axis leaves the stage unchanged passes in
-    the stage it built.  A plan serves one sweep row or one public call
-    and holds no state beyond it.
+    adds those two elements to it, and the distinguishable limit is read
+    from the state at angle 0.  Each state is built once, keyed by (delay,
+    angle), and each of its detection quantities is evaluated once.  The
+    plan keeps the stage only once ``share_stage`` says it will derive more
+    than one state from it; a sweep whose axis leaves the stage unchanged
+    passes in the stage it built.  A plan serves one sweep row or one
+    public call and holds no state beyond it.
     """
 
     def __init__(self, config: HhomConfig, stage: CovarianceState | None = None):
@@ -268,11 +243,10 @@ class _RowPlan:
         self._stage = stage
         self._figures = {}
 
-    def share_stage(self) -> _RowPlan:
+    def share_stage(self) -> None:
         """Build the stage now and keep it for the states derived from it."""
         if self._stage is None:
             self._stage = _sources_and_channels(self.config)
-        return self
 
     def _stage_or_build(self) -> CovarianceState:
         return self._stage if self._stage is not None else _sources_and_channels(self.config)
@@ -290,10 +264,20 @@ class _RowPlan:
 
     @functools.cached_property
     def distinguishable_four_fold(self) -> float:
-        state = _distinguishable(self._stage_or_build())
+        """From the state at angle 0 (module docstring); with threshold
+        detectors, one range-checked sum in which modes 1 and 2 are A and B."""
+        unsplit = self.figures(bs_angle=0.0)
         if self.config.detector == "pnr":
-            return p_pnr(state, DISTINGUISHABLE_DETECTORS, FOUR_FOLD_COUNTS)
-        return p_threshold(state, DISTINGUISHABLE_DETECTORS)
+            return 0.5 * unsplit.single_pair
+        halved = _Figures(apply(unsplit.state, loss(0.5, IDLER_MODES, unsplit.state.layout)),
+                          self.config.detector)
+
+        def vacuum(modes: tuple) -> float:
+            if len(set(modes) & set(IDLER_MODES)) == 1:
+                return halved.vacuum(tuple(sorted(set(modes) | set(IDLER_MODES))))
+            return unsplit.vacuum(modes)
+
+        return inclusion_exclusion(vacuum, FOUR_ARMS)
 
     def heralding_efficiency(self) -> float:
         self.share_stage()
@@ -368,7 +352,8 @@ def hom_visibility(config: HhomConfig) -> float:
     """Delay-dip visibility, normalized by ``distinguishable_four_fold``.
 
     That exact limit replaces a large finite delay, which on a frequency
-    lattice never fully decoheres the pairs (see ``build_distinguishable``).
+    lattice never fully decoheres the pairs; it is read from the circuit
+    without the beam-splitter (see the module docstring).
     """
     return _RowPlan(config).hom_visibility()
 
@@ -383,7 +368,7 @@ class RatioResult:
     """Both orderings of the plateau-to-maximum four-fold ratio."""
 
     p4_max: float        # no beam-splitter
-    p4_plateau: float    # distinguishable (infinite-delay) limit
+    p4_plateau: float    # distinguishable limit, from the no-splitter state
     max_over_plateau: float
     plateau_over_max: float
 
@@ -394,8 +379,8 @@ def ratio_r(config: HhomConfig) -> RatioResult:
     Conventions in the literature disagree on which value is the numerator,
     so both orderings are returned.
     """
-    plan = _RowPlan(config).share_stage()
-    p4_max = four_fold(plan.figures(bs_angle=0.0).state, config.detector)
+    plan = _RowPlan(config)
+    p4_max = plan.figures(bs_angle=0.0).four_fold
     p4_plateau = plan.distinguishable_four_fold
     if p4_max <= 0 or p4_plateau <= 0:
         raise ZeroDivisionError("four-fold probability vanishes")

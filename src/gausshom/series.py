@@ -2,9 +2,8 @@
 
 Series in k variables are truncated to a box of per-variable orders
 (n_1, ..., n_k) and stored as flat coefficient arrays of length
-prod(n_i + 1), in C (row-major) multi-index order.  Arrays may carry
-trailing axes, which multiply element-wise, and keep the dtype of their
-inputs: real series stay real.
+prod(n_i + 1), in C (row-major) multi-index order.  They keep the dtype
+of their inputs: real series stay real.
 
 Number-resolving detection probabilities are mixed Taylor coefficients of
 det(...)^(-1/2) around t = 1.  ``detection`` builds the logarithm of that
@@ -74,11 +73,10 @@ class SeriesContext:
 
 
 def mul(ctx: SeriesContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Truncated product; a and b have leading axis of length ctx.size."""
-    trailing = np.broadcast_shapes(a.shape[1:], b.shape[1:])
-    out = np.zeros((ctx.size,) + trailing, dtype=np.result_type(a, b))
+    """Truncated product of two coefficient arrays of length ctx.size."""
+    out = np.zeros(ctx.size, dtype=np.result_type(a, b))
     for c, (i1, i2) in enumerate(ctx.table):
-        out[c] = np.sum(a[i1] * b[i2], axis=0)
+        out[c] = np.sum(a[i1] * b[i2])
     return out
 
 

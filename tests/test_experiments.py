@@ -10,13 +10,13 @@ import pytest
 from gausshom import detection, experiments
 from gausshom.core import FrequencyGrid, ModeLayout, apply, vacuum_state
 from gausshom.elements import bandpass_filter, beam_splitter, loss, squeezer
-from gausshom.detection import p_pnr, p_threshold
+from gausshom.detection import DetectionPattern, p_pnr, p_threshold
+from gausshom.fock import fock_detection
 from gausshom.experiments import (
     CSV_COLUMNS,
     DETECTORS,
     FOUR_ARMS,
     HhomConfig,
-    build_distinguishable,
     build_hhom,
     bunching,
     distinguishable_four_fold,
@@ -37,6 +37,8 @@ from gausshom.experiments import (
     xi_to_db,
 )
 from gausshom.jsa import JsaSpec, build_jsa
+
+from conftest import run_fock
 
 
 def gaussian_config(xi=0.3, detector="pnr", **kwargs):
@@ -250,7 +252,7 @@ def test_sweep_row_matches_standalone_figures(detector, delay):
 
 @pytest.mark.parametrize("detector", DETECTORS)
 def test_visibility_row_builds_and_detects_each_distinct_state_once(monkeypatch, detector):
-    stages, vacuum_calls, pnr_calls = [], [], []
+    stages, calls = [], []
     stage = experiments._sources_and_channels
     p_vacuum = experiments.p_vacuum
     p_pnr = experiments.p_pnr
@@ -259,12 +261,13 @@ def test_visibility_row_builds_and_detects_each_distinct_state_once(monkeypatch,
         stages.append(config)
         return stage(config)
 
+    # the list keeps every detected state alive, so their ids stay distinct
     def counting_vacuum(state, modes):
-        vacuum_calls.append((id(state), tuple(modes)))
+        calls.append((state, tuple(modes)))
         return p_vacuum(state, modes)
 
     def counting_pnr(state, modes, counts):
-        pnr_calls.append((id(state), repr(modes)))
+        calls.append((state, repr(modes)))
         return p_pnr(state, modes, counts)
 
     monkeypatch.setattr(experiments, "_sources_and_channels", counting_stage)
@@ -273,16 +276,20 @@ def test_visibility_row_builds_and_detects_each_distinct_state_once(monkeypatch,
     monkeypatch.setattr(experiments, "p_pnr", counting_pnr)
     sweep_row(lossy_waveguide_config(detector), "xi", 0.3, visibilities=True)
 
-    # one source stage serves bs = pi/4, bs = 0 and the six-mode distinguishable limit
+    # one source stage serves bs = pi/4, bs = 0 and the distinguishable limit
     assert len(stages) == 1
+    keys = [(id(state), what) for state, what in calls]
+    assert len(keys) == len(set(keys))
+    assert {state.layout.n_spatial for state, _ in calls} == {4}
+    states = {id(state) for state, _ in calls}
     if detector == "threshold":
-        # the 16 subsets of 4 detectors on each of 3 states
-        assert len(vacuum_calls) == len(set(vacuum_calls)) == 48
-        assert len({state for state, _ in vacuum_calls}) == 3
+        # the 16 subsets of 4 detectors at bs = pi/4 and at bs = 0, and the
+        # 4 subsets that hold both idlers after 50% idler loss
+        assert (len(calls), len(states)) == (36, 3)
     else:
-        # one expansion per (state, detector set)
-        assert len(pnr_calls) == len(set(pnr_calls)) == 4
-        assert len({state for state, _ in pnr_calls}) == 3
+        # at bs = pi/4 the four-arm and the herald expansions; at bs = 0 the
+        # four-arm one, which also gives the plateau
+        assert (len(calls), len(states)) == (3, 2)
 
 
 def count_stages(monkeypatch) -> list:
@@ -331,18 +338,81 @@ def test_identical_sources_share_one_squeezer(monkeypatch):
         assert np.array_equal(got.sigma, want.sigma)
 
 
-def test_embedded_distinguishable_state_matches_six_mode_circuit():
-    """Copying the four-arm stage into six modes is exact: the ancillas are vacuum."""
-    gaussian = JsaSpec("gaussian", 0.25, 4.0, signal_center=0.0, idler_center=0.5)
-    config = dataclasses.replace(lossy_waveguide_config("pnr"), source_b=gaussian,
-                                 filter_modes=(0, 1, 3))
+# The fully distinguishable limit as a circuit: each idler is split on a
+# balanced beam-splitter against a vacuum ancilla (modes 4 and 5), and the
+# composite detectors (1, 5) and (2, 4) each see one half of both idlers.
+ANCILLA_SPLITTERS = ((1, 4), (2, 5))
+SIX_MODE_DETECTORS = (0, (1, 5), (2, 4), 3)
+
+
+def six_mode_four_fold(config) -> float:
     lay = ModeLayout(6, config.grid.n_bins)
-    want = sources_filter_and_loss(config, lay)
-    want = apply(want, beam_splitter(math.pi / 4, (1, 4), lay))
-    want = apply(want, beam_splitter(math.pi / 4, (2, 5), lay))
-    got = build_distinguishable(config)
-    assert got.layout == lay
-    assert np.array_equal(got.sigma, want.sigma)
+    state = sources_filter_and_loss(config, lay)
+    for modes in ANCILLA_SPLITTERS:
+        state = apply(state, beam_splitter(math.pi / 4, modes, lay))
+    if config.detector == "pnr":
+        return p_pnr(state, SIX_MODE_DETECTORS, (1, 1, 1, 1))
+    return p_threshold(state, SIX_MODE_DETECTORS)
+
+
+def distinct_source_configs(detector, xi):
+    """Multi-bin, filtered and lossy, with two different sources."""
+    waveguide = JsaSpec("waveguide", xi, 4.0, signal_center=0.0, idler_center=0.0,
+                        walkoff=1.0)
+    gaussian = JsaSpec("gaussian", xi, 4.0, signal_center=0.0, idler_center=0.5)
+    yield dataclasses.replace(lossy_waveguide_config(detector), source_a=waveguide,
+                              source_b=gaussian, filter_modes=(0, 1, 3))
+    yield HhomConfig(gaussian, waveguide, FrequencyGrid(0.0, 0.8, 7),
+                     delay=0.6, bs_angle=0.3, loss=(0.05, 0.25, 0.1, 0.2),
+                     filter_center=0.2, filter_half_width=2.0, filter_modes=(2, 3),
+                     detector=detector)
+
+
+@pytest.mark.parametrize("xi", [0.03, 0.1, 0.3, 1.0])
+@pytest.mark.parametrize("detector", DETECTORS)
+def test_distinguishable_four_fold_matches_six_mode_circuit(detector, xi):
+    for config in distinct_source_configs(detector, xi):
+        got, want = distinguishable_four_fold(config), six_mode_four_fold(config)
+        if detector == "pnr" or xi >= 0.3:
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+        else:
+            # threshold sums of vacuum terms near 1 keep only absolute
+            # accuracy at low power, on both sides of the comparison
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+
+def test_threshold_plateau_is_range_checked(monkeypatch):
+    """A plateau pushed below zero raises instead of passing through."""
+    p_vacuum = experiments.p_vacuum
+
+    def shifted_vacuum(state, modes):
+        # enters the plateau as +0.01 at angle 0 and -0.02 after the idler loss
+        return p_vacuum(state, modes) + (0.01 if tuple(modes) == (1, 2) else 0.0)
+
+    monkeypatch.setattr(experiments, "p_vacuum", shifted_vacuum)
+    with pytest.raises(detection.UnphysicalStateError, match="p_threshold"):
+        distinguishable_four_fold(lossy_waveguide_config("threshold"))
+
+
+@pytest.mark.parametrize("detector", DETECTORS)
+def test_distinguishable_four_fold_matches_fock_oracle(detector):
+    """The plateau of a 1-bin circuit with idler loss against the six-mode
+    ancilla circuit in the Fock basis.  Loss only on the idlers, which the
+    identities split, keeps the oracle small: each lossy arm adds an
+    occupied ancilla to the Fock state."""
+    grid = FrequencyGrid(0.0, 0.125, 1)
+    source_a = JsaSpec("gaussian", 0.3, 1.0, signal_center=0.0, idler_center=0.0)
+    source_b = dataclasses.replace(source_a, xi=0.2)
+    config = HhomConfig(source_a, source_b, grid, loss=(0.0, 0.2, 0.15, 0.0),
+                        detector=detector)
+    ops = [("squeeze", build_jsa(source_a, grid).f, 0, 1),
+           ("squeeze", build_jsa(source_b, grid).f, 3, 2)]
+    ops += [("loss", config.loss[mode], (mode,)) for mode in experiments.IDLER_MODES]
+    ops += [("bs", math.pi / 4, modes) for modes in ANCILLA_SPLITTERS]
+    fock = run_fock(ModeLayout(6, 1), grid, ops, cutoff=6)
+    outcomes = (1, 1, 1, 1) if detector == "pnr" else ("on",) * 4
+    want = fock_detection(fock, DetectionPattern(SIX_MODE_DETECTORS, outcomes))
+    assert abs(distinguishable_four_fold(config) - want) < 1e-6
 
 
 @pytest.mark.parametrize("axis, values", [("delay", [0.0, 0.4, 1.1]),

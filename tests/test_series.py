@@ -36,18 +36,6 @@ def test_mul_matches_polynomial_product():
     np.testing.assert_allclose(c, expected)
 
 
-def test_mul_broadcasts_trailing_axes():
-    """Trailing axes multiply element-wise: scalar series of array entries."""
-    ctx = SeriesContext((1,))
-    a = np.zeros((2, 2, 2), dtype=complex)
-    a[0] = [[1, 2], [3, 4]]
-    a[1] = [[5, 6], [7, 8]]
-    b = a.copy()
-    c = series.mul(ctx, a, b)
-    np.testing.assert_allclose(c[0], np.asarray(a[0]) ** 2)
-    np.testing.assert_allclose(c[1], 2 * a[0] * a[1])
-
-
 def test_exp_matches_factorial_coefficients():
     # exp(x + y) has coefficients 1 / (a! b!); a constant term scales by e^c
     ctx = SeriesContext((4, 2))
