@@ -7,12 +7,12 @@ from .core import (
     FrequencyGrid,
     ModeLayout,
     Transform,
+    UnphysicalStateError,
     apply,
     vacuum_state,
 )
 from .detection import (
     DetectionPattern,
-    UnphysicalStateError,
     p_pnr,
     p_threshold,
     p_vacuum,
@@ -52,8 +52,8 @@ from .jsa import PS, THZ, JsaMatrix, JsaSpec, SchmidtData, build_jsa, default_gr
 
 __all__ = [
     "CovarianceState", "FrequencyGrid", "ModeLayout", "Transform",
-    "apply", "vacuum_state",
-    "DetectionPattern", "UnphysicalStateError",
+    "UnphysicalStateError", "apply", "vacuum_state",
+    "DetectionPattern",
     "p_pnr", "p_threshold", "p_vacuum", "pnr_distribution", "probability",
     "bandpass_filter", "beam_splitter", "delay", "loss", "phase_shifter",
     "squeezer",

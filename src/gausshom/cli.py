@@ -443,9 +443,9 @@ def _verify_oracle() -> tuple[bool, str]:
 
 
 def _verify_invariants() -> tuple[bool, str]:
+    """The real blocks and V that the pipeline runs on: S J S^T = J, det V = 1."""
     layout = ModeLayout(2, 3)
     grid = FrequencyGrid(0.0, 1.0, 3)
-    k = np.diag([1.0] * layout.n_modes + [-1.0] * layout.n_modes)
     worst = 0.0
     import warnings
     spec = JsaSpec("gaussian", 0.3, 4.0, signal_center=0.0, idler_center=0.0)
@@ -454,17 +454,18 @@ def _verify_invariants() -> tuple[bool, str]:
         j = build_jsa(spec, grid)
     for tr in (squeezer(j, 0, 1, layout), beam_splitter(0.7, (0, 1), layout),
                delay_element(0.4, 0, grid, layout)):
-        m = tr.matrix
-        worst = max(worst, float(np.max(np.abs(m @ k @ m.conj().T - k))))
+        s = tr.block
+        form = ModeLayout(len(tr.modes), layout.n_spectral).symplectic_form()
+        worst = max(worst, float(np.max(np.abs(s @ form @ s.T - form))))
     state = vacuum_state(layout)
     state = apply(state, squeezer(j, 0, 1, layout))
-    det = np.linalg.det(state.sigma)
+    det = np.linalg.det(state.v)
     worst_det = abs(det - 1)
     total = sum(p_pnr(state, (0, 1), (a, b))
                 for a in range(7) for b in range(7))
     worst_sum = abs(total - 1)
     ok = worst < 1e-12 and worst_det < 1e-8 and worst_sum < 1e-6
-    return ok, (f"symplectic {worst:.1e}, det sigma {worst_det:.1e}, "
+    return ok, (f"symplectic {worst:.1e}, det V {worst_det:.1e}, "
                 f"pattern sum {worst_sum:.1e}")
 
 

@@ -1,39 +1,47 @@
 """Mode bookkeeping, covariance states and symplectic / passive-channel maps.
 
-Basis convention used everywhere in this package: all annihilation
-operators first (spatial-major, spectral-minor), then all creation
-operators in the same order.  For a system with ``n_spatial`` spatial
-modes and ``n_spectral`` frequency bins, mode ``(i, w)`` sits at row
-``i * n_spectral + w`` in the annihilation block and at that row plus
-``N = n_spatial * n_spectral`` in the creation block.  The vacuum has
-covariance matrix equal to the 2N identity.
+Mode order used everywhere in this package: for a system with
+``n_spatial`` spatial modes and ``n_spectral`` frequency bins, mode
+``(i, w)`` is mode ``k = i * n_spectral + w`` of ``N = n_spatial *
+n_spectral``.  Elements are given in the doubled basis, annihilation
+operators first: a_k at row k and a_k^dag at row k + N.
 
-The covariance matrix sigma stays complex in this basis through the whole
-circuit.  Detection reads it once per state in the real quadrature basis,
-x = (a + a^dag)/sqrt 2 and p = -i (a - a^dag)/sqrt 2 at the same rows:
-``CovarianceState.quadrature`` is Re(Q sigma Q^dag), real symmetric with
-the same determinants, plus the imaginary residual that Q sigma Q^dag
-drops.  That residual is zero exactly when sigma has the conjugate block
-structure [[A, B], [B*, A*]] of a physical state, so it serves as the
-structure check.
+States and elements are stored in the real quadrature basis, x_k =
+(a_k + a_k^dag)/sqrt 2 at row k and p_k = -i (a_k - a_k^dag)/sqrt 2 at row
+k + N, that is (x, p) = Q (a, a^dag) with Q unitary.  A state is
+V = Re(Q sigma Q^dag) of its complex covariance matrix sigma: real
+symmetric, the identity for the vacuum, with the same principal minors, so
+``subset_indices`` selects a spatial subset in V as in sigma.  Q sigma
+Q^dag is real exactly when sigma has the conjugate block structure
+[[A, B], [B*, A*]] of a physical state; ``CovarianceState.from_sigma``, the
+one way in for a complex sigma, checks that once.  An element's complex
+block M becomes the real S = Q M Q^dag, symplectic (S J S^T = J) for a
+unitary element; a passive channel's contraction U becomes
+T = [[Re U, -Im U], [Im U, Re U]].  The whole circuit then runs in real
+arithmetic, and detection reads V directly.
 
-An element is kept as its own matrix block plus the spatial modes it acts
-on (``Transform``), and ``apply`` updates only those rows and columns of
-the covariance matrix: an element on k spatial modes costs O((k n_f)^2 N)
-instead of the O(N^3) of a dense 2N x 2N product.
+An element is kept as its own real block plus the spatial modes it acts on
+(``Transform``), and ``apply`` updates only those rows and columns of V: an
+element on k spatial modes costs O((k n_f)^2 N) instead of the O(N^3) of a
+dense 2N x 2N product.  ``CovarianceState.sigma`` and ``Transform.matrix``
+rebuild the complex forms on request; the circuit never calls them.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 SYMPLECTIC_TOL = 1e-12
 HERMITICITY_TOL = 1e-10
+STRUCTURE_TOL = 1e-10
+
+
+class UnphysicalStateError(ValueError):
+    """A determinant came out negative, or sigma lacks the conjugate structure."""
 
 
 @dataclass(frozen=True)
@@ -66,9 +74,13 @@ class ModeLayout:
         return np.arange(start, start + self.n_spectral)
 
     def metric(self) -> np.ndarray:
-        """The commutation metric K = diag(+1 x N, -1 x N)."""
+        """The commutation metric K = diag(+1 x N, -1 x N) of the (a, a^dag) basis."""
         n = self.n_modes
         return np.diag(np.concatenate([np.ones(n), -np.ones(n)]))
+
+    def symplectic_form(self) -> np.ndarray:
+        """J = [[0, 1], [-1, 0]] of the (x, p) basis, Q K Q^dag = i J."""
+        return np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(self.n_modes))
 
 
 @dataclass(frozen=True)
@@ -100,26 +112,83 @@ class FrequencyGrid:
         return self.frequencies() - self.center
 
 
+def _quadrature_form(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """Re(Q m Q^dag) for a complex doubled-basis matrix m, and its imaginary residual.
+
+    Elementwise on the four blocks of m, with no matrix product.  The
+    residual is the largest |Im(Q m Q^dag)| relative to max(1, largest
+    |Re|): zero up to rounding exactly when m = [[A, B], [B*, A*]].
+    """
+    n = m.shape[0] // 2
+    a, b, c, d = m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:]
+    u, v, w, y = a + d, b + c, a - d, b - c
+    # Q m Q^dag = [[u + v, i (w - y)], [-i (w + y), u - v]] / 2
+    blocks = ((u + v, 1j * (w - y)), (-1j * (w + y), u - v))
+    real = np.empty((2 * n, 2 * n))
+    imag = []
+    for i, row in enumerate(blocks):
+        for j, block in enumerate(row):
+            real[i * n:(i + 1) * n, j * n:(j + 1) * n] = block.real
+            imag.append(np.max(np.abs(block.imag)))
+    real *= 0.5
+    return real, 0.5 * np.max(imag) / max(1.0, np.max(np.abs(real)))
+
+
+def _complex_form(v: np.ndarray) -> np.ndarray:
+    """Q^dag v Q for a real (x, p)-basis matrix v: [[A, B], [B*, A*]]."""
+    n = v.shape[0] // 2
+    xx, xp, px, pp = v[:n, :n], v[:n, n:], v[n:, :n], v[n:, n:]
+    a = (xx + pp + 1j * (px - xp)) / 2
+    b = (xx - pp + 1j * (xp + px)) / 2
+    return np.block([[a, b], [b.conj(), a.conj()]])
+
+
+def _mode_pairs(block: np.ndarray) -> np.ndarray | None:
+    """The diagonals [[xx, xp], [px, pp]] of a real block's four quarters.
+
+    Returned only when nothing off those diagonals is nonzero, that is when
+    the block turns each target mode's (x, p) pair on its own (delay,
+    phase, loss, filter); None otherwise.
+    """
+    half = block.shape[0] // 2
+    pairs = np.diagonal(block.reshape(2, half, 2, half), axis1=1, axis2=3)
+    return pairs if np.count_nonzero(block) == np.count_nonzero(pairs) else None
+
+
+def _left_multiply(block: np.ndarray, pairs: np.ndarray | None, m: np.ndarray) -> np.ndarray:
+    """block @ m, elementwise pair by pair when ``pairs`` is given."""
+    if pairs is None:
+        return block @ m
+    (xx, xp), (px, pp) = pairs
+    half = xx.size
+    x, p = m[:half], m[half:]
+    return np.concatenate([xx[:, None] * x + xp[:, None] * p,
+                           px[:, None] * x + pp[:, None] * p])
+
+
 @dataclass(frozen=True)
 class Transform:
-    """An element's own matrix block and the spatial modes of ``layout`` it acts on.
+    """An element's own block and the spatial modes of ``layout`` it acts on.
 
     ``modes`` names the target spatial modes in block order (all modes of
     the layout when omitted); every other mode sees the identity.  With
-    ``k`` target modes of ``n_f`` bins each:
+    ``k`` target modes of ``n_f`` bins each, ``block`` is given in the
+    doubled (a, a^dag) basis of the targets and stored as a real 2 k n_f
+    square matrix in their (x, p) basis:
 
-    ``kind == "symplectic"``: ``block`` is the 2 k n_f square matrix M with
-    M K M^dag = K, in the basis (annihilation operators of the targets,
-    then their creation operators), applied as sigma -> M sigma M^dag on the
+    ``kind == "symplectic"``: given as the 2 k n_f square M with
+    M K M^dag = K and the conjugate block structure, stored as
+    S = Q M Q^dag with S J S^T = J, and applied as V -> S V S^T on the
     target rows and columns.
 
-    ``kind == "passive"``: ``block`` is the k n_f square contraction U on
-    the target annihilation operators, acting conjugated on their creation
-    operators: sigma - 1 -> diag(U, U*) (sigma - 1) diag(U, U*)^dag.
+    ``kind == "passive"``: given as the k n_f square contraction U on the
+    target annihilation operators (acting conjugated on their creation
+    operators), stored as T = [[Re U, -Im U], [Im U, Re U]], and applied as
+    V - 1 -> T (V - 1) T^T.
 
-    Both checks run on the block alone, which is exact: identity (+) block
-    is symplectic or contractive exactly when the block is.  ``matrix``
-    builds the full-layout matrix on request.
+    Both checks run on the stored block alone, which is exact: identity (+)
+    block is symplectic or contractive exactly when the block is.
+    ``matrix`` builds the complex full-layout matrix on request.
     """
 
     kind: str
@@ -131,135 +200,157 @@ class Transform:
         modes = tuple(range(self.layout.n_spatial)) if self.modes is None else tuple(self.modes)
         object.__setattr__(self, "modes", modes)
         # validates the modes: nonempty, distinct and inside the layout
-        rows = subset_indices(self.layout, modes)
-        m = np.asarray(self.block, dtype=complex)
-        object.__setattr__(self, "block", m)
-        if self.kind == "symplectic":
-            if m.shape != (rows.size, rows.size):
-                raise ValueError(f"symplectic block must be {rows.size}x{rows.size}")
-            k = np.diagonal(ModeLayout(len(modes), self.layout.n_spectral).metric())
-            residual = np.max(np.abs((m * k) @ m.conj().T - np.diag(k)))
-            if residual > SYMPLECTIC_TOL * max(1.0, np.max(np.abs(m)) ** 2):
-                raise ValueError(f"matrix is not symplectic (residual {residual:.2e})")
-        elif self.kind == "passive":
-            n = rows.size // 2
-            if m.shape != (n, n):
-                raise ValueError(f"passive block must be {n}x{n}")
-            # a diagonal block (loss, filter) has its largest |entry| as s_max
-            diagonal = np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
-            smax = np.max(np.abs(np.diagonal(m))) if diagonal else np.linalg.norm(m, 2)
-            if smax > 1 + 1e-12:
-                raise ValueError(f"passive matrix is not contractive (s_max = {smax})")
-        else:
+        size = subset_indices(self.layout, modes).size
+        if self.kind not in ("symplectic", "passive"):
             raise ValueError(f"unknown transform kind {self.kind!r}")
+        n = size if self.kind == "symplectic" else size // 2
+        m = np.asarray(self.block, dtype=complex)
+        if m.shape != (n, n):
+            raise ValueError(f"{self.kind} block must be {n}x{n}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError(f"{self.kind} block has non-finite entries")
+        if self.kind == "symplectic":
+            s, imag = _quadrature_form(m)
+            if not imag <= SYMPLECTIC_TOL:
+                raise ValueError(f"symplectic block lacks the conjugate block structure "
+                                 f"(relative |Im(Q M Q^dag)| = {imag:.2e})")
+            # S J moves the columns of S: [-S_p, S_x]
+            s_j = np.hstack([-s[:, n // 2:], s[:, :n // 2]])
+            j = ModeLayout(len(modes), self.layout.n_spectral).symplectic_form()
+            residual = np.max(np.abs(s_j @ s.T - j))
+            if not residual <= SYMPLECTIC_TOL * max(1.0, np.max(np.abs(s)) ** 2):
+                raise ValueError(f"matrix is not symplectic (residual {residual:.2e})")
+        else:
+            s = np.block([[m.real, -m.imag], [m.imag, m.real]])
+            # a diagonal U (loss, filter) has its largest |entry| as s_max
+            pairs = _mode_pairs(s)
+            smax = np.max(np.hypot(pairs[0, 0], pairs[1, 0])) if pairs is not None \
+                else np.linalg.norm(s, 2)
+            if not smax <= 1 + 1e-12:
+                raise ValueError(f"passive matrix is not contractive (s_max = {smax})")
+        object.__setattr__(self, "block", s)
+
+    def on_modes(self, modes: Sequence[int]) -> Transform:
+        """The same block on other target modes, without repeating its checks."""
+        modes = tuple(modes)
+        if len(modes) != len(self.modes):
+            raise ValueError(f"block acts on {len(self.modes)} spatial modes, not {len(modes)}")
+        subset_indices(self.layout, modes)
+        moved = copy.copy(self)
+        object.__setattr__(moved, "modes", modes)
+        return moved
 
     @property
     def rows(self) -> np.ndarray:
-        """Doubled-basis rows of the target modes, annihilation then creation."""
+        """Rows of the target modes in V, x quadratures then p quadratures."""
         return subset_indices(self.layout, self.modes)
 
     @property
     def matrix(self) -> np.ndarray:
-        """The full-layout matrix: 2N x 2N if symplectic, N x N if passive."""
+        """The complex full-layout matrix: 2N x 2N M if symplectic, N x N U if passive."""
         rows = self.rows
+        m = _complex_form(self.block)
         if self.kind == "passive":
             rows = rows[:rows.size // 2]
+            m = m[:rows.size, :rows.size]
         out = np.eye(2 * self.layout.n_modes if self.kind == "symplectic"
                      else self.layout.n_modes, dtype=complex)
-        out[np.ix_(rows, rows)] = self.block
+        out[np.ix_(rows, rows)] = m
         return out
 
 
 @dataclass(frozen=True)
 class CovarianceState:
-    """Vacuum-normalized covariance matrix in the doubled basis."""
+    """Vacuum-normalized covariance matrix V = Re(Q sigma Q^dag), real (x, p) basis."""
 
     layout: ModeLayout
-    sigma: np.ndarray = field(repr=False)
+    v: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         n = self.layout.n_modes
-        s = np.asarray(self.sigma, dtype=complex)
+        if np.iscomplexobj(self.v):
+            raise TypeError("V is real: build a state from a complex sigma "
+                            "with CovarianceState.from_sigma")
+        v = np.asarray(self.v, dtype=float)
+        if v.shape != (2 * n, 2 * n):
+            raise ValueError(f"covariance matrix must be {2 * n}x{2 * n}")
+        # V^T as a contiguous copy, so the passes below stream through memory
+        v_t = v.T.copy()
+        # re-symmetrize to bound drift over long circuits
+        symmetric = v + v_t
+        symmetric *= 0.5
+        v_t -= v
+        residual = np.max(np.abs(v_t, out=v_t))
+        # written so that a NaN anywhere fails the check
+        if not residual <= HERMITICITY_TOL * max(1.0, np.linalg.norm(v)):
+            raise ValueError(f"covariance matrix is not symmetric (residual {residual:.2e})")
+        object.__setattr__(self, "v", symmetric)
+
+    @classmethod
+    def from_sigma(cls, layout: ModeLayout, sigma: np.ndarray) -> CovarianceState:
+        """The state of a complex covariance matrix sigma in the (a, a^dag) basis.
+
+        sigma must be Hermitian and have the conjugate block structure of a
+        physical state, so that Q sigma Q^dag is real: its imaginary
+        residual is checked here, once, and raises ``UnphysicalStateError``.
+        """
+        n = layout.n_modes
+        s = np.asarray(sigma, dtype=complex)
         if s.shape != (2 * n, 2 * n):
             raise ValueError(f"covariance matrix must be {2 * n}x{2 * n}")
-        # sigma^dag as a contiguous copy, so the passes below stream through memory
-        s_dag = np.ascontiguousarray(s.T)
-        np.conjugate(s_dag, out=s_dag)
-        # re-symmetrize to bound drift over long circuits
-        hermitian = s + s_dag
-        hermitian *= 0.5
-        s_dag -= s
-        if np.max(np.abs(s_dag)) > HERMITICITY_TOL * max(1.0, np.linalg.norm(s)):
+        residual = np.max(np.abs(s - s.conj().T))
+        if not residual <= HERMITICITY_TOL * max(1.0, np.linalg.norm(s)):
             raise ValueError("covariance matrix is not Hermitian")
-        object.__setattr__(self, "sigma", hermitian)
+        v, imag = _quadrature_form(s)
+        if not imag <= STRUCTURE_TOL:
+            raise UnphysicalStateError(
+                f"covariance matrix lacks the conjugate block structure "
+                f"(relative |Im(Q sigma Q^dag)| = {imag:.2e})")
+        return cls(layout, v)
 
-    @cached_property
-    def quadrature(self) -> tuple[np.ndarray, float]:
-        """Re(Q sigma Q^dag) in the real (x, p) basis, and the imaginary residual.
-
-        Mode k keeps rows k and k + N, so ``subset_indices`` selects a
-        spatial subset here as in sigma, and every principal minor keeps its
-        determinant.  The residual is the largest |Im(Q sigma Q^dag)|
-        relative to max(1, largest |Re|): zero up to rounding for a physical
-        state.  Computed on first use and kept as long as the state.
-        """
-        n = self.layout.n_modes
-        s = self.sigma
-        a, b, c, d = s[:n, :n], s[:n, n:], s[n:, :n], s[n:, n:]
-        u, v, w, y = a + d, b + c, a - d, b - c
-        # Q sigma Q^dag = [[u + v, i (w - y)], [-i (w + y), u - v]] / 2
-        blocks = ((u + v, 1j * (w - y)), (-1j * (w + y), u - v))
-        real = np.empty((2 * n, 2 * n))
-        imag = 0.0
-        for i, row in enumerate(blocks):
-            for j, block in enumerate(row):
-                real[i * n:(i + 1) * n, j * n:(j + 1) * n] = block.real
-                imag = max(imag, np.max(np.abs(block.imag)))
-        real *= 0.5
-        return real, 0.5 * imag / max(1.0, np.max(np.abs(real)))
+    @property
+    def sigma(self) -> np.ndarray:
+        """The complex covariance matrix Q^dag V Q in the (a, a^dag) basis."""
+        return _complex_form(self.v)
 
     @property
     def sigma_tilde(self) -> np.ndarray:
         """sigma minus the identity (the vacuum-subtracted part)."""
-        return self.sigma - np.eye(self.sigma.shape[0])
+        return self.sigma - np.eye(self.v.shape[0])
 
 
 def vacuum_state(layout: ModeLayout) -> CovarianceState:
     """Vacuum on every mode of the layout."""
-    return CovarianceState(layout, np.eye(2 * layout.n_modes, dtype=complex))
+    return CovarianceState(layout, np.eye(2 * layout.n_modes))
 
 
 def apply(state: CovarianceState, t: Transform) -> CovarianceState:
-    """Apply a transform on its own rows and columns of sigma.
+    """Apply a transform on its own rows and columns of V.
 
-    A symplectic block M updates sigma[rows, :] <- M sigma[rows, :] and then
-    sigma[:, rows] <- sigma[:, rows] M^dag; a passive channel does the same
-    to sigma - 1 with M = diag(U, U*).  A diagonal M multiplies elementwise.
+    With B the block (S, or T on V - 1 for a passive channel), the target
+    rows become B V[rows, :] with B^T applied to their own columns, and
+    since the result is symmetric the target columns are their transpose.
+    A block that turns each mode's (x, p) pair on its own multiplies
+    elementwise.
     """
     if t.layout != state.layout:
         raise ValueError("transform layout does not match state layout")
     rows = t.rows
-    out = state.sigma.copy()
-    diagonal = np.diag_indices_from(out)
-    if t.kind == "symplectic":
-        m = t.block
-    else:
-        m = scipy.linalg.block_diag(t.block, t.block.conj())
-        out[diagonal] -= 1
-    if np.count_nonzero(m) == np.count_nonzero(np.diagonal(m)):
-        # a diagonal block (loss, filter, delay, phase) scales rows and columns
-        out[rows, :] *= np.diagonal(m)[:, None]
-        out[:, rows] *= np.diagonal(m).conj()
-    else:
-        out[rows, :] = m @ out[rows, :]
-        out[:, rows] = out[:, rows] @ m.conj().T
+    out = state.v.copy()
     if t.kind == "passive":
-        out[diagonal] += 1
+        out[rows, rows] -= 1
+    pairs = _mode_pairs(t.block)
+    band = _left_multiply(t.block, pairs, out[rows])
+    band[:, rows] = _left_multiply(t.block, pairs, band[:, rows].T).T
+    out[rows] = band
+    out[:, rows] = band.T
+    if t.kind == "passive":
+        out[rows, rows] += 1
     return CovarianceState(state.layout, out)
 
 
 def subset_indices(layout: ModeLayout, spatial_subset: Sequence[int]) -> np.ndarray:
-    """Doubled-basis row indices of a spatial subset, annihilation then creation."""
+    """Rows of a spatial subset, annihilation (x) rows then creation (p) rows."""
     subset = list(spatial_subset)
     if not subset:
         raise ValueError("spatial subset must be nonempty")

@@ -1,15 +1,16 @@
 """Vacuum-projection, threshold and photon-number-resolving probabilities.
 
-Every quantity is read from ``CovarianceState.quadrature``, the real
-symmetric Re(Q sigma Q^dag) of the state in the (x, p) basis, indexed by
-the detected rows: no reduced state is built, and every determinant and
-solve runs in real arithmetic.  Its imaginary residual is the structure
-check: a state without the conjugate block structure of a physical sigma
-is rejected once the determinant sign has been checked.
+Every quantity is read from ``CovarianceState.v``, the real symmetric
+covariance matrix of the state in the (x, p) basis, indexed by the detected
+rows: no reduced state is built, and every determinant and solve runs in
+real arithmetic.  A state's structure was checked where it entered
+(``CovarianceState.from_sigma``), so detection checks only determinant
+signs and the range of each probability.
 
 Threshold probabilities come from inclusion-exclusion over vacuum
 projections; number-resolved probabilities are mixed Taylor coefficients of
-det(1 + T sigma_tilde T / 2)^(-1/2) about t = 1.  Those come from one dense
+det(1 + T sigma_tilde T / 2)^(-1/2) about t = 1, where sigma_tilde is V - 1
+on the detected rows.  Those come from one dense
 solve, Z = (1 + S)^-1 S with S = sigma_tilde / 2, and a power-trace
 expansion of log det(1 + Z D(s)) over the detector variables s, which is
 exponentiated as a scalar series.  Spectral bins are always fully
@@ -19,6 +20,8 @@ marginalized inside a spatial detector; there is no per-bin detection API.
 from __future__ import annotations
 
 import logging
+import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -27,20 +30,20 @@ from typing import Sequence
 import numpy as np
 
 from . import series
-from .core import CovarianceState, subset_indices
+from .core import CovarianceState, UnphysicalStateError, subset_indices
 from .series import SeriesContext, TruncatedSeries
 
 log = logging.getLogger(__name__)
 
 DET_IMAG_TOL = 1e-10
-STRUCTURE_TOL = 1e-10
 CLAMP_TOL = 1e-10
 MAX_THRESHOLD_MODES = 16
 DEFAULT_PNR_CUTOFF = 12
 
 
-class UnphysicalStateError(ValueError):
-    """A determinant came out negative, or sigma lacks the conjugate structure."""
+def _is_count(n) -> bool:
+    """A photon count is any integer type except bool."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
 
 
 def _as_groups(spatial_modes) -> list[tuple[int, ...]]:
@@ -82,9 +85,10 @@ class DetectionPattern:
             raise ValueError("one outcome per detector required")
         _as_groups(self.spatial_modes)
         kinds = {type(o) for o in self.outcomes}
-        if all(isinstance(o, int) for o in self.outcomes):
+        if all(_is_count(o) for o in self.outcomes):
             if any(o < 0 for o in self.outcomes):
                 raise ValueError("photon counts must be nonnegative")
+            object.__setattr__(self, "outcomes", tuple(int(o) for o in self.outcomes))
         elif all(o in ("on", "off") for o in self.outcomes):
             pass
         else:
@@ -92,24 +96,26 @@ class DetectionPattern:
 
     @property
     def is_pnr(self) -> bool:
-        return bool(self.outcomes) and isinstance(self.outcomes[0], int)
+        return bool(self.outcomes) and _is_count(self.outcomes[0])
 
 
 def _clamp(p: float, label: str) -> float:
-    if p < 0:
-        if p < -CLAMP_TOL:
-            raise UnphysicalStateError(f"{label} = {p} is negative beyond tolerance")
-        log.debug("clamping %s = %.3e to 0", label, p)
-        return 0.0
+    if not math.isfinite(p):
+        raise UnphysicalStateError(f"{label} = {p} is not finite")
+    if p < -CLAMP_TOL:
+        raise UnphysicalStateError(f"{label} = {p} is negative beyond tolerance")
     if p > 1 + CLAMP_TOL:
         raise UnphysicalStateError(f"{label} = {p} is above 1 beyond tolerance")
-    return min(p, 1.0)
+    if p < 0:
+        log.debug("clamping %s = %.3e to 0", label, p)
+    # p <= 0 also turns -0.0 into 0.0
+    return 0.0 if p <= 0 else min(p, 1.0)
 
 
 def _detected(state: CovarianceState, spatial_modes: Sequence[int]) -> np.ndarray:
-    """Rows and columns of the given spatial modes in Re(Q sigma Q^dag)."""
+    """Rows and columns of the given spatial modes in V."""
     idx = subset_indices(state.layout, spatial_modes)
-    return state.quadrature[0][np.ix_(idx, idx)]
+    return state.v[np.ix_(idx, idx)]
 
 
 def _detected_tilde(state: CovarianceState, spatial_modes: Sequence[int]) -> np.ndarray:
@@ -117,14 +123,6 @@ def _detected_tilde(state: CovarianceState, spatial_modes: Sequence[int]) -> np.
     sigma_tilde = _detected(state, spatial_modes)
     sigma_tilde[np.diag_indices_from(sigma_tilde)] -= 1
     return sigma_tilde
-
-
-def _check_structure(state: CovarianceState) -> None:
-    residual = state.quadrature[1]
-    if residual > STRUCTURE_TOL:
-        raise UnphysicalStateError(
-            f"covariance matrix lacks the conjugate block structure "
-            f"(relative |Im(Q sigma Q^dag)| = {residual:.2e})")
 
 
 def p_vacuum(state: CovarianceState, spatial_subset: Sequence[int]) -> float:
@@ -135,9 +133,8 @@ def p_vacuum(state: CovarianceState, spatial_subset: Sequence[int]) -> float:
     sigma_s = _detected(state, subset)
     n2 = sigma_s.shape[0]
     sign, logdet = np.linalg.slogdet((np.eye(n2) + sigma_s) / 2)
-    if sign <= 0:
+    if not sign > 0:
         raise UnphysicalStateError(f"vacuum-projection determinant has sign {sign}")
-    _check_structure(state)
     return _clamp(float(np.exp(-0.5 * logdet)), "p_vacuum")
 
 
@@ -221,9 +218,9 @@ def series_inv_sqrt_det(sigma_tilde: np.ndarray, row_variable: np.ndarray,
     s_half = 0.5 * sigma_tilde
     one_plus_s = np.eye(n2) + s_half
     sign, logabsdet = np.linalg.slogdet(one_plus_s)
-    if sign.real <= 0 or abs(sign.imag) > DET_IMAG_TOL:
+    if not (sign.real > 0 and abs(sign.imag) <= DET_IMAG_TOL and np.isfinite(logabsdet)):
         raise UnphysicalStateError(
-            f"determinant constant term {sign * np.exp(logabsdet)} is not positive")
+            f"determinant constant term {sign * np.exp(logabsdet)} is not positive and finite")
     z = np.linalg.solve(one_plus_s, s_half)
     cols = [np.flatnonzero(row_variable == v) for v in range(len(ctx.orders))]
 
@@ -261,13 +258,13 @@ def p_pnr(state: CovarianceState, spatial_modes: Sequence[int], counts: Sequence
     probabilities is returned.  A pattern holds at most ``DEFAULT_PNR_CUTOFF`` photons.
     """
     groups = _as_groups(spatial_modes)
-    single = all(isinstance(n, (int, np.integer)) for n in counts)
+    single = all(np.ndim(n) == 0 for n in counts)
     patterns = [tuple(counts)] if single else [tuple(p) for p in counts]
     for pattern in patterns:
         if len(groups) != len(pattern):
             raise ValueError("one count per detector required")
-        if any(n < 0 for n in pattern):
-            raise ValueError("photon counts must be nonnegative")
+        if not all(_is_count(n) and n >= 0 for n in pattern):
+            raise ValueError(f"photon counts must be nonnegative integers, not {pattern}")
         if sum(pattern) > DEFAULT_PNR_CUTOFF:
             raise ValueError(f"total count {sum(pattern)} exceeds cutoff {DEFAULT_PNR_CUTOFF}")
     flat = [m for g in groups for m in g]
@@ -275,7 +272,6 @@ def p_pnr(state: CovarianceState, spatial_modes: Sequence[int], counts: Sequence
     row_var = np.concatenate([np.repeat(var_of_mode, state.layout.n_spectral)] * 2)
     box = tuple(max(column) for column in zip(*patterns))
     f = series_inv_sqrt_det(_detected_tilde(state, flat), row_var, box, patterns)
-    _check_structure(state)
     probs = [_clamp(f.coefficient(pattern).real * (-1) ** sum(pattern), "p_pnr")
              for pattern in patterns]
     return probs[0] if single else probs
@@ -286,7 +282,6 @@ def pnr_distribution(state: CovarianceState, spatial_mode: int,
     """P(0), ..., P(n_max) for one spatial mode, from a single jet expansion."""
     row_var = np.zeros(2 * state.layout.n_spectral, dtype=int)
     f = series_inv_sqrt_det(_detected_tilde(state, [spatial_mode]), row_var, (n_max,))
-    _check_structure(state)
     probs = (-1.0) ** np.arange(n_max + 1) * f.coefficients
     return np.array([_clamp(float(p), f"pnr_distribution[{n}]")
                      for n, p in enumerate(probs)])

@@ -2,9 +2,12 @@
 loss and bandpass filters.
 
 Each element is a Transform holding only its own block and its target
-spatial modes.  Unitary elements are symplectic blocks of the form
-diag(alpha, alpha*); loss and filtering are passive channels described by a
-contraction on the annihilation operators of their target modes alone.
+spatial modes.  Blocks are written here in the (a, a^dag) basis: unitary
+elements are symplectic blocks of the form diag(alpha, alpha*) (squeezers
+add the off-diagonal pair terms); loss and filtering are passive channels
+described by a contraction on the annihilation operators of their target
+modes alone.  ``Transform`` converts each block once to its real (x, p)
+form.
 """
 
 from __future__ import annotations

@@ -114,7 +114,7 @@ def _sources_and_channels(config: HhomConfig) -> CovarianceState:
         if config.source_b == config.source_a:
             # one JSA, Schmidt decomposition and squeezer block serve both
             # sources: the block does not depend on its target modes
-            pump_b = dataclasses.replace(pump_a, modes=(3, 2))
+            pump_b = pump_a.on_modes((3, 2))
         else:
             pump_b = squeezer(build_jsa(config.source_b, config.grid), 3, 2, lay)
         state = apply(state, pump_b)

@@ -22,7 +22,7 @@ from gausshom.elements import (
 )
 from gausshom.jsa import JsaMatrix
 
-from conftest import symplectic_from_hamiltonian
+from conftest import dense_apply, symplectic_from_hamiltonian
 
 
 def test_layout_indexing():
@@ -77,15 +77,21 @@ def test_covariance_rejects_non_hermitian():
     bad = np.eye(2, dtype=complex)
     bad[0, 1] = 1.0
     with pytest.raises(ValueError, match="Hermitian"):
-        CovarianceState(lay, bad)
+        CovarianceState.from_sigma(lay, bad)
+    # V itself must be real symmetric; a complex matrix enters only by from_sigma
+    with pytest.raises(ValueError, match="not symmetric"):
+        CovarianceState(lay, np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(TypeError, match="from_sigma"):
+        CovarianceState(lay, np.eye(2, dtype=complex))
 
 
 def test_covariance_resymmetrizes_rounding():
     lay = ModeLayout(1, 1)
     s = np.eye(2, dtype=complex)
     s[0, 1] = 1e-13
-    state = CovarianceState(lay, s)
+    state = CovarianceState.from_sigma(lay, s)
     assert np.max(np.abs(state.sigma - state.sigma.conj().T)) == 0
+    assert np.max(np.abs(state.v - state.v.T)) == 0
 
 
 def test_transform_symplectic_validation():
@@ -175,15 +181,6 @@ def test_phase_shifter_leaves_probabilities_invariant():
             p_pnr(rotated, (0, 1), counts), abs=1e-14)
 
 
-def _dense_apply(state, t):
-    """Reference: the full-layout matrix applied as a dense product."""
-    m = t.matrix
-    if t.kind == "symplectic":
-        return m @ state.sigma @ m.conj().T
-    u = np.block([[m, np.zeros_like(m)], [np.zeros_like(m), m.conj()]])
-    return u @ state.sigma_tilde @ u.conj().T + np.eye(state.sigma.shape[0])
-
-
 def _generic_state(layout, grid, rng):
     """Every spatial mode squeezed against a partner, then mixed."""
     state = vacuum_state(layout)
@@ -205,7 +202,10 @@ def test_blockwise_apply_matches_dense_product(n_spatial):
     state = _generic_state(lay, grid, rng)
     f = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     j = JsaMatrix(0.5 * f / np.linalg.norm(f), grid, grid)
-    h = rng.normal(size=(2 * lay.n_modes,) * 2) + 1j * rng.normal(size=(2 * lay.n_modes,) * 2)
+    a, b = (rng.normal(size=(lay.n_modes,) * 2) + 1j * rng.normal(size=(lay.n_modes,) * 2)
+            for _ in range(2))
+    # Hermitian with the conjugate block structure [[A, B], [B*, A*]]
+    h = np.block([[a + a.conj().T, b + b.T], [(b + b.T).conj(), (a + a.conj().T).conj()]])
     last = n_spatial - 1
     transforms = [
         squeezer(j, 1, 0, lay),
@@ -219,11 +219,11 @@ def test_blockwise_apply_matches_dense_product(n_spatial):
         loss(0.2, [0], lay),
         bandpass_filter(0.0, 0.5, [2, 0], grid, lay),
         # a whole-layout transform is a block on every mode
-        symplectic_from_hamiltonian(0.05 * (h + h.conj().T), lay),
+        symplectic_from_hamiltonian(0.05 * h, lay),
     ]
     for t in transforms:
         out = apply(state, t)
-        np.testing.assert_allclose(out.sigma, _dense_apply(state, t), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.sigma, dense_apply(state, t), rtol=0, atol=1e-12)
         state = out
 
 
@@ -241,3 +241,67 @@ def test_block_checks_run_at_full_strength_on_a_subset_of_modes():
         Transform("passive", np.eye(4), lay, (1, 1))
     with pytest.raises(IndexError):
         Transform("passive", np.eye(4), lay, (1, 4))
+
+
+def test_unstructured_symplectic_block_rejected():
+    """exp(-2iKH) of a Hermitian H without the [[A, B], [B*, A*]] form has no
+    real (x, p) form, so it is refused instead of losing its imaginary part."""
+    lay = ModeLayout(2, 1)
+    h = np.zeros((4, 4), dtype=complex)
+    h[0, 0] = 0.3    # a phase on a_0 with none on a_0^dag
+    with pytest.raises(ValueError, match="conjugate block structure"):
+        symplectic_from_hamiltonian(h, lay)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_non_finite_elements_and_states_rejected():
+    lay = ModeLayout(2, 2)
+    nan = float("nan")
+    with pytest.raises(ValueError, match="non-finite"):
+        beam_splitter(nan, (0, 1), lay)
+    with pytest.raises(ValueError, match="non-finite"):
+        phase_shifter(nan, 0, lay)
+    with pytest.raises(ValueError, match="non-finite"):
+        Transform("passive", np.diag([0.5, nan]), lay, (1,))
+    with pytest.raises(ValueError, match="non-finite"):
+        Transform("symplectic", np.diag([1.0, np.inf, 1.0, 1.0]), lay, (0,))
+    for bad in (nan, np.inf):
+        v = np.eye(8)
+        v[2, 2] = bad
+        with pytest.raises(ValueError, match="not symmetric"):
+            CovarianceState(lay, v)
+        with pytest.raises(ValueError, match="Hermitian"):
+            CovarianceState.from_sigma(lay, v.astype(complex))
+
+
+def test_stored_blocks_and_states_are_float64():
+    """The circuit runs in real arithmetic: no element or state holds a complex matrix."""
+    rng = np.random.default_rng(3)
+    grid = FrequencyGrid(0.0, 1.0, 3)
+    lay = ModeLayout(4, 3)
+    f = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    pump = squeezer(JsaMatrix(0.5 * f / np.linalg.norm(f), grid, grid), 0, 1, lay)
+    transforms = [pump, pump.on_modes((3, 2)), beam_splitter(0.4, (1, 2), lay),
+                  phase_shifter(0.7, 3, lay), delay(1.3, 1, grid, lay),
+                  loss(0.2, [0, 2], lay), bandpass_filter(0.0, 0.5, [3], grid, lay)]
+    state = vacuum_state(lay)
+    assert state.v.dtype == np.float64
+    for t in transforms:
+        assert t.block.dtype == np.float64
+        state = apply(state, t)
+        assert state.v.dtype == np.float64
+
+
+def test_on_modes_moves_the_block_without_changing_it():
+    rng = np.random.default_rng(5)
+    grid = FrequencyGrid(0.0, 1.0, 2)
+    lay = ModeLayout(4, 2)
+    f = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    j = JsaMatrix(0.4 * f / np.linalg.norm(f), grid, grid)
+    moved = squeezer(j, 0, 1, lay).on_modes((3, 2))
+    assert moved.modes == (3, 2)
+    np.testing.assert_array_equal(moved.matrix, squeezer(j, 3, 2, lay).matrix)
+    with pytest.raises(ValueError, match="acts on 2 spatial modes"):
+        squeezer(j, 0, 1, lay).on_modes((3,))
+    with pytest.raises(ValueError, match="duplicates"):
+        squeezer(j, 0, 1, lay).on_modes((2, 2))

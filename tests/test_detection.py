@@ -182,6 +182,39 @@ def test_detection_pattern_validation():
     assert not DetectionPattern((0,), ("on",)).is_pnr
 
 
+def test_vacuum_pnr_probability_is_positive_zero():
+    lay = ModeLayout(2, 1)
+    p = p_pnr(vacuum_state(lay), (0, 1), (1, 0))
+    assert p == 0.0 and np.copysign(1.0, p) == 1.0
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_nan_expansion_raises():
+    """A NaN in the detected matrix fails the determinant check, not later."""
+    sigma_tilde = np.diag([0.1, np.nan])
+    with pytest.raises(UnphysicalStateError, match="not positive"):
+        series_inv_sqrt_det(sigma_tilde, np.array([0, 0]), (2,))
+
+
+def test_counts_accept_numpy_integers_and_reject_bool():
+    state = tms_state(0.4)
+    counts = tuple(np.array([1, 0]))
+    pattern = DetectionPattern((0, 1), counts)
+    assert pattern.is_pnr and pattern.outcomes == (1, 0)
+    assert all(type(o) is int for o in pattern.outcomes)
+    assert probability(state, pattern) == p_pnr(state, (0, 1), (1, 0))
+    assert p_pnr(state, (0, 1), counts) == p_pnr(state, (0, 1), (1, 0))
+    assert p_pnr(state, (0, 1), [counts, (np.int32(1), 1)]) == \
+        p_pnr(state, (0, 1), [(1, 0), (1, 1)])
+    for bad in ((True, 0), (1, False)):
+        with pytest.raises(ValueError):
+            DetectionPattern((0, 1), bad)
+        with pytest.raises(ValueError, match="integers"):
+            p_pnr(state, (0, 1), bad)
+    with pytest.raises(ValueError, match="integers"):
+        p_pnr(state, (0, 1), (1.0, 0))
+
+
 def test_probability_dispatch():
     lam = 0.4
     state = tms_state(lam)
@@ -204,6 +237,7 @@ def test_exhaustive_pnr_sums_to_one(rng):
 
 
 def test_unphysical_state_detected():
+    """A symmetric V whose (1 + V) / 2 = diag(-1, 1) has a negative determinant."""
     lay = ModeLayout(1, 1)
     from gausshom.core import CovarianceState
     bad = CovarianceState(lay, np.diag([-3.0, 1.0]))
@@ -212,7 +246,10 @@ def test_unphysical_state_detected():
 
 
 def test_pnr_unphysical_state_detected():
-    """A non-positive det(1 + sigma_tilde / 2) is rejected, not expanded."""
+    """A non-positive det(1 + sigma_tilde / 2) is rejected, not expanded.
+
+    V = diag(-3, 1) is symmetric, and (1 + V) / 2 = diag(-1, 1).
+    """
     lay = ModeLayout(1, 1)
     from gausshom.core import CovarianceState
     bad = CovarianceState(lay, np.diag([-3.0, 1.0]))
@@ -221,23 +258,33 @@ def test_pnr_unphysical_state_detected():
 
 
 def test_state_without_conjugate_structure_rejected():
-    """A Hermitian sigma not of the form [[A, B], [B*, A*]] is not detected.
+    """A Hermitian sigma not of the form [[A, B], [B*, A*]] is refused at entry.
 
     diag(2, 1) on one mode is Hermitian and positive, but its annihilation
-    and creation blocks are not conjugates, so Q sigma Q^dag is not real.
+    and creation blocks are not conjugates, so Q sigma Q^dag is not real and
+    the state has no V: no detection can run on it.
     """
     from gausshom.core import CovarianceState
-    bad = CovarianceState(ModeLayout(1, 1), np.diag([2.0, 1.0]))
-    for detect in (lambda: p_vacuum(bad, [0]),
-                   lambda: p_pnr(bad, (0,), (1,)),
-                   lambda: pnr_distribution(bad, 0, 3)):
-        with pytest.raises(UnphysicalStateError, match="conjugate block structure"):
-            detect()
+    with pytest.raises(UnphysicalStateError, match="conjugate block structure"):
+        CovarianceState.from_sigma(ModeLayout(1, 1), np.diag([2.0, 1.0]))
+    # a physical sigma enters and keeps its detection probabilities
+    state = tms_state(0.4)
+    again = CovarianceState.from_sigma(state.layout, state.sigma)
+    np.testing.assert_allclose(again.v, state.v, rtol=0, atol=1e-15)
+    for detect in (lambda s: p_vacuum(s, [0]),
+                   lambda s: p_pnr(s, (0,), (1,)),
+                   lambda s: pnr_distribution(s, 0, 3)):
+        np.testing.assert_allclose(detect(again), detect(state), rtol=1e-14)
 
 
 def test_clamp_rejects_probability_above_one():
     assert _clamp(1.0 + 0.5e-10, "p") == 1.0
     assert _clamp(-0.5e-10, "p") == 0.0
+    # an exact zero comes back as +0.0, never -0.0
+    assert np.copysign(1.0, _clamp(-0.0, "p")) == 1.0
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(UnphysicalStateError, match="not finite"):
+            _clamp(bad, "p")
     with pytest.raises(UnphysicalStateError, match="above 1"):
         _clamp(1.5, "p")
     with pytest.raises(UnphysicalStateError, match="negative"):

@@ -1,10 +1,11 @@
 """Property tests on random small circuits built from the conftest element tuples.
 
-Detection reads Re(Q sigma Q^dag) in the real quadrature basis; these tests
-compare it with the same quantities computed directly from the complex
-sigma, check the identities that tie threshold, PNR and grouped detectors
-together, bound the summed pattern probabilities, and check invariance
-under elements that act alike on every detector.
+States evolve and are detected in the real quadrature basis; these tests
+compare each step and each probability with the same quantities computed
+directly from the complex sigma, check the identities that tie threshold,
+PNR and grouped detectors together, bound the summed pattern
+probabilities, and check invariance under elements that act alike on every
+detector.
 """
 
 import itertools
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausshom.core import FrequencyGrid, ModeLayout, subset_indices
+from gausshom.core import FrequencyGrid, ModeLayout, apply, subset_indices, vacuum_state
 from gausshom.detection import (
     CLAMP_TOL,
     p_pnr,
@@ -24,7 +25,7 @@ from gausshom.detection import (
     series_inv_sqrt_det,
 )
 
-from conftest import random_jsa, run_gaussian
+from conftest import dense_apply, element_transform, random_jsa, run_gaussian
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
 REL = 1e-12
@@ -94,6 +95,19 @@ def complex_p_pnr(state, groups, patterns):
     assert all(abs(c.imag) < 1e-10 for c in coeffs)
     return [min(max(c.real, 0.0), 1.0) if -CLAMP_TOL <= c.real <= 1 + CLAMP_TOL
             else c.real for c in coeffs]
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_real_basis_apply_matches_dense_complex_product(data):
+    """Each element applied to V agrees with M sigma M^dag on the complex sigma."""
+    layout, grid, ops = data.draw(circuits())
+    state = vacuum_state(layout)
+    for op in ops:
+        t = element_transform(op, grid, layout)
+        out = apply(state, t)
+        np.testing.assert_allclose(out.sigma, dense_apply(state, t), rtol=0, atol=1e-12)
+        state = out
 
 
 @PROPERTY_SETTINGS
