@@ -18,6 +18,7 @@ from .detection import (
     p_vacuum,
     pnr_distribution,
     probability,
+    vacuum_probabilities,
 )
 from .elements import (
     bandpass_filter,
@@ -55,6 +56,7 @@ __all__ = [
     "UnphysicalStateError", "apply", "vacuum_state",
     "DetectionPattern",
     "p_pnr", "p_threshold", "p_vacuum", "pnr_distribution", "probability",
+    "vacuum_probabilities",
     "bandpass_filter", "beam_splitter", "delay", "loss", "phase_shifter",
     "squeezer",
     "PS", "THZ", "JsaMatrix", "JsaSpec", "SchmidtData", "build_jsa",

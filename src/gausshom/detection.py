@@ -2,13 +2,20 @@
 
 Every quantity is read from ``CovarianceState.v``, the real symmetric
 covariance matrix of the state in the (x, p) basis, indexed by the detected
-rows: no reduced state is built, and every determinant and solve runs in
+rows: no reduced state is built, and every factorization and solve runs in
 real arithmetic.  A state's structure was checked where it entered
-(``CovarianceState.from_sigma``), so detection checks only determinant
-signs and the range of each probability.
+(``CovarianceState.from_sigma``), so detection checks only that each
+matrix it factors is positive definite (a Cholesky factorization fails
+otherwise) and the range of each probability.
 
 Threshold probabilities come from inclusion-exclusion over vacuum
-projections; number-resolved probabilities are mixed Taylor coefficients of
+projections.  The vacuum probabilities of all subsets a state needs come
+from one factorization tree (``vacuum_probabilities``): the Cholesky factor
+of one spatial mode's block of (1 + V)/2 at a time, with the Schur
+complement of the later modes passed down the branches that include that
+mode, so nested subsets share their factorizations.
+
+Number-resolved probabilities are mixed Taylor coefficients of
 det(1 + T sigma_tilde T / 2)^(-1/2) about t = 1, where sigma_tilde is V - 1
 on the detected rows.  Those come from one dense
 solve, Z = (1 + S)^-1 S with S = sigma_tilde / 2, and a power-trace
@@ -35,7 +42,6 @@ from .series import SeriesContext, TruncatedSeries
 
 log = logging.getLogger(__name__)
 
-DET_IMAG_TOL = 1e-10
 CLAMP_TOL = 1e-10
 MAX_THRESHOLD_MODES = 16
 DEFAULT_PNR_CUTOFF = 12
@@ -112,48 +118,92 @@ def _clamp(p: float, label: str) -> float:
     return 0.0 if p <= 0 else min(p, 1.0)
 
 
-def _detected(state: CovarianceState, spatial_modes: Sequence[int]) -> np.ndarray:
-    """Rows and columns of the given spatial modes in V."""
-    idx = subset_indices(state.layout, spatial_modes)
-    return state.v[np.ix_(idx, idx)]
-
-
 def _detected_tilde(state: CovarianceState, spatial_modes: Sequence[int]) -> np.ndarray:
-    """``_detected`` minus the identity: sigma_tilde in the (x, p) basis."""
-    sigma_tilde = _detected(state, spatial_modes)
+    """V on the given spatial modes minus the identity: sigma_tilde in the (x, p) basis."""
+    idx = subset_indices(state.layout, spatial_modes)
+    sigma_tilde = state.v[np.ix_(idx, idx)]
     sigma_tilde[np.diag_indices_from(sigma_tilde)] -= 1
     return sigma_tilde
 
 
+def vacuum_probabilities(state: CovarianceState,
+                         subsets: Sequence[Sequence[int]]) -> dict[tuple[int, ...], float]:
+    """Vacuum probability of each spatial subset, keyed by the sorted subset.
+
+    All of them come from one factorization tree of M = (1 + V)/2 on the
+    union of the subsets, walked over its spatial modes in ascending order.
+    A node holds M on the modes still to come, conditioned on the modes
+    included above it.  The Cholesky factor of the block of its first mode
+    gives that mode's log-determinant term; the Schur complement of the
+    remaining modes goes down the branch that includes the mode, and their
+    untouched block down the branch that excludes it.  A branch that leads
+    to no requested subset is not walked.  A subset's probability is
+    exp(-log det / 2), with the log-determinant summed over the terms on its
+    path, so with the union fixed it does not depend on which other subsets
+    were requested.
+    """
+    wanted = {tuple(sorted(subset)) for subset in subsets}
+    if any(len(set(subset)) != len(subset) for subset in wanted):
+        raise ValueError("spatial subset contains duplicates")
+    modes = sorted({m for subset in wanted for m in subset})
+    if not modes:
+        return dict.fromkeys(wanted, 1.0)
+    idx = np.concatenate([subset_indices(state.layout, [m]) for m in modes])
+    half = state.v[np.ix_(idx, idx)]
+    half[np.diag_indices_from(half)] += 1
+    half *= 0.5
+    rows = 2 * state.layout.n_spectral
+    table = {}
+
+    def walk(block, depth, below, half_logdet):
+        if depth == len(modes):
+            (subset,) = below
+            table[subset] = _clamp(float(np.exp(-half_logdet)), "p_vacuum")
+            return
+        mode = modes[depth]
+        rest = block[rows:, rows:]
+        with_mode = [subset for subset in below if mode in subset]
+        if with_mode:
+            try:
+                chol = np.linalg.cholesky(block[:rows, :rows])
+            except np.linalg.LinAlgError:
+                raise UnphysicalStateError(
+                    f"vacuum-projection matrix (1 + V)/2 is not positive definite at "
+                    f"spatial mode {mode}") from None
+            schur = rest
+            if rest.size:
+                w = np.linalg.inv(chol) @ block[:rows, rows:]
+                schur = rest - w.T @ w
+            walk(schur, depth + 1, with_mode, half_logdet + np.sum(np.log(np.diagonal(chol))))
+        without = [subset for subset in below if mode not in subset]
+        if without:
+            walk(rest, depth + 1, without, half_logdet)
+
+    walk(half, 0, list(wanted), 0.0)
+    return table
+
+
 def p_vacuum(state: CovarianceState, spatial_subset: Sequence[int]) -> float:
     """Probability of vacuum on every spectral bin of the given spatial modes."""
-    subset = list(spatial_subset)
-    if not subset:
-        return 1.0
-    sigma_s = _detected(state, subset)
-    n2 = sigma_s.shape[0]
-    sign, logdet = np.linalg.slogdet((np.eye(n2) + sigma_s) / 2)
-    if not sign > 0:
-        raise UnphysicalStateError(f"vacuum-projection determinant has sign {sign}")
-    return _clamp(float(np.exp(-0.5 * logdet)), "p_vacuum")
+    subset = tuple(sorted(spatial_subset))
+    return vacuum_probabilities(state, [subset])[subset]
 
 
 def p_threshold(state: CovarianceState, on_modes: Sequence[int],
                 off_modes: Sequence[int] = ()) -> float:
     """Click in every mode of ``on_modes`` and vacuum in every ``off_modes``."""
-    return inclusion_exclusion(lambda modes: p_vacuum(state, modes), on_modes, off_modes)
+    subsets = [modes for _, modes in _signed_subsets(on_modes, off_modes)]
+    return inclusion_exclusion(vacuum_probabilities(state, subsets).__getitem__,
+                               on_modes, off_modes)
 
 
-def inclusion_exclusion(vacuum, on_modes: Sequence[int],
-                        off_modes: Sequence[int] = ()) -> float:
-    """Threshold probability as a signed sum of vacuum probabilities.
+def _signed_subsets(on_modes: Sequence[int], off_modes: Sequence[int]) -> list:
+    """(sign, sorted spatial modes) of each inclusion-exclusion term.
 
-    ``vacuum(modes)`` is the vacuum probability of a sorted tuple of spatial
-    modes; a caller that evaluates several patterns on one state can pass a
-    memoized one, since the patterns share their vacuum terms.  Exact
-    inclusion-exclusion over the power set of the on-detectors; subsets are
-    enumerated in order of size, then lexicographically, for reproducible
-    summation.
+    Exact inclusion-exclusion over the power set of the on-detectors, each
+    subset joined with the off modes; subsets come in order of size, then
+    lexicographically, for reproducible summation.  The detector sets are
+    checked before any subset is built.
     """
     groups = _as_groups(on_modes)
     off = [m for g in _as_groups(off_modes) for m in g] if off_modes else []
@@ -162,11 +212,22 @@ def inclusion_exclusion(vacuum, on_modes: Sequence[int],
         raise ValueError("on and off mode sets overlap")
     if len(groups) > MAX_THRESHOLD_MODES:
         raise ValueError(f"refusing 2^{len(groups)} inclusion-exclusion terms")
+    return [((-1) ** r, tuple(sorted([m for g in subset for m in g] + off)))
+            for r in range(len(groups) + 1) for subset in combinations(groups, r)]
+
+
+def inclusion_exclusion(vacuum, on_modes: Sequence[int],
+                        off_modes: Sequence[int] = ()) -> float:
+    """Threshold probability as a signed sum of vacuum probabilities.
+
+    ``vacuum(modes)`` is the vacuum probability of a sorted tuple of spatial
+    modes; a caller that evaluates several patterns on one state can pass a
+    lookup into one ``vacuum_probabilities`` table, since the patterns share
+    their vacuum terms.
+    """
     total = 0.0
-    for r in range(len(groups) + 1):
-        for subset in combinations(groups, r):
-            modes = tuple(sorted([m for g in subset for m in g] + off))
-            total += (-1) ** r * vacuum(modes)
+    for sign, modes in _signed_subsets(on_modes, off_modes):
+        total += sign * vacuum(modes)
     return _clamp(total, "p_threshold")
 
 
@@ -205,7 +266,8 @@ def series_inv_sqrt_det(sigma_tilde: np.ndarray, row_variable: np.ndarray,
 
     With S = sigma_tilde / 2 and T^2 = 1 + D(s), D the diagonal of row
     variables, Sylvester's identity gives
-    det(1 + T S T) = det(1 + S) det(1 + Z D) with Z = (1 + S)^-1 S, and
+    det(1 + T S T) = det(1 + S) det(1 + Z D) with Z = (1 + S)^-1 S, where
+    det(1 + S) comes from the Cholesky factor of 1 + S, and
     log det(1 + Z D) = sum_j (-1)^(j+1) / j tr((Z D)^j) is exact up to the
     total order.  (Z D)^j splits by multi-index m, |m| = j, into
     M_m = sum_v M_(m - e_v) Z P_v, where P_v keeps the columns of variable
@@ -217,15 +279,19 @@ def series_inv_sqrt_det(sigma_tilde: np.ndarray, row_variable: np.ndarray,
     n2 = sigma_tilde.shape[0]
     s_half = 0.5 * sigma_tilde
     one_plus_s = np.eye(n2) + s_half
-    sign, logabsdet = np.linalg.slogdet(one_plus_s)
-    if not (sign.real > 0 and abs(sign.imag) <= DET_IMAG_TOL and np.isfinite(logabsdet)):
+    try:
+        # a NaN can pass the factorization, so the log-determinant is checked too
+        logdet = 2 * np.sum(np.log(np.diagonal(np.linalg.cholesky(one_plus_s)).real))
+    except np.linalg.LinAlgError:
+        logdet = np.nan
+    if not np.isfinite(logdet):
         raise UnphysicalStateError(
-            f"determinant constant term {sign * np.exp(logabsdet)} is not positive and finite")
+            "determinant constant term det(1 + sigma_tilde / 2) is not positive and finite")
     z = np.linalg.solve(one_plus_s, s_half)
     cols = [np.flatnonzero(row_variable == v) for v in range(len(ctx.orders))]
 
     logser = np.zeros(ctx.size, dtype=z.dtype)
-    logser[0] = np.log(sign) + logabsdet
+    logser[0] = logdet
     # M_m is nonzero only in the columns of the variables m uses: keep
     # those columns (indices, block) and multiply by the matching rows of Z.
     # Degree j needs only the M_m of degree j - 1, so older ones are dropped.

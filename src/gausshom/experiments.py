@@ -34,6 +34,7 @@ import dataclasses
 import functools
 import hashlib
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -41,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import CovarianceState, FrequencyGrid, ModeLayout, apply, vacuum_state
-from .detection import inclusion_exclusion, p_pnr, p_threshold, p_vacuum
+from .detection import inclusion_exclusion, p_pnr, p_threshold, vacuum_probabilities
 from .elements import bandpass_filter, beam_splitter, delay, loss, squeezer
 from .jsa import JsaSpec, build_jsa
 
@@ -176,27 +177,32 @@ def distinguishable_four_fold(config: HhomConfig) -> float:
     return _RowPlan(config).distinguishable_four_fold
 
 
+def _subsets(modes: tuple) -> list[tuple]:
+    """Every subset of ``modes``, each in the order of ``modes``."""
+    return [subset for r in range(len(modes) + 1)
+            for subset in itertools.combinations(modes, r)]
+
+
 class _Figures:
     """Four-fold, bunching and heralding probabilities of one four-arm state.
 
     Each detection quantity is evaluated once.  With PNR detectors the
     four-fold and both bunching patterns come from one expansion; with
     threshold detectors every figure is an inclusion-exclusion sum over the
-    same 16 vacuum probabilities of the four arms.
+    same table of 16 vacuum probabilities of the four arms, built once.
     """
 
     def __init__(self, state: CovarianceState, detector: str):
         self.state = state
         self.detector = detector
-        self._vacuum = {}
 
-    def vacuum(self, modes: tuple) -> float:
-        if modes not in self._vacuum:
-            self._vacuum[modes] = p_vacuum(self.state, modes)
-        return self._vacuum[modes]
+    @functools.cached_property
+    def vacuum(self) -> dict:
+        """Vacuum probability of each subset of the four arms, keyed by the subset."""
+        return vacuum_probabilities(self.state, _subsets(FOUR_ARMS))
 
     def _threshold(self, on_modes, off_modes=()) -> float:
-        return inclusion_exclusion(self.vacuum, on_modes, off_modes)
+        return inclusion_exclusion(self.vacuum.__getitem__, on_modes, off_modes)
 
     @functools.cached_property
     def four_fold_and_bunching(self) -> tuple[float, float]:
@@ -269,13 +275,14 @@ class _RowPlan:
         unsplit = self.figures(bs_angle=0.0)
         if self.config.detector == "pnr":
             return 0.5 * unsplit.single_pair
-        halved = _Figures(apply(unsplit.state, loss(0.5, IDLER_MODES, unsplit.state.layout)),
-                          self.config.detector)
+        halved = vacuum_probabilities(
+            apply(unsplit.state, loss(0.5, IDLER_MODES, unsplit.state.layout)),
+            [IDLER_MODES + heralds for heralds in _subsets(HERALD_MODES)])
 
         def vacuum(modes: tuple) -> float:
             if len(set(modes) & set(IDLER_MODES)) == 1:
-                return halved.vacuum(tuple(sorted(set(modes) | set(IDLER_MODES))))
-            return unsplit.vacuum(modes)
+                return halved[tuple(sorted(set(modes) | set(IDLER_MODES)))]
+            return unsplit.vacuum[modes]
 
         return inclusion_exclusion(vacuum, FOUR_ARMS)
 

@@ -1,9 +1,12 @@
 """Vacuum-projection, threshold and number-resolving probabilities."""
 
+import itertools
+
+import mpmath
 import numpy as np
 import pytest
 
-from gausshom.core import FrequencyGrid, ModeLayout, apply, vacuum_state
+from gausshom.core import FrequencyGrid, ModeLayout, apply, subset_indices, vacuum_state
 from gausshom.detection import (
     DetectionPattern,
     UnphysicalStateError,
@@ -14,9 +17,11 @@ from gausshom.detection import (
     pnr_distribution,
     probability,
     series_inv_sqrt_det,
+    vacuum_probabilities,
 )
 from gausshom.elements import beam_splitter, loss, squeezer
-from gausshom.jsa import JsaMatrix
+from gausshom.experiments import HhomConfig, build_hhom
+from gausshom.jsa import JsaMatrix, JsaSpec
 
 from conftest import random_jsa
 
@@ -44,6 +49,29 @@ def test_vacuum_probability_two_mode_squeezed():
     assert p_vacuum(state, [0, 1]) == pytest.approx(1 / np.cosh(lam) ** 2, abs=1e-12)
     nbar = np.sinh(lam) ** 2
     assert p_vacuum(state, [0]) == pytest.approx(1 / (1 + nbar), abs=1e-12)
+
+
+@pytest.mark.parametrize("xi", [0.03, 0.3, 1.0])
+def test_vacuum_table_matches_extended_precision_determinants(xi):
+    """Each subset of a lossy four-arm state against a 40-digit determinant.
+
+    The reference is det((1 + V_S) / 2)^(-1/2) of the same float64 matrix,
+    evaluated in mpmath, so the comparison measures the factorization tree's
+    rounding alone.
+    """
+    spec = JsaSpec("waveguide", xi, 4.0, signal_center=0.0, idler_center=0.0,
+                   walkoff=1.0)
+    state = build_hhom(HhomConfig(spec, spec, grid_of(5), loss=(0.1, 0.2, 0.15, 0.05),
+                                  detector="threshold"))
+    subsets = [s for r in range(1, 5) for s in itertools.combinations(range(4), r)]
+    table = vacuum_probabilities(state, subsets)
+    assert sorted(table) == sorted(subsets)
+    with mpmath.workdps(40):
+        for subset in subsets:
+            idx = subset_indices(state.layout, subset)
+            half = (np.eye(idx.size) + state.v[np.ix_(idx, idx)]) / 2
+            exact = mpmath.det(mpmath.matrix(half.tolist())) ** -0.5
+            assert abs(mpmath.mpf(table[subset]) / exact - 1) <= 1e-14, subset
 
 
 def test_threshold_two_mode_squeezed_closed_form():
@@ -236,25 +264,32 @@ def test_exhaustive_pnr_sums_to_one(rng):
     assert total == pytest.approx(1.0, abs=1e-8)
 
 
+# symmetric V whose (1 + V) / 2 is diag(-1, 1), with a negative determinant,
+# and diag(-1, -1), whose determinant is positive although the matrix is not
+UNPHYSICAL_V = ([-3.0, 1.0], [-3.0, -3.0])
+
+
 def test_unphysical_state_detected():
-    """A symmetric V whose (1 + V) / 2 = diag(-1, 1) has a negative determinant."""
-    lay = ModeLayout(1, 1)
+    """A (1 + V) / 2 that is not positive definite fails its factorization."""
     from gausshom.core import CovarianceState
-    bad = CovarianceState(lay, np.diag([-3.0, 1.0]))
-    with pytest.raises(UnphysicalStateError):
-        p_vacuum(bad, [0])
+    for diagonal in UNPHYSICAL_V:
+        bad = CovarianceState(ModeLayout(1, 1), np.diag(diagonal))
+        with pytest.raises(UnphysicalStateError, match="not positive definite"):
+            p_vacuum(bad, [0])
+        with pytest.raises(UnphysicalStateError, match="not positive definite"):
+            p_threshold(bad, (0,))
 
 
 def test_pnr_unphysical_state_detected():
-    """A non-positive det(1 + sigma_tilde / 2) is rejected, not expanded.
-
-    V = diag(-3, 1) is symmetric, and (1 + V) / 2 = diag(-1, 1).
-    """
-    lay = ModeLayout(1, 1)
+    """A 1 + sigma_tilde / 2 that is not positive definite is rejected, not expanded."""
     from gausshom.core import CovarianceState
-    bad = CovarianceState(lay, np.diag([-3.0, 1.0]))
-    with pytest.raises(UnphysicalStateError, match="not positive"):
-        p_pnr(bad, (0,), (1,))
+    for diagonal in UNPHYSICAL_V:
+        bad = CovarianceState(ModeLayout(1, 1), np.diag(diagonal))
+        for counts in ((0,), (1,)):
+            with pytest.raises(UnphysicalStateError, match="not positive"):
+                p_pnr(bad, (0,), counts)
+        with pytest.raises(UnphysicalStateError, match="not positive"):
+            pnr_distribution(bad, 0, 2)
 
 
 def test_state_without_conjugate_structure_rejected():

@@ -254,7 +254,7 @@ def test_sweep_row_matches_standalone_figures(detector, delay):
 def test_visibility_row_builds_and_detects_each_distinct_state_once(monkeypatch, detector):
     stages, calls = [], []
     stage = experiments._sources_and_channels
-    p_vacuum = experiments.p_vacuum
+    vacuum_probabilities = experiments.vacuum_probabilities
     p_pnr = experiments.p_pnr
 
     def counting_stage(config):
@@ -262,17 +262,17 @@ def test_visibility_row_builds_and_detects_each_distinct_state_once(monkeypatch,
         return stage(config)
 
     # the list keeps every detected state alive, so their ids stay distinct
-    def counting_vacuum(state, modes):
-        calls.append((state, tuple(modes)))
-        return p_vacuum(state, modes)
+    def counting_vacuum(state, subsets):
+        calls.append((state, tuple(subsets)))
+        return vacuum_probabilities(state, subsets)
 
     def counting_pnr(state, modes, counts):
         calls.append((state, repr(modes)))
         return p_pnr(state, modes, counts)
 
     monkeypatch.setattr(experiments, "_sources_and_channels", counting_stage)
-    monkeypatch.setattr(experiments, "p_vacuum", counting_vacuum)
-    monkeypatch.setattr(detection, "p_vacuum", counting_vacuum)
+    monkeypatch.setattr(experiments, "vacuum_probabilities", counting_vacuum)
+    monkeypatch.setattr(detection, "vacuum_probabilities", counting_vacuum)
     monkeypatch.setattr(experiments, "p_pnr", counting_pnr)
     sweep_row(lossy_waveguide_config(detector), "xi", 0.3, visibilities=True)
 
@@ -283,9 +283,11 @@ def test_visibility_row_builds_and_detects_each_distinct_state_once(monkeypatch,
     assert {state.layout.n_spatial for state, _ in calls} == {4}
     states = {id(state) for state, _ in calls}
     if detector == "threshold":
-        # the 16 subsets of 4 detectors at bs = pi/4 and at bs = 0, and the
-        # 4 subsets that hold both idlers after 50% idler loss
-        assert (len(calls), len(states)) == (36, 3)
+        # one table per state: the 16 subsets of 4 detectors at bs = pi/4
+        # and at bs = 0, and the 4 subsets that hold both idlers after 50%
+        # idler loss
+        assert (len(calls), len(states)) == (3, 3)
+        assert sorted(len(subsets) for _, subsets in calls) == [4, 16, 16]
     else:
         # at bs = pi/4 the four-arm and the herald expansions; at bs = 0 the
         # four-arm one, which also gives the plateau
@@ -383,13 +385,15 @@ def test_distinguishable_four_fold_matches_six_mode_circuit(detector, xi):
 
 def test_threshold_plateau_is_range_checked(monkeypatch):
     """A plateau pushed below zero raises instead of passing through."""
-    p_vacuum = experiments.p_vacuum
+    vacuum_probabilities = experiments.vacuum_probabilities
 
-    def shifted_vacuum(state, modes):
+    def shifted_vacuum(state, subsets):
         # enters the plateau as +0.01 at angle 0 and -0.02 after the idler loss
-        return p_vacuum(state, modes) + (0.01 if tuple(modes) == (1, 2) else 0.0)
+        table = vacuum_probabilities(state, subsets)
+        table[(1, 2)] += 0.01
+        return table
 
-    monkeypatch.setattr(experiments, "p_vacuum", shifted_vacuum)
+    monkeypatch.setattr(experiments, "vacuum_probabilities", shifted_vacuum)
     with pytest.raises(detection.UnphysicalStateError, match="p_threshold"):
         distinguishable_four_fold(lossy_waveguide_config("threshold"))
 

@@ -23,6 +23,7 @@ from gausshom.detection import (
     p_vacuum,
     pnr_distribution,
     series_inv_sqrt_det,
+    vacuum_probabilities,
 )
 
 from conftest import dense_apply, element_transform, random_jsa, run_gaussian
@@ -128,6 +129,25 @@ def test_quadrature_detection_matches_complex_basis(data):
     reference = complex_p_pnr(state, (mode,), [(n,) for n in range(5)])
     np.testing.assert_allclose(pnr_distribution(state, mode, 4), reference,
                                rtol=REL, atol=FLOOR)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_vacuum_table_matches_complex_basis(data):
+    """Each vacuum term of a threshold pattern, from one table, against its own
+    complex determinant: on-groups in every combination, joined with off modes."""
+    layout, grid, ops = data.draw(circuits())
+    state = run_gaussian(layout, grid, ops)
+    on = [g if isinstance(g, tuple) else (g,) for g in data.draw(detectors(layout.n_spatial))]
+    rest = sorted(set(range(layout.n_spatial)) - {m for g in on for m in g})
+    off = data.draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+    subsets = [tuple(sorted([m for g in chosen for m in g] + off))
+               for r in range(len(on) + 1) for chosen in itertools.combinations(on, r)]
+    table = vacuum_probabilities(state, subsets)
+    assert sorted(table) == sorted(subsets)
+    for subset in subsets:
+        reference = complex_p_vacuum(state, subset) if subset else 1.0
+        assert table[subset] == pytest.approx(reference, rel=REL, abs=FLOOR), subset
 
 
 @PROPERTY_SETTINGS
