@@ -17,11 +17,14 @@ mode, so nested subsets share their factorizations.
 
 Number-resolved probabilities are mixed Taylor coefficients of
 det(1 + T sigma_tilde T / 2)^(-1/2) about t = 1, where sigma_tilde is V - 1
-on the detected rows.  Those come from one dense
-solve, Z = (1 + S)^-1 S with S = sigma_tilde / 2, and a power-trace
-expansion of log det(1 + Z D(s)) over the detector variables s, which is
-exponentiated as a scalar series.  Spectral bins are always fully
-marginalized inside a spatial detector; there is no per-bin detection API.
+on the detected rows.  Those come from one dense solve,
+Z = (1 + S)^-1 S with S = sigma_tilde / 2, and a power-trace expansion of
+log det(1 + Z D(s)) over the detector variables s.  The expansion is a dict
+keyed by multi-index that holds only the multi-indices at or below the
+requested count patterns; ``series.exp`` exponentiates it on those
+multi-indices by the power-series recurrence.  Spectral bins are always
+fully marginalized inside a spatial detector; there is no per-bin
+detection API.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ import numpy as np
 
 from . import series
 from .core import CovarianceState, UnphysicalStateError, subset_indices
-from .series import SeriesContext, TruncatedSeries
 
 log = logging.getLogger(__name__)
 
@@ -48,7 +50,7 @@ DEFAULT_PNR_CUTOFF = 12
 
 
 def _is_count(n) -> bool:
-    """A photon count is any integer type except bool."""
+    """A photon count or spatial mode is any integer type except bool."""
     return isinstance(n, numbers.Integral) and not isinstance(n, bool)
 
 
@@ -60,13 +62,12 @@ def _as_groups(spatial_modes) -> list[tuple[int, ...]]:
     """
     groups = []
     for entry in spatial_modes:
-        if isinstance(entry, (int, np.integer)):
-            groups.append((int(entry),))
-        else:
-            g = tuple(int(m) for m in entry)
-            if not g:
-                raise ValueError("detector group must contain at least one mode")
-            groups.append(g)
+        group = (entry,) if np.ndim(entry) == 0 else tuple(entry)
+        if not group:
+            raise ValueError("detector group must contain at least one mode")
+        if not all(_is_count(m) for m in group):
+            raise ValueError(f"spatial modes must be integers, not {entry!r}")
+        groups.append(tuple(int(m) for m in group))
     flat = [m for g in groups for m in g]
     if len(set(flat)) != len(flat):
         raise ValueError("spatial modes must be distinct across detectors")
@@ -232,37 +233,34 @@ def inclusion_exclusion(vacuum, on_modes: Sequence[int],
 
 
 @lru_cache(maxsize=None)
-def _power_plan(orders: tuple[int, ...], patterns: tuple[tuple[int, ...], ...]) -> tuple:
+def _power_plan(patterns: tuple[tuple[int, ...], ...]) -> tuple:
     """Multi-indices at or below one of ``patterns``, in order of total degree.
 
-    Each entry is (m, j, preds, extend): the flat index m in the box
-    ``orders``, its degree j, the pairs (v, flat index of m - e_v) for
-    every v with m_v > 0, and whether some m + e_v is still wanted, so that
-    M_m must be formed.  The constant term is left out.
+    Each entry is (m, j, preds, extend): the multi-index m, its degree j,
+    the pairs (v, m - e_v) for every v with m_v > 0, and whether some
+    m + e_v is still wanted, so that M_m must be formed.  The constant term
+    is left out.
     """
-    box = tuple(n + 1 for n in orders)
     wanted = {m for p in patterns for m in product(*(range(n + 1) for n in p))}
     plan = []
     for m in sorted(wanted, key=lambda m: (sum(m), m))[1:]:
-        preds = tuple((v, int(np.ravel_multi_index(m[:v] + (m[v] - 1,) + m[v + 1:], box)))
-                      for v in range(len(m)) if m[v] > 0)
+        preds = tuple((v, m[:v] + (m[v] - 1,) + m[v + 1:]) for v in range(len(m)) if m[v] > 0)
         extend = any(m[:v] + (m[v] + 1,) + m[v + 1:] in wanted for v in range(len(m)))
-        plan.append((int(np.ravel_multi_index(m, box)), sum(m), preds, extend))
+        plan.append((m, sum(m), preds, extend))
     return tuple(plan)
 
 
 def series_inv_sqrt_det(sigma_tilde: np.ndarray, row_variable: np.ndarray,
-                        orders: Sequence[int],
-                        patterns: Sequence[Sequence[int]] | None = None) -> TruncatedSeries:
+                        patterns: Sequence[Sequence[int]]) -> dict:
     """Taylor expansion of det(1 + T sigma_tilde T / 2)^(-1/2) about t = 1.
 
     ``row_variable[a]`` names the series variable (detected spatial mode)
     that weights row/column ``a`` of the detected sigma_tilde; T applies
     sqrt(t_var) on each side.  Expansion variables are s = t - 1.  The
-    result is exact on every multi-index at or below one of ``patterns``
-    (default: the whole box ``orders``); other coefficients of the box are
-    left incomplete.  Real input is expanded in real arithmetic and gives
-    real coefficients; complex Hermitian input gives complex ones.
+    result maps every multi-index at or below one of ``patterns`` to its
+    coefficient, and holds no other.  Real input is expanded in real
+    arithmetic and gives real coefficients; complex Hermitian input gives
+    complex ones.
 
     With S = sigma_tilde / 2 and T^2 = 1 + D(s), D the diagonal of row
     variables, Sylvester's identity gives
@@ -272,10 +270,10 @@ def series_inv_sqrt_det(sigma_tilde: np.ndarray, row_variable: np.ndarray,
     total order.  (Z D)^j splits by multi-index m, |m| = j, into
     M_m = sum_v M_(m - e_v) Z P_v, where P_v keeps the columns of variable
     v; only the wanted multi-indices are formed, and the trace of M_m is
-    taken elementwise from its predecessors.
+    taken elementwise from its predecessors.  ``series.exp`` then
+    exponentiates the log-series on the same multi-indices.
     """
-    ctx = SeriesContext(tuple(orders))
-    patterns = (ctx.orders,) if patterns is None else tuple(tuple(p) for p in patterns)
+    patterns = tuple(tuple(p) for p in patterns)
     n2 = sigma_tilde.shape[0]
     s_half = 0.5 * sigma_tilde
     one_plus_s = np.eye(n2) + s_half
@@ -288,16 +286,16 @@ def series_inv_sqrt_det(sigma_tilde: np.ndarray, row_variable: np.ndarray,
         raise UnphysicalStateError(
             "determinant constant term det(1 + sigma_tilde / 2) is not positive and finite")
     z = np.linalg.solve(one_plus_s, s_half)
-    cols = [np.flatnonzero(row_variable == v) for v in range(len(ctx.orders))]
+    zero = (0,) * len(patterns[0])
+    cols = [np.flatnonzero(row_variable == v) for v in range(len(zero))]
 
-    logser = np.zeros(ctx.size, dtype=z.dtype)
-    logser[0] = logdet
+    logser = {zero: logdet}
     # M_m is nonzero only in the columns of the variables m uses: keep
     # those columns (indices, block) and multiply by the matching rows of Z.
     # Degree j needs only the M_m of degree j - 1, so older ones are dropped.
-    previous, current = {0: (np.arange(n2), np.eye(n2, dtype=z.dtype))}, {}
+    previous, current = {zero: (np.arange(n2), np.eye(n2, dtype=z.dtype))}, {}
     degree = 1
-    for m, j, preds, extend in _power_plan(ctx.orders, patterns):
+    for m, j, preds, extend in _power_plan(patterns):
         if j > degree:
             previous, current, degree = current, {}, j
         trace, blocks = 0.0, []
@@ -310,7 +308,7 @@ def series_inv_sqrt_det(sigma_tilde: np.ndarray, row_variable: np.ndarray,
         logser[m] = (-1) ** (j + 1) / j * trace
         if extend:
             current[m] = (np.concatenate([cols[v] for v, _ in preds]), np.hstack(blocks))
-    return TruncatedSeries(ctx, series.exp(ctx, -0.5 * logser))
+    return series.exp({m: -0.5 * g for m, g in logser.items()})
 
 
 def p_pnr(state: CovarianceState, spatial_modes: Sequence[int], counts: Sequence):
@@ -336,9 +334,8 @@ def p_pnr(state: CovarianceState, spatial_modes: Sequence[int], counts: Sequence
     flat = [m for g in groups for m in g]
     var_of_mode = np.array([v for v, g in enumerate(groups) for _ in g])
     row_var = np.concatenate([np.repeat(var_of_mode, state.layout.n_spectral)] * 2)
-    box = tuple(max(column) for column in zip(*patterns))
-    f = series_inv_sqrt_det(_detected_tilde(state, flat), row_var, box, patterns)
-    probs = [_clamp(f.coefficient(pattern).real * (-1) ** sum(pattern), "p_pnr")
+    f = series_inv_sqrt_det(_detected_tilde(state, flat), row_var, patterns)
+    probs = [_clamp(float(f[pattern].real) * (-1) ** sum(pattern), "p_pnr")
              for pattern in patterns]
     return probs[0] if single else probs
 
@@ -346,11 +343,14 @@ def p_pnr(state: CovarianceState, spatial_modes: Sequence[int], counts: Sequence
 def pnr_distribution(state: CovarianceState, spatial_mode: int,
                      n_max: int) -> np.ndarray:
     """P(0), ..., P(n_max) for one spatial mode, from a single jet expansion."""
+    if not _is_count(spatial_mode):
+        raise ValueError(f"spatial modes must be integers, not {spatial_mode!r}")
+    if not (_is_count(n_max) and n_max >= 0):
+        raise ValueError(f"n_max must be a nonnegative integer, not {n_max!r}")
     row_var = np.zeros(2 * state.layout.n_spectral, dtype=int)
-    f = series_inv_sqrt_det(_detected_tilde(state, [spatial_mode]), row_var, (n_max,))
-    probs = (-1.0) ** np.arange(n_max + 1) * f.coefficients
-    return np.array([_clamp(float(p), f"pnr_distribution[{n}]")
-                     for n, p in enumerate(probs)])
+    f = series_inv_sqrt_det(_detected_tilde(state, [spatial_mode]), row_var, [(n_max,)])
+    return np.array([_clamp(float((-1.0) ** n * f[(n,)]), f"pnr_distribution[{n}]")
+                     for n in range(n_max + 1)])
 
 
 def probability(state: CovarianceState, pattern: DetectionPattern) -> float:

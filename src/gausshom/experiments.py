@@ -238,10 +238,9 @@ class _RowPlan:
     adds those two elements to it, and the distinguishable limit is read
     from the state at angle 0.  Each state is built once, keyed by (delay,
     angle), and each of its detection quantities is evaluated once.  The
-    plan keeps the stage only once ``share_stage`` says it will derive more
-    than one state from it; a sweep whose axis leaves the stage unchanged
-    passes in the stage it built.  A plan serves one sweep row or one
-    public call and holds no state beyond it.
+    plan builds the stage on first use and keeps it; a sweep whose axis
+    leaves the stage unchanged passes in the stage it built.  A plan serves
+    one sweep row or one public call and holds no state beyond it.
     """
 
     def __init__(self, config: HhomConfig, stage: CovarianceState | None = None):
@@ -249,13 +248,11 @@ class _RowPlan:
         self._stage = stage
         self._figures = {}
 
-    def share_stage(self) -> None:
-        """Build the stage now and keep it for the states derived from it."""
+    def stage(self) -> CovarianceState:
+        """The source stage, built on first use and kept."""
         if self._stage is None:
             self._stage = _sources_and_channels(self.config)
-
-    def _stage_or_build(self) -> CovarianceState:
-        return self._stage if self._stage is not None else _sources_and_channels(self.config)
+        return self._stage
 
     def figures(self, delay: float | None = None,
                 bs_angle: float | None = None) -> _Figures:
@@ -264,7 +261,7 @@ class _RowPlan:
                self.config.bs_angle if bs_angle is None else bs_angle)
         if key not in self._figures:
             config = dataclasses.replace(self.config, delay=key[0], bs_angle=key[1])
-            state = _with_suffix(self._stage_or_build(), config)
+            state = _with_suffix(self.stage(), config)
             self._figures[key] = _Figures(state, self.config.detector)
         return self._figures[key]
 
@@ -287,7 +284,6 @@ class _RowPlan:
         return inclusion_exclusion(vacuum, FOUR_ARMS)
 
     def heralding_efficiency(self) -> float:
-        self.share_stage()
         p_sps = self.figures(bs_angle=0.0).single_pair
         at45 = self.figures(bs_angle=math.pi / 4)
         if abs(p_sps - at45.single_pair) > SPS_ANGLE_TOL:
@@ -298,18 +294,14 @@ class _RowPlan:
         return p_sps / at45.heralding_rate
 
     def hom_visibility(self) -> float:
-        self.share_stage()
         return visibility_hom(self.figures(0.0, math.pi / 4).four_fold,
                               self.distinguishable_four_fold)
 
     def mzi_visibility(self) -> float:
-        self.share_stage()
         return visibility_mzi(self.figures(bs_angle=0.0).four_fold,
                               self.figures(bs_angle=math.pi / 4).four_fold)
 
     def row(self, param: str, value: float, visibilities: bool) -> dict:
-        if visibilities:
-            self.share_stage()
         here = self.figures()
         p4, p_bunch = here.four_fold_and_bunching
         row = {"param": param, "value": value, "p4": p4, "p_bunch": p_bunch,
@@ -530,6 +522,8 @@ def _with_axis_value(config: HhomConfig, axis: str, value: float) -> HhomConfig:
     if axis == "loss":
         return dataclasses.replace(config, loss=(float(value),) * N_SPATIAL)
     if axis == "filter_width":
+        if not config.filter_modes:
+            raise ValueError("the filter_width axis needs a configuration with a filter")
         return dataclasses.replace(config, filter_half_width=float(value))
     raise ValueError(f"unknown sweep axis {axis!r}")
 

@@ -208,6 +208,18 @@ def test_detection_pattern_validation():
         DetectionPattern((0,), (-1,))
     assert DetectionPattern((0, (1, 2)), (1, 2)).is_pnr
     assert not DetectionPattern((0,), ("on",)).is_pnr
+    # a bool or float is not a spatial mode, alone or in a group
+    state = tms_state(0.4)
+    for bad in ((True,), (1.0,), ((0, True),), ((0, 1.0),)):
+        with pytest.raises(ValueError, match="spatial modes must be integers"):
+            DetectionPattern(bad, (1,))
+        with pytest.raises(ValueError, match="spatial modes must be integers"):
+            p_pnr(state, bad, (0,))
+        with pytest.raises(ValueError, match="spatial modes must be integers"):
+            p_threshold(state, bad)
+    with pytest.raises(ValueError, match="spatial modes must be integers"):
+        pnr_distribution(state, True, 2)
+    assert p_pnr(state, (np.int64(1),), (0,)) == p_pnr(state, (1,), (0,))
 
 
 def test_vacuum_pnr_probability_is_positive_zero():
@@ -221,7 +233,7 @@ def test_nan_expansion_raises():
     """A NaN in the detected matrix fails the determinant check, not later."""
     sigma_tilde = np.diag([0.1, np.nan])
     with pytest.raises(UnphysicalStateError, match="not positive"):
-        series_inv_sqrt_det(sigma_tilde, np.array([0, 0]), (2,))
+        series_inv_sqrt_det(sigma_tilde, np.array([0, 0]), [(2,)])
 
 
 def test_counts_accept_numpy_integers_and_reject_bool():
@@ -241,6 +253,11 @@ def test_counts_accept_numpy_integers_and_reject_bool():
             p_pnr(state, (0, 1), bad)
     with pytest.raises(ValueError, match="integers"):
         p_pnr(state, (0, 1), (1.0, 0))
+    np.testing.assert_array_equal(pnr_distribution(state, 0, np.int64(2)),
+                                  pnr_distribution(state, 0, 2))
+    for bad in (True, 2.5, -1):
+        with pytest.raises(ValueError, match="n_max"):
+            pnr_distribution(state, 0, bad)
 
 
 def test_probability_dispatch():
@@ -338,7 +355,9 @@ def test_series_inv_sqrt_det_vs_finite_differences(rng):
     sigma_tilde = 0.3 * (h + h.conj().T) / np.linalg.norm(h)
     row_var = np.array([0, 1, 0, 1, 1, 0])
     orders = (2, 3)
-    got = series_inv_sqrt_det(sigma_tilde, row_var, orders).coefficients
+    f = series_inv_sqrt_det(sigma_tilde, row_var, [orders])
+    got = np.array([[f[(a, b)] for b in range(orders[1] + 1)]
+                    for a in range(orders[0] + 1)])
 
     def direct(s0, s1):
         t = np.sqrt(1 + np.where(row_var == 0, s0, s1))
@@ -352,5 +371,5 @@ def test_series_inv_sqrt_det_vs_finite_differences(rng):
     vals = np.array([direct(a, b) for a, b in zip(x, y)])
     fitted = np.linalg.lstsq(vander, vals, rcond=None)[0].reshape(
         deg[0] + 1, deg[1] + 1)
-    np.testing.assert_allclose(got.reshape(3, 4), fitted[:3, :4],
+    np.testing.assert_allclose(got, fitted[:3, :4],
                                rtol=1e-6, atol=1e-7)

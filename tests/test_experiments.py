@@ -183,6 +183,11 @@ def test_sweep_axis_validation():
         sweep(config, "temperature", [1.0])
     with pytest.raises(ValueError, match="finite"):
         sweep(config, "xi", [float("nan")])
+    # without a filter every filter_width row would be the same circuit
+    with pytest.raises(ValueError, match="needs a configuration with a filter"):
+        sweep(config, "filter_width", [1.0, 2.0])
+    with pytest.raises(ValueError, match="needs a configuration with a filter"):
+        sweep_row(config, "filter_width", 1.0, visibilities=False)
 
 
 def test_sweep_loss_axis_moves_all_arms():
