@@ -352,7 +352,8 @@ def svg_plot(x, y, xlabel: str, ylabel: str, path: str) -> None:
     pw, ph = width - ml - mr, height - mt - mb
 
     def scale(v, lo, hi, extent):
-        if hi == lo:
+        # a range at rounding level is drawn flat, like a constant column
+        if hi - lo <= 1e-12 * max(abs(lo), abs(hi)):
             return np.full_like(v, extent / 2)
         return (v - lo) / (hi - lo) * extent
 

@@ -18,8 +18,12 @@ mode, so nested subsets share their factorizations.
 Number-resolved probabilities are mixed Taylor coefficients of
 det(1 + T sigma_tilde T / 2)^(-1/2) about t = 1, where sigma_tilde is V - 1
 on the detected rows.  Those come from one dense solve,
-Z = (1 + S)^-1 S with S = sigma_tilde / 2, and a power-trace expansion of
-log det(1 + Z D(s)) over the detector variables s.  The expansion is a dict
+Z = (1 + S)^-1 S with S = sigma_tilde / 2, and the power-trace expansion
+of log det(1 + Z D(s)) over the detector variables s.  Its coefficients
+are traces of cyclic words over the per-detector blocks of Z: by rotation,
+only the words that end in one start detector per multi-index are summed,
+each as the product of two half-length block paths, the second read
+reversed through the Hermitian symmetry of Z.  The expansion is a dict
 keyed by multi-index that holds only the multi-indices at or below the
 requested count patterns; ``series.exp`` exponentiates it on those
 multi-indices by the power-series recurrence.  Spectral bins are always
@@ -234,20 +238,38 @@ def inclusion_exclusion(vacuum, on_modes: Sequence[int],
 
 @lru_cache(maxsize=None)
 def _power_plan(patterns: tuple[tuple[int, ...], ...]) -> tuple:
-    """Multi-indices at or below one of ``patterns``, in order of total degree.
+    """Multi-indices at or below one of ``patterns``, and how each is summed.
 
-    Each entry is (m, j, preds, extend): the multi-index m, its degree j,
-    the pairs (v, m - e_v) for every v with m_v > 0, and whether some
-    m + e_v is still wanted, so that M_m must be formed.  The constant term
-    is left out.
+    Each entry (m, a, weight, halves) holds a multi-index m of degree
+    j >= 1 (the constant term is left out), its start variable a (the
+    first with m_a > 0), the weight (-1)^(j+1) / m_a of its words that end
+    in a, and one (b, k1, k2) per split of those words into a path a -> b
+    with arrival counts k1, |k1| = ceil(j/2), and the reversed rest, a path
+    a -> b with counts k2.  A degree-1 entry has no halves.
     """
     wanted = {m for p in patterns for m in product(*(range(n + 1) for n in p))}
     plan = []
     for m in sorted(wanted, key=lambda m: (sum(m), m))[1:]:
-        preds = tuple((v, m[:v] + (m[v] - 1,) + m[v + 1:]) for v in range(len(m)) if m[v] > 0)
-        extend = any(m[:v] + (m[v] + 1,) + m[v + 1:] in wanted for v in range(len(m)))
-        plan.append((m, sum(m), preds, extend))
+        j, a = sum(m), next(v for v, n in enumerate(m) if n)
+        halves = []
+        for k1 in product(*(range(n + 1) for n in m)):
+            if j > 1 and sum(k1) == (j + 1) // 2 and k1[a] < m[a]:
+                rest = tuple(n - k - (v == a) for v, (n, k) in enumerate(zip(m, k1)))
+                halves += [(b, k1, rest[:b] + (rest[b] + 1,) + rest[b + 1:])
+                           for b in range(len(m)) if k1[b]]
+        plan.append((m, a, (-1) ** (j + 1) / m[a], tuple(halves)))
     return tuple(plan)
+
+
+def _path(blocks, memo: dict, a: int, b: int, k: tuple) -> np.ndarray:
+    """Sum of Z_(a c1) Z_(c1 c2) ... Z_(c b) over the paths a -> b whose
+    arrivals (c1, ..., b) have counts k, memoized in ``memo``."""
+    key = (a, b, k)
+    if key not in memo:
+        prev = k[:b] + (k[b] - 1,) + k[b + 1:]
+        memo[key] = blocks[a][b] if sum(k) == 1 else sum(
+            _path(blocks, memo, a, c, prev) @ blocks[c][b] for c in range(len(k)) if prev[c])
+    return memo[key]
 
 
 def series_inv_sqrt_det(sigma_tilde: np.ndarray, row_variable: np.ndarray,
@@ -267,11 +289,16 @@ def series_inv_sqrt_det(sigma_tilde: np.ndarray, row_variable: np.ndarray,
     det(1 + T S T) = det(1 + S) det(1 + Z D) with Z = (1 + S)^-1 S, where
     det(1 + S) comes from the Cholesky factor of 1 + S, and
     log det(1 + Z D) = sum_j (-1)^(j+1) / j tr((Z D)^j) is exact up to the
-    total order.  (Z D)^j splits by multi-index m, |m| = j, into
-    M_m = sum_v M_(m - e_v) Z P_v, where P_v keeps the columns of variable
-    v; only the wanted multi-indices are formed, and the trace of M_m is
-    taken elementwise from its predecessors.  ``series.exp`` then
-    exponentiates the log-series on the same multi-indices.
+    total order.  Its s^m term, |m| = j, sums the traces of the cyclic
+    words Z_(v1 v2) Z_(v2 v3) ... Z_(vj v1) of the blocks Z_ab = P_a Z P_b
+    whose letters have counts m.  Rotating a word keeps its trace, so that
+    sum is j / m_a times the sum over the words that end in a, the first
+    variable with m_a > 0.  Each of those is a closed path from a, split
+    after ceil(j/2) steps at some b into two half paths; path products are
+    memoized by (start, end, arrival counts).  Z is Hermitian, so the
+    second half is the conjugate transpose of a path a -> b, and each
+    trace is one ``np.vdot``.  ``series.exp`` then exponentiates the
+    log-series on the same multi-indices.
     """
     patterns = tuple(tuple(p) for p in patterns)
     n2 = sigma_tilde.shape[0]
@@ -287,27 +314,18 @@ def series_inv_sqrt_det(sigma_tilde: np.ndarray, row_variable: np.ndarray,
             "determinant constant term det(1 + sigma_tilde / 2) is not positive and finite")
     z = np.linalg.solve(one_plus_s, s_half)
     zero = (0,) * len(patterns[0])
-    cols = [np.flatnonzero(row_variable == v) for v in range(len(zero))]
+    # group the rows by variable, so that every block Z_ab is a slice
+    order = np.argsort(row_variable, kind="stable")
+    ends = np.searchsorted(row_variable[order], np.arange(len(zero) + 1))
+    z = z[np.ix_(order, order)]
+    blocks = [[z[ends[a]:ends[a + 1], ends[b]:ends[b + 1]] for b in range(len(zero))]
+              for a in range(len(zero))]
 
-    logser = {zero: logdet}
-    # M_m is nonzero only in the columns of the variables m uses: keep
-    # those columns (indices, block) and multiply by the matching rows of Z.
-    # Degree j needs only the M_m of degree j - 1, so older ones are dropped.
-    previous, current = {zero: (np.arange(n2), np.eye(n2, dtype=z.dtype))}, {}
-    degree = 1
-    for m, j, preds, extend in _power_plan(patterns):
-        if j > degree:
-            previous, current, degree = current, {}, j
-        trace, blocks = 0.0, []
-        for v, p in preds:
-            idx, mat = previous[p]
-            z_block = z[np.ix_(idx, cols[v])]
-            trace += np.sum(mat[cols[v]] * z_block.T)
-            if extend:
-                blocks.append(mat @ z_block)
-        logser[m] = (-1) ** (j + 1) / j * trace
-        if extend:
-            current[m] = (np.concatenate([cols[v] for v, _ in preds]), np.hstack(blocks))
+    logser, memo = {zero: logdet}, {}
+    for m, a, weight, halves in _power_plan(patterns):
+        words = sum(np.vdot(_path(blocks, memo, a, b, k2), _path(blocks, memo, a, b, k1))
+                    for b, k1, k2 in halves) if halves else np.trace(blocks[a][a])
+        logser[m] = weight * words
     return series.exp({m: -0.5 * g for m, g in logser.items()})
 
 

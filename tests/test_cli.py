@@ -228,6 +228,20 @@ def test_svg_plot_contents(tmp_path):
     assert "polyline" in text
 
 
+def test_svg_plot_flat_column_at_rounding_level(tmp_path):
+    """A column equal to 1 up to its last bits plots as one flat line."""
+    x = [0.0, 1.0, 2.0, 3.0]
+    texts = []
+    for i, y in enumerate(([1.0, 1 + 2.2e-16, 1 - 1.1e-16, 1.0],
+                           [1 - 1.1e-16, 1.0, 1 + 2.2e-16, 1 - 1.1e-16])):
+        path = tmp_path / f"flat{i}.svg"
+        svg_plot(x, y, "xi", "v_hom", str(path))
+        texts.append(path.read_text())
+    points = re.search(r'<polyline points="([^"]*)"', texts[0]).group(1).split()
+    assert len({p.split(",")[1] for p in points}) == 1
+    assert texts[0] == texts[1]
+
+
 def test_verify_reports_all_suites(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out

@@ -1,13 +1,17 @@
 """Vacuum-projection, threshold and number-resolving probabilities."""
 
+import functools
 import itertools
+import math
 
 import mpmath
 import numpy as np
 import pytest
 
+from gausshom import series
 from gausshom.core import FrequencyGrid, ModeLayout, apply, subset_indices, vacuum_state
 from gausshom.detection import (
+    DEFAULT_PNR_CUTOFF,
     DetectionPattern,
     UnphysicalStateError,
     _clamp,
@@ -113,10 +117,23 @@ def test_pnr_two_mode_squeezed_closed_form():
     lam = 0.55
     state = tms_state(lam)
     t, c = np.tanh(lam), np.cosh(lam)
-    for n in range(4):
+    # up to (6, 6), whose total count is the cutoff
+    for n in range(DEFAULT_PNR_CUTOFF // 2 + 1):
         assert p_pnr(state, (0, 1), (n, n)) == pytest.approx(
-            t ** (2 * n) / c ** 2, abs=1e-11)
+            t ** (2 * n) / c ** 2, rel=1e-12)
     assert p_pnr(state, (0, 1), (0, 2)) == pytest.approx(0.0, abs=1e-11)
+    # two independent pairs on four modes: the product of the pairs' forms
+    lay = ModeLayout(4, 1)
+    lams = (0.7, 0.45)
+    state = vacuum_state(lay)
+    for (sig, idl), lam in zip(((0, 1), (2, 3)), lams):
+        j = JsaMatrix(np.array([[lam]], dtype=complex), grid_of(1), grid_of(1))
+        state = apply(state, squeezer(j, sig, idl, lay))
+    patterns = [(3, 3, 3, 3), (2, 2, 4, 4)]
+    for (n1, _, n2, _), p in zip(patterns, p_pnr(state, (0, 1, 2, 3), patterns)):
+        expected = math.prod(np.tanh(lam) ** (2 * n) / np.cosh(lam) ** 2
+                             for lam, n in zip(lams, (n1, n2)))
+        assert p == pytest.approx(expected, rel=1e-12)
 
 
 def test_pnr_distribution_matches_individual_terms():
@@ -373,3 +390,39 @@ def test_series_inv_sqrt_det_vs_finite_differences(rng):
         deg[0] + 1, deg[1] + 1)
     np.testing.assert_allclose(got, fitted[:3, :4],
                                rtol=1e-6, atol=1e-7)
+
+
+@pytest.mark.parametrize("complex_input", [False, True])
+def test_series_inv_sqrt_det_vs_word_enumeration(rng, complex_input):
+    """Every coefficient equals a brute-force sum over all words.
+
+    log det(1 + Z D) = sum_j (-1)^(j+1) / j tr((Z D)^j), and (Z D)^j sums
+    Z P_v1 Z P_v2 ... Z P_vj over every word v1 ... vj; the reference
+    traces each word up to total degree 6 and exponentiates with
+    ``series.exp``.  Three variables own unequal, interleaved row counts.
+    """
+    row_var = np.array([1, 0, 2, 2, 1, 2, 0, 2, 1, 2])
+    n = len(row_var)
+    h = rng.normal(size=(n, n))
+    if complex_input:
+        h = h + 1j * rng.normal(size=(n, n))
+    sigma_tilde = 0.9 * (h + h.conj().T) / np.linalg.norm(h)
+    patterns = [(2, 2, 2), (1, 0, 5), (4, 1, 1), (0, 6, 0)]
+    s_half = sigma_tilde / 2
+    z = np.linalg.inv(np.eye(n) + s_half) @ s_half
+    zp = [z * (row_var == v)[None, :] for v in range(3)]   # Z P_v
+    wanted = {m for p in patterns for m in itertools.product(*(range(k + 1) for k in p))}
+    log_series = {m: 0.0 for m in wanted}
+    log_series[(0, 0, 0)] = np.linalg.slogdet(np.eye(n) + s_half)[1]
+    for j in range(1, 7):
+        for word in itertools.product(range(3), repeat=j):
+            m = tuple(word.count(v) for v in range(3))
+            if m in wanted:
+                word_product = functools.reduce(np.matmul, [zp[v] for v in word])
+                log_series[m] += (-1) ** (j + 1) / j * np.trace(word_product)
+    expected = series.exp({m: -0.5 * g for m, g in log_series.items()})
+    got = series_inv_sqrt_det(sigma_tilde, row_var, patterns)
+    assert set(got) == wanted
+    for m in sorted(wanted):
+        np.testing.assert_allclose(got[m], expected[m], rtol=1e-12, atol=1e-15,
+                                   err_msg=f"coefficient {m}")
