@@ -23,8 +23,15 @@ arithmetic, and detection reads V directly.
 An element is kept as its own real block plus the spatial modes it acts on
 (``Transform``), and ``apply`` updates only those rows and columns of V: an
 element on k spatial modes costs O((k n_f)^2 N) instead of the O(N^3) of a
-dense 2N x 2N product.  ``CovarianceState.sigma`` and ``Transform.matrix``
-rebuild the complex forms on request; the circuit never calls them.
+dense 2N x 2N product.  The block's rows fall into 2k runs of n_f rows,
+the x and then the p quadratures of each target mode.  A block that never
+mixes frequency bins (beam-splitter, phase, delay, loss, filter) has a
+diagonal sub-block for every pair of runs; it is read as per-bin
+couplings c[a, b, w] (``_bin_couplings``), applied as scaled sums of row
+runs in O(k^2 n_f N), and checked bin by bin, as n_f blocks of size
+2k x 2k.  A block that mixes bins, such as a multimode squeezer, keeps
+the dense product and check.  ``CovarianceState.sigma`` and ``Transform.matrix`` rebuild the
+complex forms on request; the circuit never calls them.
 """
 
 from __future__ import annotations
@@ -143,27 +150,43 @@ def _complex_form(v: np.ndarray) -> np.ndarray:
     return np.block([[a, b], [b.conj(), a.conj()]])
 
 
-def _mode_pairs(block: np.ndarray) -> np.ndarray | None:
-    """The diagonals [[xx, xp], [px, pp]] of a real block's four quarters.
+def _bin_couplings(block: np.ndarray, n_f: int) -> np.ndarray | None:
+    """Per-bin couplings c[a, b, w] of a real block over its runs of ``n_f`` rows.
 
-    Returned only when nothing off those diagonals is nonzero, that is when
-    the block turns each target mode's (x, p) pair on its own (delay,
-    phase, loss, filter); None otherwise.
+    A k-mode block has 2k runs (x then p quadratures of each target mode),
+    and c[a, b, w] is its entry from row w of run b to row w of run a.
+    Returned only when nothing off those run-by-run diagonals is nonzero,
+    that is when the block never mixes frequency bins (beam-splitter,
+    delay, phase, loss, filter); None otherwise.
     """
-    half = block.shape[0] // 2
-    pairs = np.diagonal(block.reshape(2, half, 2, half), axis1=1, axis2=3)
-    return pairs if np.count_nonzero(block) == np.count_nonzero(pairs) else None
+    runs = block.shape[0] // n_f
+    couplings = np.diagonal(block.reshape(runs, n_f, runs, n_f), axis1=1, axis2=3)
+    return couplings if np.count_nonzero(block) == np.count_nonzero(couplings) else None
 
 
-def _left_multiply(block: np.ndarray, pairs: np.ndarray | None, m: np.ndarray) -> np.ndarray:
-    """block @ m, elementwise pair by pair when ``pairs`` is given."""
-    if pairs is None:
+def _left_multiply(block: np.ndarray, couplings: np.ndarray | None,
+                   m: np.ndarray) -> np.ndarray:
+    """block @ m, as scaled sums of row runs when ``couplings`` is given."""
+    if couplings is None:
         return block @ m
-    (xx, xp), (px, pp) = pairs
-    half = xx.size
-    x, p = m[:half], m[half:]
-    return np.concatenate([xx[:, None] * x + xp[:, None] * p,
-                           px[:, None] * x + pp[:, None] * p])
+    runs, _, n_f = couplings.shape
+    m = m.reshape(runs, n_f, -1)
+    out = np.zeros_like(m)
+    for a, b in zip(*np.nonzero(np.any(couplings, axis=2))):
+        out[a] += couplings[a, b, :, None] * m[b]
+    return out.reshape(runs * n_f, -1)
+
+
+def _bin_blocks(block: np.ndarray, n_f: int) -> np.ndarray:
+    """A real block as a stack of square blocks that together make it up.
+
+    A bin-local block (``_bin_couplings``) is, up to a reordering of rows
+    and columns, the direct sum of its n_f per-bin 2k x 2k blocks c[:, :, w];
+    any other block is a stack of itself alone.  Either way the block is
+    symplectic or contractive exactly when every stacked block is.
+    """
+    couplings = _bin_couplings(block, n_f)
+    return block[None] if couplings is None else np.moveaxis(couplings, 2, 0)
 
 
 @dataclass(frozen=True)
@@ -187,7 +210,9 @@ class Transform:
     V - 1 -> T (V - 1) T^T.
 
     Both checks run on the stored block alone, which is exact: identity (+)
-    block is symplectic or contractive exactly when the block is.
+    block is symplectic or contractive exactly when the block is.  A block
+    that never mixes frequency bins is checked bin by bin (``_bin_blocks``),
+    at the same strength.
     ``matrix`` builds the complex full-layout matrix on request.
     """
 
@@ -214,18 +239,18 @@ class Transform:
             if not imag <= SYMPLECTIC_TOL:
                 raise ValueError(f"symplectic block lacks the conjugate block structure "
                                  f"(relative |Im(Q M Q^dag)| = {imag:.2e})")
+            blocks = _bin_blocks(s, self.layout.n_spectral)
+            half = blocks.shape[1] // 2
             # S J moves the columns of S: [-S_p, S_x]
-            s_j = np.hstack([-s[:, n // 2:], s[:, :n // 2]])
-            j = ModeLayout(len(modes), self.layout.n_spectral).symplectic_form()
-            residual = np.max(np.abs(s_j @ s.T - j))
+            s_j = np.concatenate([-blocks[:, :, half:], blocks[:, :, :half]], axis=2)
+            j = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(half))
+            residual = np.max(np.abs(s_j @ blocks.transpose(0, 2, 1) - j))
             if not residual <= SYMPLECTIC_TOL * max(1.0, np.max(np.abs(s)) ** 2):
                 raise ValueError(f"matrix is not symplectic (residual {residual:.2e})")
         else:
             s = np.block([[m.real, -m.imag], [m.imag, m.real]])
-            # a diagonal U (loss, filter) has its largest |entry| as s_max
-            pairs = _mode_pairs(s)
-            smax = np.max(np.hypot(pairs[0, 0], pairs[1, 0])) if pairs is not None \
-                else np.linalg.norm(s, 2)
+            smax = np.max(np.linalg.norm(_bin_blocks(s, self.layout.n_spectral), 2,
+                                         axis=(1, 2)))
             if not smax <= 1 + 1e-12:
                 raise ValueError(f"passive matrix is not contractive (s_max = {smax})")
         object.__setattr__(self, "block", s)
@@ -330,8 +355,8 @@ def apply(state: CovarianceState, t: Transform) -> CovarianceState:
     With B the block (S, or T on V - 1 for a passive channel), the target
     rows become B V[rows, :] with B^T applied to their own columns, and
     since the result is symmetric the target columns are their transpose.
-    A block that turns each mode's (x, p) pair on its own multiplies
-    elementwise.
+    A block that never mixes frequency bins multiplies as scaled sums of
+    row runs (``_bin_couplings``); any other block as a dense product.
     """
     if t.layout != state.layout:
         raise ValueError("transform layout does not match state layout")
@@ -339,9 +364,9 @@ def apply(state: CovarianceState, t: Transform) -> CovarianceState:
     out = state.v.copy()
     if t.kind == "passive":
         out[rows, rows] -= 1
-    pairs = _mode_pairs(t.block)
-    band = _left_multiply(t.block, pairs, out[rows])
-    band[:, rows] = _left_multiply(t.block, pairs, band[:, rows].T).T
+    couplings = _bin_couplings(t.block, state.layout.n_spectral)
+    band = _left_multiply(t.block, couplings, out[rows])
+    band[:, rows] = _left_multiply(t.block, couplings, band[:, rows].T).T
     out[rows] = band
     out[:, rows] = band.T
     if t.kind == "passive":

@@ -39,6 +39,7 @@ import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from operator import sub
 from typing import Sequence
 
 import numpy as np
@@ -252,13 +253,27 @@ def _power_plan(patterns: tuple[tuple[int, ...], ...]) -> tuple:
     for m in sorted(wanted, key=lambda m: (sum(m), m))[1:]:
         j, a = sum(m), next(v for v, n in enumerate(m) if n)
         halves = []
-        for k1 in product(*(range(n + 1) for n in m)):
-            if j > 1 and sum(k1) == (j + 1) // 2 and k1[a] < m[a]:
-                rest = tuple(n - k - (v == a) for v, (n, k) in enumerate(zip(m, k1)))
+        if j > 1:
+            bounds = m[:a] + (m[a] - 1,) + m[a + 1:]
+            for k1 in _compositions((j + 1) // 2, bounds):
+                rest = tuple(map(sub, bounds, k1))
                 halves += [(b, k1, rest[:b] + (rest[b] + 1,) + rest[b + 1:])
-                           for b in range(len(m)) if k1[b]]
+                           for b, k in enumerate(k1) if k]
         plan.append((m, a, (-1) ** (j + 1) / m[a], tuple(halves)))
     return tuple(plan)
+
+
+def _compositions(total: int, bounds: tuple):
+    """Every k with 0 <= k_i <= bounds_i and sum(k) = total, in lexicographic order.
+
+    The last entry is what the leading ones leave of ``total``, so only the
+    leading entries, each capped at ``total``, are walked.
+    """
+    *lead, last = bounds
+    for head in product(*(range(min(n, total) + 1) for n in lead)):
+        rest = total - sum(head)
+        if 0 <= rest <= last:
+            yield head + (rest,)
 
 
 def _path(blocks, memo: dict, a: int, b: int, k: tuple) -> np.ndarray:

@@ -93,13 +93,29 @@ def delay(tau: float, spatial_mode: int, grid: FrequencyGrid,
     return _unitary_symplectic(alpha, (spatial_mode,), layout)
 
 
-def loss(epsilon: float, spatial_modes: Sequence[int], layout: ModeLayout) -> Transform:
-    """Frequency-independent loss epsilon on the named spatial modes."""
+def _amplitude_transmission(epsilon: float) -> float:
+    """sqrt(1 - epsilon), the amplitude a loss epsilon in [0, 1] lets through."""
     if not 0 <= epsilon <= 1:
         raise ValueError("loss parameter must lie in [0, 1]")
+    return float(np.sqrt(1 - epsilon))
+
+
+def loss(epsilon: float, spatial_modes: Sequence[int], layout: ModeLayout) -> Transform:
+    """Frequency-independent loss epsilon on the named spatial modes."""
     modes = sorted(set(spatial_modes))
-    u = np.sqrt(1 - epsilon) * np.eye(len(modes) * layout.n_spectral)
+    u = _amplitude_transmission(epsilon) * np.eye(len(modes) * layout.n_spectral)
     return Transform("passive", u, layout, tuple(modes))
+
+
+def _passband(nu0: float, half_width: float, grid: FrequencyGrid) -> np.ndarray:
+    """Bins of ``grid`` whose center frequency lies in [nu0 - hw, nu0 + hw], as 0/1."""
+    if half_width <= 0:
+        raise ValueError("filter half-width must be positive")
+    freqs = grid.frequencies()
+    passing = (freqs >= nu0 - half_width) & (freqs <= nu0 + half_width)
+    if not np.any(passing):
+        raise ValueError("filter passband lies entirely outside the frequency grid")
+    return passing.astype(float)
 
 
 def bandpass_filter(nu0: float, half_width: float, spatial_modes: Sequence[int],
@@ -109,14 +125,9 @@ def bandpass_filter(nu0: float, half_width: float, spatial_modes: Sequence[int],
     ``half_width`` is the half-width of the passband (the filter function is
     1 on the closed interval nu0 +- half_width).
     """
-    if half_width <= 0:
-        raise ValueError("filter half-width must be positive")
+    passing = _passband(nu0, half_width, grid)
     if grid.n_bins != layout.n_spectral:
         raise ValueError("grid bin count does not match the layout")
-    freqs = grid.frequencies()
-    passing = (freqs >= nu0 - half_width) & (freqs <= nu0 + half_width)
-    if not np.any(passing):
-        raise ValueError("filter passband lies entirely outside the frequency grid")
     modes = sorted(set(spatial_modes))
-    u = np.diag(np.tile(passing.astype(float), len(modes)))
+    u = np.diag(np.tile(passing, len(modes)))
     return Transform("passive", u, layout, tuple(modes))

@@ -6,8 +6,11 @@ the pair (0, 1), source B the pair (3, 2); optional bandpass filters and
 per-arm loss follow, then a variable delay on idler 1 and a beam-splitter
 of angle theta that mixes idlers (1, 2) before detection.
 
-The circuit splits into a source stage (sources, filters and loss, the
-expensive part) and a suffix (delay and beam-splitter).  Every state a
+The circuit splits into a source stage (sources, filters and loss) and a
+suffix (delay and beam-splitter).  The stage is built in closed form, from
+each source's Schmidt decomposition and one amplitude transmission per
+row (``_sources_and_channels``); the element-built circuit is the
+reference it matches.  Every state a
 sweep row needs is derived from one stage: the state without the
 beam-splitter is the stage itself (plus any delay), and the state at pi/4
 adds the splitter.  A sweep along the delay, the beam-splitter angle or a
@@ -41,10 +44,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CovarianceState, FrequencyGrid, ModeLayout, apply, vacuum_state
+from .core import (STRUCTURE_TOL, SYMPLECTIC_TOL, CovarianceState, FrequencyGrid, ModeLayout,
+                   UnphysicalStateError, _quadrature_form, apply, subset_indices)
 from .detection import inclusion_exclusion, p_pnr, p_threshold, vacuum_probabilities
-from .elements import bandpass_filter, beam_splitter, delay, loss, squeezer
-from .jsa import JsaSpec, build_jsa
+from .elements import _amplitude_transmission, _passband, beam_splitter, delay, loss
+from .jsa import JsaSpec, SchmidtData, build_jsa, schmidt_decompose
 
 HERALD_MODES = (0, 3)
 IDLER_MODES = (1, 2)
@@ -99,36 +103,70 @@ class HhomConfig:
         return hashlib.sha256(repr(self).encode()).hexdigest()[:16]
 
 
+def _squeezed_vacuum(sd: SchmidtData) -> np.ndarray:
+    """V - 1 of one pair source on its (signal, idler) rows, in closed form.
+
+    In its Schmidt basis the source is a stack of two-mode squeezers of
+    strengths r = ``sd.values``.  From vacuum, sigma - 1 then has the
+    complex (a, a^dag) blocks A_ss = U diag(2 sinh^2 r) U^dag,
+    A_ii = Vh^T diag(2 sinh^2 r) Vh* and B_si = -i U diag(sinh 2r) Vh, which
+    are a physical state exactly when U and Vh are unitary (r is real): the
+    same condition as the squeezer's S J S^T = J, and checked here instead.
+    """
+    n_f = sd.values.size
+    for name, w in (("U", sd.u), ("Vh", sd.vh)):
+        residual = np.max(np.abs(w.conj().T @ w - np.eye(n_f)))
+        if not residual <= SYMPLECTIC_TOL:
+            raise ValueError(f"Schmidt basis {name} is not unitary (residual {residual:.2e})")
+    excess, pairing = 2 * np.sinh(sd.values) ** 2, np.sinh(2 * sd.values)
+    if not (np.all(np.isfinite(excess)) and np.all(np.isfinite(pairing))):
+        raise ValueError("source state has non-finite entries")
+    a = np.zeros((2 * n_f, 2 * n_f), dtype=complex)
+    a[:n_f, :n_f] = (sd.u * excess) @ sd.u.conj().T
+    a[n_f:, n_f:] = (sd.vh.T * excess) @ sd.vh.conj()
+    b = np.zeros_like(a)
+    b[:n_f, n_f:] = (-1j * sd.u * pairing) @ sd.vh
+    b[n_f:, :n_f] = b[:n_f, n_f:].T
+    v, imag = _quadrature_form(np.block([[a, b], [b.conj(), a.conj()]]))
+    if not imag <= STRUCTURE_TOL:
+        raise UnphysicalStateError(f"source state lacks the conjugate block structure "
+                                   f"(relative |Im(Q sigma Q^dag)| = {imag:.2e})")
+    return v
+
+
 def _sources_and_channels(config: HhomConfig) -> CovarianceState:
     """The source stage: both pair sources, the bandpass filters and per-arm loss.
 
     Every state of a configuration is derived from this four-arm state by a
     short suffix (``_with_suffix``), and it does not depend on the delay or
-    the beam-splitter angle.
+    the beam-splitter angle.  It is built in closed form: each source's
+    V - 1 from its Schmidt decomposition (``_squeezed_vacuum``), then every
+    filter and loss, all diagonal on the rows, as one amplitude
+    transmission t per row, V = 1 + (t t^T) o (V_0 - 1).  The element-built
+    circuit (``squeezer``, ``bandpass_filter``, ``loss``) gives the same
+    state.
     """
     lay = ModeLayout(N_SPATIAL, config.grid.n_bins)
-    state = vacuum_state(lay)
-    if config.source_a.xi > 0:
-        pump_a = squeezer(build_jsa(config.source_a, config.grid), 0, 1, lay)
-        state = apply(state, pump_a)
-    if config.source_b.xi > 0:
-        if config.source_b == config.source_a:
-            # one JSA, Schmidt decomposition and squeezer block serve both
-            # sources: the block does not depend on its target modes
-            pump_b = pump_a.on_modes((3, 2))
-        else:
-            pump_b = squeezer(build_jsa(config.source_b, config.grid), 3, 2, lay)
-        state = apply(state, pump_b)
+    excess = np.zeros((2 * lay.n_modes,) * 2)
+    sources = {}
+    for spec, arms in ((config.source_a, (0, 1)), (config.source_b, (3, 2))):
+        if spec.xi > 0:
+            # identical sources share one JSA and one Schmidt decomposition
+            if spec not in sources:
+                sources[spec] = _squeezed_vacuum(
+                    schmidt_decompose(build_jsa(spec, config.grid)))
+            rows = subset_indices(lay, arms)
+            excess[np.ix_(rows, rows)] = sources[spec]
+    t = np.ones((N_SPATIAL, lay.n_spectral))
     if config.filter_modes:
-        state = apply(state, bandpass_filter(config.filter_center,
-                                             config.filter_half_width,
-                                             config.filter_modes,
-                                             config.grid, lay))
-    # one channel per distinct loss value, on every arm that has it
-    for eps in sorted(set(config.loss) - {0.0}):
-        arms = [mode for mode, e in enumerate(config.loss) if e == eps]
-        state = apply(state, loss(eps, arms, lay))
-    return state
+        t[list(config.filter_modes)] = _passband(config.filter_center,
+                                                 config.filter_half_width, config.grid)
+    t *= np.array([[_amplitude_transmission(eps)] for eps in config.loss])
+    t = np.tile(t.ravel(), 2)
+    v = np.outer(t, t)
+    v *= excess
+    v[np.diag_indices_from(v)] += 1
+    return CovarianceState(lay, v)
 
 
 def _with_suffix(stage: CovarianceState, config: HhomConfig) -> CovarianceState:

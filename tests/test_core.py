@@ -8,6 +8,7 @@ from gausshom.core import (
     FrequencyGrid,
     ModeLayout,
     Transform,
+    _bin_couplings,
     apply,
     subset_indices,
     vacuum_state,
@@ -305,3 +306,30 @@ def test_on_modes_moves_the_block_without_changing_it():
         squeezer(j, 0, 1, lay).on_modes((3,))
     with pytest.raises(ValueError, match="duplicates"):
         squeezer(j, 0, 1, lay).on_modes((2, 2))
+
+
+def test_bin_local_blocks_are_checked_bin_by_bin():
+    """A block that never mixes bins is checked per bin at full strength, so a
+    defect in one bin alone is caught."""
+    lay = ModeLayout(2, 3)
+    rot = np.array([[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]])
+    for scale, ok in ((1.0, True), (1 + 1e-9, False)):
+        alpha = np.kron(rot, np.diag([1.0, scale, 1.0]))
+        block = np.block([[alpha, np.zeros((6, 6))], [np.zeros((6, 6)), alpha.conj()]])
+        if ok:
+            t = Transform("symplectic", block, lay)
+            assert _bin_couplings(t.block, 3) is not None
+        else:
+            with pytest.raises(ValueError, match="not symplectic"):
+                Transform("symplectic", block, lay)
+    # a mixing contraction: s_max is the largest per-bin spectral norm, not
+    # the largest |entry|, which stays below 1 here
+    for scale, ok in ((1.0, True), (1 + 1e-9, False)):
+        u = np.kron(rot, np.diag([0.5, scale, 0.9]))
+        assert np.max(np.abs(u)) < 1
+        if ok:
+            t = Transform("passive", u, lay)
+            assert _bin_couplings(t.block, 3) is not None
+        else:
+            with pytest.raises(ValueError, match="not contractive"):
+                Transform("passive", u, lay)

@@ -15,6 +15,7 @@ from gausshom.detection import (
     DetectionPattern,
     UnphysicalStateError,
     _clamp,
+    _power_plan,
     p_pnr,
     p_threshold,
     p_vacuum,
@@ -426,3 +427,26 @@ def test_series_inv_sqrt_det_vs_word_enumeration(rng, complex_input):
     for m in sorted(wanted):
         np.testing.assert_allclose(got[m], expected[m], rtol=1e-12, atol=1e-15,
                                    err_msg=f"coefficient {m}")
+
+
+def box_walk_plan(patterns):
+    """The expansion plan from a walk over the whole box below each multi-index."""
+    wanted = {m for p in patterns for m in itertools.product(*(range(n + 1) for n in p))}
+    plan = []
+    for m in sorted(wanted, key=lambda m: (sum(m), m))[1:]:
+        j, a = sum(m), next(v for v, n in enumerate(m) if n)
+        halves = []
+        for k1 in itertools.product(*(range(n + 1) for n in m)):
+            if j > 1 and sum(k1) == (j + 1) // 2 and k1[a] < m[a]:
+                rest = tuple(n - k - (v == a) for v, (n, k) in enumerate(zip(m, k1)))
+                halves += [(b, k1, rest[:b] + (rest[b] + 1,) + rest[b + 1:])
+                           for b in range(len(m)) if k1[b]]
+        plan.append((m, a, (-1) ** (j + 1) / m[a], tuple(halves)))
+    return tuple(plan)
+
+
+@pytest.mark.parametrize("patterns", [((1, 1, 1, 1), (1, 0, 2, 1), (1, 2, 0, 1)),
+                                      ((2,) * 6,), ((3, 3, 3, 3),), ((12,),)])
+def test_power_plan_matches_a_box_walk(patterns):
+    """Same splits in the same order, which sets the summation order."""
+    assert _power_plan(patterns) == box_walk_plan(patterns)

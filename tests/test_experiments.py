@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gausshom import detection, experiments
 from gausshom.core import FrequencyGrid, ModeLayout, apply, vacuum_state
@@ -36,7 +38,7 @@ from gausshom.experiments import (
     visibility_mzi,
     xi_to_db,
 )
-from gausshom.jsa import JsaSpec, build_jsa
+from gausshom.jsa import JsaSpec, SchmidtData, build_jsa, schmidt_decompose
 
 from conftest import run_fock
 
@@ -317,32 +319,97 @@ def sources_filter_and_loss(config, lay):
     state = vacuum_state(lay)
     for spec, (sig, idl) in ((config.source_a, (0, 1)), (config.source_b, (3, 2))):
         state = apply(state, squeezer(build_jsa(spec, config.grid), sig, idl, lay))
-    state = apply(state, bandpass_filter(config.filter_center, config.filter_half_width,
-                                         config.filter_modes, config.grid, lay))
+    if config.filter_modes:
+        state = apply(state, bandpass_filter(config.filter_center, config.filter_half_width,
+                                             config.filter_modes, config.grid, lay))
     for eps in sorted(set(config.loss)):
         arms = [m for m, e in enumerate(config.loss) if e == eps]
         state = apply(state, loss(eps, arms, lay))
     return state
 
 
-def test_identical_sources_share_one_squeezer(monkeypatch):
-    jsa_calls = []
-    build = experiments.build_jsa
-
-    def counting_jsa(spec, grid):
-        jsa_calls.append(spec)
-        return build(spec, grid)
-
-    monkeypatch.setattr(experiments, "build_jsa", counting_jsa)
+def test_identical_sources_share_one_schmidt_decomposition(monkeypatch):
+    calls = []
+    for name in ("build_jsa", "schmidt_decompose"):
+        def counting(*args, _name=name, _original=getattr(experiments, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(experiments, name, counting)
     gaussian = JsaSpec("gaussian", 0.2, 4.0, signal_center=0.0, idler_center=0.0)
     identical = lossy_waveguide_config("pnr")
-    for config, n_jsa in ((identical, 1),
-                          (dataclasses.replace(identical, source_b=gaussian), 2)):
-        jsa_calls.clear()
+    for config, n_sources in ((identical, 1),
+                              (dataclasses.replace(identical, source_b=gaussian), 2)):
+        calls.clear()
         got = experiments._sources_and_channels(config)
-        assert len(jsa_calls) == n_jsa
+        assert sorted(calls) == ["build_jsa"] * n_sources + ["schmidt_decompose"] * n_sources
         want = sources_filter_and_loss(config, ModeLayout(4, config.grid.n_bins))
-        assert np.array_equal(got.sigma, want.sigma)
+        np.testing.assert_allclose(got.v, want.v, rtol=0, atol=1e-13)
+
+
+def stage_source(variant, xi, idler_center):
+    extra = {"waveguide": dict(walkoff=1.0),
+             "double_lobe": dict(lobe_separation=3.0, relative_sign=-1)}.get(variant, {})
+    return JsaSpec(variant, xi, 4.0, signal_center=0.0, idler_center=idler_center, **extra)
+
+
+VARIANTS = ("gaussian", "waveguide", "double_lobe")
+STAGE_XI = (0.0, 0.2, 0.9)
+# zero, full and partial loss on each arm
+ARM_LOSS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(variants=st.tuples(st.sampled_from(VARIANTS), st.sampled_from(VARIANTS)),
+       xis=st.tuples(st.sampled_from(STAGE_XI), st.sampled_from(STAGE_XI)),
+       idler_center=st.sampled_from([0.0, 0.5]),
+       filter_modes=st.lists(st.integers(0, 3), unique=True, max_size=4).map(tuple),
+       losses=st.tuples(ARM_LOSS, ARM_LOSS, ARM_LOSS, ARM_LOSS),
+       n_bins=st.integers(2, 7))
+@example(("waveguide", "waveguide"), (0.9, 0.9), 0.0, (1, 2), (0.1, 0.2, 0.15, 0.05), 5)
+@example(("waveguide", "double_lobe"), (0.9, 0.2), 0.0, (0, 2), (0.0, 1.0, 0.3, 0.05), 6)
+@example(("gaussian", "waveguide"), (0.0, 0.9), 0.5, (), (1.0, 0.0, 0.0, 0.2), 7)
+@example(("double_lobe", "gaussian"), (0.2, 0.0), 0.5, (3,), (0.0, 0.0, 0.0, 0.0), 4)
+def test_closed_form_stage_matches_the_element_circuit(variants, xis, idler_center,
+                                                       filter_modes, losses, n_bins):
+    """The closed-form stage against squeezers, a bandpass and loss, element by element."""
+    source_a = stage_source(variants[0], xis[0], 0.0)
+    source_b = stage_source(variants[1], xis[1], idler_center)
+    filter_kwargs = dict(filter_center=0.2, filter_half_width=1.5) if filter_modes else {}
+    config = HhomConfig(source_a, source_b, FrequencyGrid(0.0, 1.0, n_bins), loss=losses,
+                        filter_modes=filter_modes, **filter_kwargs)
+    got = experiments._sources_and_channels(config)
+    want = sources_filter_and_loss(config, ModeLayout(4, n_bins))
+    np.testing.assert_allclose(got.v, want.v, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("center, half_width", [(0.0, 0.0), (0.0, -1.0), (40.0, 1.0)])
+def test_stage_rejects_a_passband_as_bandpass_filter_does(center, half_width):
+    config = dataclasses.replace(lossy_waveguide_config("pnr"), filter_center=center,
+                                 filter_half_width=half_width)
+    with pytest.raises(ValueError) as element:
+        bandpass_filter(center, half_width, config.filter_modes, config.grid,
+                        ModeLayout(4, config.grid.n_bins))
+    with pytest.raises(ValueError) as stage:
+        experiments._sources_and_channels(config)
+    assert str(stage.value) == str(element.value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_stage_rejects_a_non_unitary_schmidt_basis_and_overflow():
+    grid = FrequencyGrid(0.0, 1.0, 5)
+    sd = schmidt_decompose(build_jsa(stage_source("waveguide", 0.5, 0.0), grid))
+    experiments._squeezed_vacuum(sd)
+    for bad in (SchmidtData(sd.values, (1 + 1e-9) * sd.u, sd.vh),
+                SchmidtData(sd.values, sd.u, sd.vh[::-1] + 1e-9)):
+        with pytest.raises(ValueError, match="not unitary"):
+            experiments._squeezed_vacuum(bad)
+    # squeezing past the float range is a domain error (CLI exit code 2), as
+    # the squeezer's non-finite block is, not an unphysical state
+    strong = dataclasses.replace(lossy_waveguide_config("pnr"),
+                                 source_a=stage_source("gaussian", 800.0, 0.0))
+    with pytest.raises(ValueError, match="non-finite") as error:
+        experiments._sources_and_channels(strong)
+    assert not isinstance(error.value, detection.UnphysicalStateError)
 
 
 # The fully distinguishable limit as a circuit: each idler is split on a
