@@ -36,7 +36,6 @@ complex forms on request; the circuit never calls them.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -254,16 +253,6 @@ class Transform:
             if not smax <= 1 + 1e-12:
                 raise ValueError(f"passive matrix is not contractive (s_max = {smax})")
         object.__setattr__(self, "block", s)
-
-    def on_modes(self, modes: Sequence[int]) -> Transform:
-        """The same block on other target modes, without repeating its checks."""
-        modes = tuple(modes)
-        if len(modes) != len(self.modes):
-            raise ValueError(f"block acts on {len(self.modes)} spatial modes, not {len(modes)}")
-        subset_indices(self.layout, modes)
-        moved = copy.copy(self)
-        object.__setattr__(moved, "modes", modes)
-        return moved
 
     @property
     def rows(self) -> np.ndarray:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .core import FrequencyGrid, ModeLayout, Transform
 from .jsa import JsaMatrix, schmidt_decompose
@@ -23,7 +22,10 @@ from .jsa import JsaMatrix, schmidt_decompose
 
 def _unitary_symplectic(alpha: np.ndarray, modes: Sequence[int],
                         layout: ModeLayout) -> Transform:
-    block = scipy.linalg.block_diag(alpha, alpha.conj())
+    n = alpha.shape[0]
+    block = np.zeros((2 * n, 2 * n), dtype=complex)
+    block[:n, :n] = alpha
+    block[n:, n:] = alpha.conj()
     return Transform("symplectic", block, layout, tuple(modes))
 
 

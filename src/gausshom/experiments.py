@@ -44,8 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (STRUCTURE_TOL, SYMPLECTIC_TOL, CovarianceState, FrequencyGrid, ModeLayout,
-                   UnphysicalStateError, _quadrature_form, apply, subset_indices)
+from .core import SYMPLECTIC_TOL, CovarianceState, FrequencyGrid, ModeLayout, apply, subset_indices
 from .detection import inclusion_exclusion, p_pnr, p_threshold, vacuum_probabilities
 from .elements import _amplitude_transmission, _passband, beam_splitter, delay, loss
 from .jsa import JsaSpec, SchmidtData, build_jsa, schmidt_decompose
@@ -112,6 +111,8 @@ def _squeezed_vacuum(sd: SchmidtData) -> np.ndarray:
     A_ii = Vh^T diag(2 sinh^2 r) Vh* and B_si = -i U diag(sinh 2r) Vh, which
     are a physical state exactly when U and Vh are unitary (r is real): the
     same condition as the squeezer's S J S^T = J, and checked here instead.
+    The real (x, p) blocks of Re(Q sigma Q^dag) are written directly from A
+    and B; the complex sigma = [[A, B], [B*, A*]] is never assembled.
     """
     n_f = sd.values.size
     for name, w in (("U", sd.u), ("Vh", sd.vh)):
@@ -127,11 +128,7 @@ def _squeezed_vacuum(sd: SchmidtData) -> np.ndarray:
     b = np.zeros_like(a)
     b[:n_f, n_f:] = (-1j * sd.u * pairing) @ sd.vh
     b[n_f:, :n_f] = b[:n_f, n_f:].T
-    v, imag = _quadrature_form(np.block([[a, b], [b.conj(), a.conj()]]))
-    if not imag <= STRUCTURE_TOL:
-        raise UnphysicalStateError(f"source state lacks the conjugate block structure "
-                                   f"(relative |Im(Q sigma Q^dag)| = {imag:.2e})")
-    return v
+    return np.block([[(a + b).real, (b - a).imag], [(a + b).imag, (a - b).real]])
 
 
 def _sources_and_channels(config: HhomConfig) -> CovarianceState:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gausshom import detection, experiments
-from gausshom.core import FrequencyGrid, ModeLayout, apply, vacuum_state
+from gausshom.core import CovarianceState, FrequencyGrid, ModeLayout, apply, vacuum_state
 from gausshom.elements import bandpass_filter, beam_splitter, loss, squeezer
 from gausshom.detection import DetectionPattern, p_pnr, p_threshold
 from gausshom.fock import fock_detection
@@ -410,6 +410,30 @@ def test_stage_rejects_a_non_unitary_schmidt_basis_and_overflow():
     with pytest.raises(ValueError, match="non-finite") as error:
         experiments._sources_and_channels(strong)
     assert not isinstance(error.value, detection.UnphysicalStateError)
+
+
+def complex_stage_reference(sd):
+    """V - 1 of one source through its complex sigma and ``from_sigma``'s structure check."""
+    n_f = sd.values.size
+    excess, pairing = np.diag(2 * np.sinh(sd.values) ** 2), np.diag(np.sinh(2 * sd.values))
+    a = np.zeros((2 * n_f, 2 * n_f), dtype=complex)
+    a[:n_f, :n_f] = sd.u @ excess @ sd.u.conj().T
+    a[n_f:, n_f:] = sd.vh.T @ excess @ sd.vh.conj()
+    b = np.zeros_like(a)
+    b[:n_f, n_f:] = -1j * sd.u @ pairing @ sd.vh
+    b[n_f:, :n_f] = b[:n_f, n_f:].T
+    sigma = np.eye(4 * n_f) + np.block([[a, b], [b.conj(), a.conj()]])
+    return CovarianceState.from_sigma(ModeLayout(2, n_f), sigma).v - np.eye(4 * n_f)
+
+
+@pytest.mark.parametrize("variant", ["waveguide", "gaussian", "double_lobe"])
+def test_real_stage_block_matches_the_complex_sigma(variant):
+    """The stage writes Re(Q sigma Q^dag) blockwise; here sigma is built and converted."""
+    grid = FrequencyGrid(0.0, 1.0, 7)
+    sd = schmidt_decompose(build_jsa(stage_source(variant, 0.5, 0.0), grid))
+    got = experiments._squeezed_vacuum(sd)
+    assert got.dtype == np.float64
+    np.testing.assert_allclose(got, complex_stage_reference(sd), rtol=0, atol=1e-15)
 
 
 # The fully distinguishable limit as a circuit: each idler is split on a

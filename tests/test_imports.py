@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and the package
-exports exactly what its `__init__.py` imports.
+"""Every module of the package uses each name it imports, the package
+exports exactly what its `__init__.py` imports, and its third-party imports
+are exactly its declared runtime dependencies.
 
 No linter ships with the test dependencies, so this parses the sources with
 ``ast``.  ``__init__.py`` (re-exports) and ``from __future__`` imports are
@@ -7,11 +8,18 @@ exempt.
 """
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gausshom"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "gausshom"
+# distribution name -> top-level import name, where they differ
+IMPORT_NAMES = {"pyyaml": "yaml"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -56,3 +64,31 @@ def test_init_exports_exactly_what_it_imports():
     assert sorted(imported) == sorted(gausshom.__all__)
     assert len(set(gausshom.__all__)) == len(gausshom.__all__)
     assert [name for name in gausshom.__all__ if not hasattr(gausshom, name)] == []
+
+
+def test_package_and_cli_load_no_scipy():
+    """scipy is a test dependency only: importing the package must not load it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    code = ("import sys, gausshom, gausshom.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    imported = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names)
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        declared = tomllib.load(f)["project"]["dependencies"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group().lower() for dep in declared]
+    assert sorted(IMPORT_NAMES.get(name, name) for name in names) == sorted(third_party)
