@@ -1,10 +1,14 @@
 """Mode bookkeeping, covariance states and symplectic / passive-channel maps.
 
 Mode order used everywhere in this package: for a system with
-``n_spatial`` spatial modes and ``n_spectral`` frequency bins, mode
+``n_spatial`` spatial modes and ``n_spectral`` spectral modes, mode
 ``(i, w)`` is mode ``k = i * n_spectral + w`` of ``N = n_spatial *
-n_spectral``.  Elements are given in the doubled basis, annihilation
-operators first: a_k at row k and a_k^dag at row k + N.
+n_spectral``.  The spectral modes are the frequency bins, or, for a state
+written in the arms' occupied bases (``experiments._row_state``), the
+orthonormal basis modes each arm shares with the others; a bin-local
+element acts on basis modes as it does on bins.  Elements are given in the
+doubled basis, annihilation operators first: a_k at row k and a_k^dag at
+row k + N.
 
 States and elements are stored in the real quadrature basis, x_k =
 (a_k + a_k^dag)/sqrt 2 at row k and p_k = -i (a_k - a_k^dag)/sqrt 2 at row
@@ -52,7 +56,7 @@ class UnphysicalStateError(ValueError):
 
 @dataclass(frozen=True)
 class ModeLayout:
-    """Spatial x spectral mode lattice."""
+    """Spatial x spectral mode lattice; a spectral mode is a bin or a basis mode."""
 
     n_spatial: int
     n_spectral: int

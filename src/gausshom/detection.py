@@ -26,9 +26,11 @@ each as the product of two half-length block paths, the second read
 reversed through the Hermitian symmetry of Z.  The expansion is a dict
 keyed by multi-index that holds only the multi-indices at or below the
 requested count patterns; ``series.exp`` exponentiates it on those
-multi-indices by the power-series recurrence.  Spectral bins are always
-fully marginalized inside a spatial detector; there is no per-bin
-detection API.
+multi-indices by the power-series recurrence.  A spatial detector sums
+over all of its arm's spectral modes, whether those are frequency bins or
+an orthonormal basis of the modes the arm occupies (``ModeLayout``); every
+quantity here is the same in either, and there is no per-mode detection
+API.
 """
 
 from __future__ import annotations

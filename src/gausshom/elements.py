@@ -79,6 +79,13 @@ def phase_shifter(phi: float, spatial_mode: int, layout: ModeLayout) -> Transfor
     return _unitary_symplectic(alpha, (spatial_mode,), layout)
 
 
+def _spectral_phase(tau: float, grid: FrequencyGrid) -> np.ndarray:
+    """exp(i (omega - omega_0) tau) on each bin of ``grid``: a delay tau."""
+    if not np.isfinite(tau):
+        raise ValueError("delay must be finite")
+    return np.exp(1j * grid.offsets() * tau)
+
+
 def delay(tau: float, spatial_mode: int, grid: FrequencyGrid,
           layout: ModeLayout) -> Transform:
     """Time delay: a linear spectral phase on one spatial mode.
@@ -87,12 +94,10 @@ def delay(tau: float, spatial_mode: int, grid: FrequencyGrid,
     relative to absolute frequencies has no effect on any detection
     probability.
     """
-    if not np.isfinite(tau):
-        raise ValueError("delay must be finite")
+    phase = _spectral_phase(tau, grid)
     if grid.n_bins != layout.n_spectral:
         raise ValueError("grid bin count does not match the layout")
-    alpha = np.diag(np.exp(1j * grid.offsets() * tau))
-    return _unitary_symplectic(alpha, (spatial_mode,), layout)
+    return _unitary_symplectic(np.diag(phase), (spatial_mode,), layout)
 
 
 def _amplitude_transmission(epsilon: float) -> float:

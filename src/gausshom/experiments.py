@@ -7,14 +7,25 @@ per-arm loss follow, then a variable delay on idler 1 and a beam-splitter
 of angle theta that mixes idlers (1, 2) before detection.
 
 The circuit splits into a source stage (sources, filters and loss) and a
-suffix (delay and beam-splitter).  The stage is built in closed form, from
-each source's Schmidt decomposition and one amplitude transmission per
-row (``_sources_and_channels``); the element-built circuit is the
-reference it matches.  Every state a
-sweep row needs is derived from one stage: the state without the
-beam-splitter is the stage itself (plus any delay), and the state at pi/4
-adds the splitter.  A sweep along the delay, the beam-splitter angle or a
-probe builds the stage once for all of its rows.
+suffix (delay and beam-splitter).  The stage (``_sources_and_channels``)
+keeps each source's Schmidt modes above ``SCHMIDT_CUT`` and each arm's
+mode functions, scaled by one amplitude transmission per bin.  Filters,
+loss, the delay and the beam-splitter never leave the span of those
+modes, so each sweep row writes its states in closed form in an
+orthonormal basis of each arm's occupied modes (``_row_state``), on
+ModeLayout(4, r) with r set by the Schmidt number rather than the bin
+count.  Detection is exact there: for block-diagonal bases B with
+orthonormal columns and T scalar on each arm, det(1 + T B C B^T T) =
+det(1 + T C T), and vacuum rows that pad a shorter arm contribute a
+factor of 1.  The bases are built per row, never per sweep, so no row
+depends on whether its stage was shared.  ``build_hhom`` expands a row
+state onto every bin; the element-built circuit is the reference both
+match.
+
+Every state a sweep row needs is derived from one stage: the state
+without the beam-splitter is the row state at the row's delay, and the
+state at pi/4 adds the splitter.  A sweep along the delay, the
+beam-splitter angle or a probe builds the stage once for all of its rows.
 
 The fully distinguishable (infinite-delay) limit is the circuit that
 splits each idler against a vacuum ancilla, with detectors A and B each
@@ -38,19 +49,24 @@ import functools
 import hashlib
 import io
 import itertools
+import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import SYMPLECTIC_TOL, CovarianceState, FrequencyGrid, ModeLayout, apply, subset_indices
+from .core import SYMPLECTIC_TOL, CovarianceState, FrequencyGrid, ModeLayout, apply
 from .detection import inclusion_exclusion, p_pnr, p_threshold, vacuum_probabilities
-from .elements import _amplitude_transmission, _passband, beam_splitter, delay, loss
+from .elements import _amplitude_transmission, _passband, _spectral_phase, beam_splitter, loss
 from .jsa import JsaSpec, SchmidtData, build_jsa, schmidt_decompose
+
+log = logging.getLogger(__name__)
 
 HERALD_MODES = (0, 3)
 IDLER_MODES = (1, 2)
+SOURCE_A_ARMS = (0, 1)   # (signal, idler)
+SOURCE_B_ARMS = (3, 2)
 FOUR_ARMS = (0, 1, 2, 3)
 FOUR_FOLD_COUNTS = (1, 1, 1, 1)
 BUNCHING_COUNTS = ((1, 0, 2, 1), (1, 2, 0, 1))
@@ -58,6 +74,8 @@ DELAY_MODE = 1
 N_SPATIAL = 4
 
 SPS_ANGLE_TOL = 1e-8
+# Schmidt modes with r_k <= SCHMIDT_CUT * r_0 are dropped from the source stage
+SCHMIDT_CUT = 1e-12
 
 DETECTORS = ("pnr", "threshold")
 
@@ -102,83 +120,171 @@ class HhomConfig:
         return hashlib.sha256(repr(self).encode()).hexdigest()[:16]
 
 
-def _squeezed_vacuum(sd: SchmidtData) -> np.ndarray:
-    """V - 1 of one pair source on its (signal, idler) rows, in closed form.
+class _Stage(NamedTuple):
+    """The source stage: each source's kept Schmidt modes and each arm's mode functions.
+
+    ``sources`` holds, for source A (arms 0, 1) and then source B (arms 3,
+    2), the excess 2 sinh^2 r_k and the pairing sinh 2 r_k of its kept
+    Schmidt modes.  ``modes[arm]`` is the n_f x K complex matrix of that
+    arm's mode functions, one column per kept mode of its source: the
+    columns of U on a signal arm and of Vh^T on an idler arm, each row
+    scaled by the arm's amplitude transmission in that bin.
+    """
+
+    sources: tuple
+    modes: tuple
+
+
+def _kept_modes(sd: SchmidtData) -> tuple:
+    """Excess, pairing, signal and idler mode functions of one source's kept modes.
 
     In its Schmidt basis the source is a stack of two-mode squeezers of
-    strengths r = ``sd.values``.  From vacuum, sigma - 1 then has the
-    complex (a, a^dag) blocks A_ss = U diag(2 sinh^2 r) U^dag,
-    A_ii = Vh^T diag(2 sinh^2 r) Vh* and B_si = -i U diag(sinh 2r) Vh, which
-    are a physical state exactly when U and Vh are unitary (r is real): the
-    same condition as the squeezer's S J S^T = J, and checked here instead.
-    The real (x, p) blocks of Re(Q sigma Q^dag) are written directly from A
-    and B; the complex sigma = [[A, B], [B*, A*]] is never assembled.
+    strengths r = ``sd.values``, a physical state exactly when U and Vh are
+    unitary (r is real): the same condition as the squeezer's S J S^T = J,
+    and checked here instead.  Modes with r_k <= ``SCHMIDT_CUT`` r_0 are
+    dropped; the kept count and the dropped weight, sum of the dropped
+    r_k^2 over xi^2, are logged at DEBUG.
     """
     n_f = sd.values.size
     for name, w in (("U", sd.u), ("Vh", sd.vh)):
         residual = np.max(np.abs(w.conj().T @ w - np.eye(n_f)))
         if not residual <= SYMPLECTIC_TOL:
             raise ValueError(f"Schmidt basis {name} is not unitary (residual {residual:.2e})")
-    excess, pairing = 2 * np.sinh(sd.values) ** 2, np.sinh(2 * sd.values)
+    kept = int(np.count_nonzero(sd.values > SCHMIDT_CUT * sd.values[0]))
+    power = sd.values ** 2
+    log.debug("source keeps %d of %d Schmidt modes; dropped weight sum r_k^2 / xi^2 = %.3e",
+              kept, n_f, np.sum(power[kept:]) / np.sum(power))
+    r = sd.values[:kept]
+    excess, pairing = 2 * np.sinh(r) ** 2, np.sinh(2 * r)
     if not (np.all(np.isfinite(excess)) and np.all(np.isfinite(pairing))):
         raise ValueError("source state has non-finite entries")
-    a = np.zeros((2 * n_f, 2 * n_f), dtype=complex)
-    a[:n_f, :n_f] = (sd.u * excess) @ sd.u.conj().T
-    a[n_f:, n_f:] = (sd.vh.T * excess) @ sd.vh.conj()
-    b = np.zeros_like(a)
-    b[:n_f, n_f:] = (-1j * sd.u * pairing) @ sd.vh
-    b[n_f:, :n_f] = b[:n_f, n_f:].T
-    return np.block([[(a + b).real, (b - a).imag], [(a + b).imag, (a - b).real]])
+    return excess, pairing, sd.u[:, :kept], sd.vh[:kept].T
 
 
-def _sources_and_channels(config: HhomConfig) -> CovarianceState:
+def _sources_and_channels(config: HhomConfig) -> _Stage:
     """The source stage: both pair sources, the bandpass filters and per-arm loss.
 
-    Every state of a configuration is derived from this four-arm state by a
-    short suffix (``_with_suffix``), and it does not depend on the delay or
-    the beam-splitter angle.  It is built in closed form: each source's
-    V - 1 from its Schmidt decomposition (``_squeezed_vacuum``), then every
-    filter and loss, all diagonal on the rows, as one amplitude
-    transmission t per row, V = 1 + (t t^T) o (V_0 - 1).  The element-built
-    circuit (``squeezer``, ``bandpass_filter``, ``loss``) gives the same
-    state.
+    Every state of a configuration is derived from it (``_row_state``), and
+    it does not depend on the delay or the beam-splitter angle.  Each
+    source keeps its Schmidt modes above ``SCHMIDT_CUT`` (``_kept_modes``);
+    identical sources share one JSA and one Schmidt decomposition.  Every
+    filter and loss, all diagonal on the bins, is one amplitude
+    transmission t per row, and it scales that row of its arm's mode
+    functions: the filtered, lossy state is V = 1 + (t t^T) o (V_0 - 1).
+    The element-built circuit (``squeezer``, ``bandpass_filter``,
+    ``loss``) gives the same state.
     """
-    lay = ModeLayout(N_SPATIAL, config.grid.n_bins)
-    excess = np.zeros((2 * lay.n_modes,) * 2)
-    sources = {}
-    for spec, arms in ((config.source_a, (0, 1)), (config.source_b, (3, 2))):
-        if spec.xi > 0:
-            # identical sources share one JSA and one Schmidt decomposition
-            if spec not in sources:
-                sources[spec] = _squeezed_vacuum(
-                    schmidt_decompose(build_jsa(spec, config.grid)))
-            rows = subset_indices(lay, arms)
-            excess[np.ix_(rows, rows)] = sources[spec]
-    t = np.ones((N_SPATIAL, lay.n_spectral))
+    n_f = config.grid.n_bins
+    kept = {}
+    for spec in (config.source_a, config.source_b):
+        if spec.xi > 0 and spec not in kept:
+            kept[spec] = _kept_modes(schmidt_decompose(build_jsa(spec, config.grid)))
+    t = np.ones((N_SPATIAL, n_f))
     if config.filter_modes:
         t[list(config.filter_modes)] = _passband(config.filter_center,
                                                  config.filter_half_width, config.grid)
     t *= np.array([[_amplitude_transmission(eps)] for eps in config.loss])
-    t = np.tile(t.ravel(), 2)
-    v = np.outer(t, t)
-    v *= excess
+    vacuum = (np.zeros(0), np.zeros(0), np.zeros((n_f, 0)), np.zeros((n_f, 0)))
+    sources, modes = [], [None] * N_SPATIAL
+    for spec, (sig, idl) in ((config.source_a, SOURCE_A_ARMS),
+                             (config.source_b, SOURCE_B_ARMS)):
+        excess, pairing, u, v = kept.get(spec, vacuum)
+        sources.append((excess, pairing))
+        modes[sig], modes[idl] = t[sig, :, None] * u, t[idl, :, None] * v
+    return _Stage(tuple(sources), tuple(modes))
+
+
+def _occupied_basis(blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, list]:
+    """An orthonormal basis of the mode functions ``blocks``, and each block's coordinates.
+
+    A reduced QR of the blocks side by side, W = Q X, on the bins where W is
+    nonzero: Q (n_f x k, zero on the other bins) has orthonormal columns
+    and W = Q X exactly, so k is at most the number of occupied bins.
+    """
+    w = np.hstack(blocks)
+    occupied = np.flatnonzero(np.any(w, axis=1))
+    q, x = np.linalg.qr(w[occupied])
+    basis = np.zeros((w.shape[0], q.shape[1]), dtype=complex)
+    basis[occupied] = q
+    return basis, np.split(x, np.cumsum([block.shape[1] for block in blocks])[:-1], axis=1)
+
+
+def _row_state(stage: _Stage, grid: FrequencyGrid,
+               tau: float) -> tuple[CovarianceState, np.ndarray]:
+    """The stage after a delay tau on arm 1, in each arm's occupied basis.
+
+    The delay multiplies arm 1's mode functions W_1 by its spectral phase.
+    Each arm's basis Q_a, with W_a = Q_a X_a, comes from
+    ``_occupied_basis``; arms 1 and 2 share the basis of [W_1, W_2] (of W_1
+    alone when the two are equal), so the beam-splitter stays bin-local.
+    The state lives on ModeLayout(4, r), r the largest arm rank and at
+    least 1, with vacuum rows padding the shorter arms.  A source on arms
+    (s, i) has the complex blocks A_ss = X_s diag(2 sinh^2 r) X_s^dag,
+    A_ii = X_i diag(2 sinh^2 r) X_i^dag and B_si = X_s (-i diag sinh 2r) X_i^T
+    there, and the real (x, p) blocks of V - 1 are
+    [[Re(A + B), Im(B - A)], [Im(A + B), Re(A - B)]].  Returns the state
+    and the bases, ``basis[arm]`` of shape (n_f, r) with zero padding
+    columns.
+    """
+    w = list(stage.modes)
+    if tau != 0.0:
+        w[DELAY_MODE] = _spectral_phase(tau, grid)[:, None] * w[DELAY_MODE]
+    q_0, (x_0,) = _occupied_basis([w[0]])
+    q_3, (x_3,) = _occupied_basis([w[3]])
+    if np.array_equal(w[1], w[2]):
+        q_12, (x_1,) = _occupied_basis([w[1]])
+        x_2 = x_1
+    else:
+        q_12, (x_1, x_2) = _occupied_basis([w[1], w[2]])
+    coords = (x_0, x_1, x_2, x_3)
+    r = max(1, *(x.shape[0] for x in coords))
+    basis = np.zeros((N_SPATIAL, grid.n_bins, r), dtype=complex)
+    for arm, q in enumerate((q_0, q_12, q_12, q_3)):
+        basis[arm, :, :q.shape[1]] = q
+    a = np.zeros((N_SPATIAL * r,) * 2, dtype=complex)
+    b = np.zeros_like(a)
+    for (excess, pairing), (sig, idl) in zip(stage.sources, (SOURCE_A_ARMS, SOURCE_B_ARMS)):
+        x_s, x_i = coords[sig], coords[idl]
+        s = slice(sig * r, sig * r + x_s.shape[0])
+        i = slice(idl * r, idl * r + x_i.shape[0])
+        a[s, s] = (x_s * excess) @ x_s.conj().T
+        a[i, i] = (x_i * excess) @ x_i.conj().T
+        b[s, i] = (-1j * x_s * pairing) @ x_i.T
+        b[i, s] = b[s, i].T
+    v = np.block([[(a + b).real, (b - a).imag], [(a + b).imag, (a - b).real]])
     v[np.diag_indices_from(v)] += 1
-    return CovarianceState(lay, v)
+    return CovarianceState(ModeLayout(N_SPATIAL, r), v), basis
 
 
-def _with_suffix(stage: CovarianceState, config: HhomConfig) -> CovarianceState:
-    """The config's delay and beam-splitter applied to its source stage."""
-    state = stage
-    if config.delay != 0.0:
-        state = apply(state, delay(config.delay, DELAY_MODE, config.grid, state.layout))
-    if config.bs_angle != 0.0:
-        state = apply(state, beam_splitter(config.bs_angle, IDLER_MODES, state.layout))
-    return state
+def _with_splitter(state: CovarianceState, bs_angle: float) -> CovarianceState:
+    """The beam-splitter of angle ``bs_angle`` on the idler arms, if any."""
+    if bs_angle == 0.0:
+        return state
+    return apply(state, beam_splitter(bs_angle, IDLER_MODES, state.layout))
+
+
+def _on_bins(state: CovarianceState, basis: np.ndarray) -> CovarianceState:
+    """A state in the arms' bases (``_row_state``) expanded onto every frequency bin.
+
+    V = 1 + R (V' - 1) R^T, with R = [[Re Q, -Im Q], [Im Q, Re Q]] and Q the
+    block-diagonal matrix of the arms' bases.
+    """
+    n_arms, n_f, r = basis.shape
+    q = np.zeros((n_arms * n_f, n_arms * r), dtype=complex)
+    for arm, basis_arm in enumerate(basis):
+        q[arm * n_f:(arm + 1) * n_f, arm * r:(arm + 1) * r] = basis_arm
+    rot = np.block([[q.real, -q.imag], [q.imag, q.real]])
+    excess = state.v.copy()
+    excess[np.diag_indices_from(excess)] -= 1
+    v = rot @ excess @ rot.T
+    v[np.diag_indices_from(v)] += 1
+    return CovarianceState(ModeLayout(n_arms, n_f), v)
 
 
 def build_hhom(config: HhomConfig) -> CovarianceState:
-    """Final covariance state of the heralded-HOM circuit."""
-    return _with_suffix(_sources_and_channels(config), config)
+    """Final covariance state of the heralded-HOM circuit, on every frequency bin."""
+    state, basis = _row_state(_sources_and_channels(config), config.grid, config.delay)
+    return _on_bins(_with_splitter(state, config.bs_angle), basis)
 
 
 def four_fold(state: CovarianceState, detector: str = "pnr") -> float:
@@ -269,21 +375,25 @@ class _RowPlan:
     """Figures of merit of one configuration from its distinct states.
 
     Every state the figures need is derived from one source stage
-    (``_sources_and_channels``): the state at (delay, beam-splitter angle)
-    adds those two elements to it, and the distinguishable limit is read
-    from the state at angle 0.  Each state is built once, keyed by (delay,
-    angle), and each of its detection quantities is evaluated once.  The
-    plan builds the stage on first use and keeps it; a sweep whose axis
-    leaves the stage unchanged passes in the stage it built.  A plan serves
-    one sweep row or one public call and holds no state beyond it.
+    (``_sources_and_channels``): the row state at a delay is built in the
+    arms' occupied bases (``_row_state``), the state at (delay,
+    beam-splitter angle) adds the splitter to it, and the distinguishable
+    limit is read from the state at angle 0.  Each row state is built once
+    per delay and each state once per (delay, angle), and each of its
+    detection quantities is evaluated once.  The plan builds the stage on
+    first use and keeps it; a sweep whose axis leaves the stage unchanged
+    passes in the stage it built.  The bases are built here, per row, so a
+    row's figures do not depend on whether its stage was shared.  A plan
+    serves one sweep row or one public call and holds no state beyond it.
     """
 
-    def __init__(self, config: HhomConfig, stage: CovarianceState | None = None):
+    def __init__(self, config: HhomConfig, stage: _Stage | None = None):
         self.config = config
         self._stage = stage
+        self._unsplit = {}
         self._figures = {}
 
-    def stage(self) -> CovarianceState:
+    def stage(self) -> _Stage:
         """The source stage, built on first use and kept."""
         if self._stage is None:
             self._stage = _sources_and_channels(self.config)
@@ -295,8 +405,9 @@ class _RowPlan:
         key = (self.config.delay if delay is None else delay,
                self.config.bs_angle if bs_angle is None else bs_angle)
         if key not in self._figures:
-            config = dataclasses.replace(self.config, delay=key[0], bs_angle=key[1])
-            state = _with_suffix(self.stage(), config)
+            if key[0] not in self._unsplit:
+                self._unsplit[key[0]], _ = _row_state(self.stage(), self.config.grid, key[0])
+            state = _with_splitter(self._unsplit[key[0]], key[1])
             self._figures[key] = _Figures(state, self.config.detector)
         return self._figures[key]
 
@@ -594,7 +705,7 @@ def sweep(config: HhomConfig, axis: str, values: Sequence[float],
 
 
 def sweep_row(config: HhomConfig, axis: str, value: float,
-              visibilities: bool, stage: CovarianceState | None = None) -> dict:
+              visibilities: bool, stage: _Stage | None = None) -> dict:
     """Figures of merit of one sweep point, as a CSV-contract row dict.
 
     ``axis="probe"`` evaluates the configuration as given, under the

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gausshom import detection, experiments
-from gausshom.core import CovarianceState, FrequencyGrid, ModeLayout, apply, vacuum_state
+from gausshom import detection, elements, experiments
+from gausshom.core import (CovarianceState, FrequencyGrid, ModeLayout, apply, subset_indices,
+                           vacuum_state)
 from gausshom.elements import bandpass_filter, beam_splitter, loss, squeezer
 from gausshom.detection import DetectionPattern, p_pnr, p_threshold
 from gausshom.fock import fock_detection
@@ -38,7 +40,7 @@ from gausshom.experiments import (
     visibility_mzi,
     xi_to_db,
 )
-from gausshom.jsa import JsaSpec, SchmidtData, build_jsa, schmidt_decompose
+from gausshom.jsa import PS, JsaSpec, SchmidtData, build_jsa, default_grid, schmidt_decompose
 
 from conftest import run_fock
 
@@ -340,8 +342,9 @@ def test_identical_sources_share_one_schmidt_decomposition(monkeypatch):
     for config, n_sources in ((identical, 1),
                               (dataclasses.replace(identical, source_b=gaussian), 2)):
         calls.clear()
-        got = experiments._sources_and_channels(config)
+        experiments._sources_and_channels(config)
         assert sorted(calls) == ["build_jsa"] * n_sources + ["schmidt_decompose"] * n_sources
+        got = build_hhom(dataclasses.replace(config, bs_angle=0.0))
         want = sources_filter_and_loss(config, ModeLayout(4, config.grid.n_bins))
         np.testing.assert_allclose(got.v, want.v, rtol=0, atol=1e-13)
 
@@ -358,28 +361,96 @@ STAGE_XI = (0.0, 0.2, 0.9)
 ARM_LOSS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
+def assert_close_probabilities(got, want):
+    """Each probability within 1e-12 relative or 1e-14 absolute."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.all(np.abs(got - want) <= np.maximum(1e-12 * np.abs(want), 1e-14)), (got, want)
+
+
+TWO_PER_ARM = list(itertools.product(range(3), repeat=4))
+
+
 @settings(max_examples=25, deadline=None)
 @given(variants=st.tuples(st.sampled_from(VARIANTS), st.sampled_from(VARIANTS)),
        xis=st.tuples(st.sampled_from(STAGE_XI), st.sampled_from(STAGE_XI)),
        idler_center=st.sampled_from([0.0, 0.5]),
        filter_modes=st.lists(st.integers(0, 3), unique=True, max_size=4).map(tuple),
        losses=st.tuples(ARM_LOSS, ARM_LOSS, ARM_LOSS, ARM_LOSS),
-       n_bins=st.integers(2, 7))
-@example(("waveguide", "waveguide"), (0.9, 0.9), 0.0, (1, 2), (0.1, 0.2, 0.15, 0.05), 5)
-@example(("waveguide", "double_lobe"), (0.9, 0.2), 0.0, (0, 2), (0.0, 1.0, 0.3, 0.05), 6)
-@example(("gaussian", "waveguide"), (0.0, 0.9), 0.5, (), (1.0, 0.0, 0.0, 0.2), 7)
-@example(("double_lobe", "gaussian"), (0.2, 0.0), 0.5, (3,), (0.0, 0.0, 0.0, 0.0), 4)
+       n_bins=st.integers(2, 7),
+       delay=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+       bs_angle=st.one_of(st.sampled_from([0.0, math.pi / 4]), st.floats(0.0, math.pi)))
+@example(("waveguide", "waveguide"), (0.9, 0.9), 0.0, (1, 2), (0.1, 0.2, 0.15, 0.05), 5,
+         0.0, math.pi / 4)
+@example(("waveguide", "waveguide"), (0.9, 0.9), 0.0, (0, 1, 2, 3), (0.1,) * 4, 7, 0.0, 0.3)
+@example(("waveguide", "double_lobe"), (0.9, 0.2), 0.0, (0, 2), (0.0, 1.0, 0.3, 0.05), 6,
+         1.3, math.pi / 4)
+@example(("gaussian", "waveguide"), (0.0, 0.9), 0.5, (), (1.0, 0.0, 0.0, 0.2), 7, -0.8, 1.1)
+@example(("double_lobe", "gaussian"), (0.2, 0.0), 0.5, (3,), (0.0, 0.0, 0.0, 0.0), 4,
+         2.5, 0.0)
+@example(("waveguide", "gaussian"), (0.0, 0.0), 0.0, (1,), (0.0, 0.3, 0.0, 0.0), 5,
+         0.7, math.pi / 4)
 def test_closed_form_stage_matches_the_element_circuit(variants, xis, idler_center,
-                                                       filter_modes, losses, n_bins):
-    """The closed-form stage against squeezers, a bandpass and loss, element by element."""
+                                                       filter_modes, losses, n_bins,
+                                                       delay, bs_angle):
+    """The closed-form stage and its row state against squeezers, a bandpass,
+    loss, the delay and the beam-splitter, element by element."""
     source_a = stage_source(variants[0], xis[0], 0.0)
     source_b = stage_source(variants[1], xis[1], idler_center)
     filter_kwargs = dict(filter_center=0.2, filter_half_width=1.5) if filter_modes else {}
     config = HhomConfig(source_a, source_b, FrequencyGrid(0.0, 1.0, n_bins), loss=losses,
-                        filter_modes=filter_modes, **filter_kwargs)
-    got = experiments._sources_and_channels(config)
-    want = sources_filter_and_loss(config, ModeLayout(4, n_bins))
-    np.testing.assert_allclose(got.v, want.v, rtol=0, atol=1e-13)
+                        filter_modes=filter_modes, delay=delay, bs_angle=bs_angle,
+                        **filter_kwargs)
+    lay = ModeLayout(4, n_bins)
+    want = sources_filter_and_loss(config, lay)
+    want = apply(want, elements.delay(delay, experiments.DELAY_MODE, config.grid, lay))
+    want = apply(want, beam_splitter(bs_angle, experiments.IDLER_MODES, lay))
+    np.testing.assert_allclose(build_hhom(config).v, want.v, rtol=0, atol=1e-13)
+
+    # the row state detects as the state on every bin does
+    stage = experiments._sources_and_channels(config)
+    unsplit, _ = experiments._row_state(stage, config.grid, delay)
+    got = experiments._with_splitter(unsplit, bs_angle)
+    subsets = experiments._subsets(FOUR_ARMS)
+    got_vacuum, want_vacuum = (detection.vacuum_probabilities(state, subsets)
+                               for state in (got, want))
+    assert_close_probabilities([got_vacuum[s] for s in subsets],
+                               [want_vacuum[s] for s in subsets])
+    assert_close_probabilities(p_pnr(got, FOUR_ARMS, TWO_PER_ARM),
+                               p_pnr(want, FOUR_ARMS, TWO_PER_ARM))
+    if xis == (0.0, 0.0):
+        # no source: one vacuum row per arm, and the parent's error
+        assert got.layout == ModeLayout(4, 1)
+        with pytest.raises(ZeroDivisionError, match="heralding rate is zero"):
+            heralding_efficiency(config)
+
+
+@pytest.mark.parametrize("detector", DETECTORS)
+def test_101_bin_row_matches_the_dense_element_circuit(monkeypatch, detector):
+    """A lossy waveguide row at delay 0, detected in the arms' occupied
+    bases, against the same row on the element circuit over all 101 bins."""
+    spec = JsaSpec("waveguide", 0.3, 1e11, walkoff=29 * PS)
+    config = HhomConfig(spec, spec, default_grid(spec, n_bins=101), loss=(0.1,) * 4,
+                        detector=detector)
+    got = sweep_row(config, experiments.PROBE_AXIS, 0.0, True)
+    stage = experiments._sources_and_channels(config)
+    state, _ = experiments._row_state(stage, config.grid, 0.0)
+    # fails if the row is ever detected on the bins again
+    assert state.layout.n_spectral <= 2 * stage.modes[0].shape[1] < config.grid.n_bins
+
+    def dense_row_state(stage, grid, tau):
+        assert tau == 0.0
+        return sources_filter_and_loss(config, ModeLayout(4, grid.n_bins)), None
+
+    monkeypatch.setattr(experiments, "_row_state", dense_row_state)
+    want = sweep_row(config, experiments.PROBE_AXIS, 0.0, True)
+    for name in CSV_COLUMNS[2:]:
+        rel = 1e-12
+        if detector == "threshold" and name in ("p4", "v_hom", "v_mzi"):
+            # the element circuit forms V = S S^T, rounding V - 1 at 1e-16
+            # absolute, and the four-fold's inclusion-exclusion of 16 vacuum
+            # terms near 1 keeps that absolute error: 2e-15 on p4 = 6.7e-4
+            rel = 1e-11
+        assert got[name] == pytest.approx(want[name], rel=rel, abs=0), name
 
 
 @pytest.mark.parametrize("center, half_width", [(0.0, 0.0), (0.0, -1.0), (40.0, 1.0)])
@@ -398,11 +469,11 @@ def test_stage_rejects_a_passband_as_bandpass_filter_does(center, half_width):
 def test_stage_rejects_a_non_unitary_schmidt_basis_and_overflow():
     grid = FrequencyGrid(0.0, 1.0, 5)
     sd = schmidt_decompose(build_jsa(stage_source("waveguide", 0.5, 0.0), grid))
-    experiments._squeezed_vacuum(sd)
+    experiments._kept_modes(sd)
     for bad in (SchmidtData(sd.values, (1 + 1e-9) * sd.u, sd.vh),
                 SchmidtData(sd.values, sd.u, sd.vh[::-1] + 1e-9)):
         with pytest.raises(ValueError, match="not unitary"):
-            experiments._squeezed_vacuum(bad)
+            experiments._kept_modes(bad)
     # squeezing past the float range is a domain error (CLI exit code 2), as
     # the squeezer's non-finite block is, not an unphysical state
     strong = dataclasses.replace(lossy_waveguide_config("pnr"),
@@ -428,12 +499,18 @@ def complex_stage_reference(sd):
 
 @pytest.mark.parametrize("variant", ["waveguide", "gaussian", "double_lobe"])
 def test_real_stage_block_matches_the_complex_sigma(variant):
-    """The stage writes Re(Q sigma Q^dag) blockwise; here sigma is built and converted."""
+    """The row state writes Re(Q sigma Q^dag) blockwise in the arms' bases;
+    here sigma is built on the bins and converted."""
     grid = FrequencyGrid(0.0, 1.0, 7)
-    sd = schmidt_decompose(build_jsa(stage_source(variant, 0.5, 0.0), grid))
-    got = experiments._squeezed_vacuum(sd)
-    assert got.dtype == np.float64
-    np.testing.assert_allclose(got, complex_stage_reference(sd), rtol=0, atol=1e-15)
+    spec = stage_source(variant, 0.5, 0.0)
+    sd = schmidt_decompose(build_jsa(spec, grid))
+    config = HhomConfig(spec, dataclasses.replace(spec, xi=0.0), grid)
+    state, basis = experiments._row_state(experiments._sources_and_channels(config), grid, 0.0)
+    assert state.v.dtype == np.float64
+    got = experiments._on_bins(state, basis)
+    rows = subset_indices(got.layout, experiments.SOURCE_A_ARMS)
+    np.testing.assert_allclose(got.v[np.ix_(rows, rows)] - np.eye(rows.size),
+                               complex_stage_reference(sd), rtol=0, atol=1e-15)
 
 
 # The fully distinguishable limit as a circuit: each idler is split on a
@@ -542,6 +619,34 @@ def test_only_stage_axes_take_a_stage():
         sweep_row(config, "xi", 0.2, visibilities=False, stage=stage)
     shared = sweep_row(config, "delay", 0.5, False, stage=stage)
     assert shared == sweep_row(config, "delay", 0.5, False)
+    # each row builds its own bases, so a shared stage changes no bit of a
+    # row even where the arms occupy fewer modes than there are bins
+    for detector in DETECTORS:
+        config = filter_study_config(0.3, detector=detector,
+                                     n_bins=experiments.FILTER_STUDY_MIN_BINS)
+        stage = experiments._sources_and_channels(config)
+        for delay in (0.0, 2e-12, -7e-12, 13e-12):
+            state, _ = experiments._row_state(stage, config.grid, delay)
+            assert state.layout.n_spectral < config.grid.n_bins
+            shared = sweep_row(config, "delay", delay, True, stage=stage)
+            assert shared == sweep_row(config, "delay", delay, True)
+
+
+def test_stage_logs_the_schmidt_cut(caplog):
+    """Each distinct source logs its kept mode count and the weight the cut drops."""
+    config = filter_study_config(0.3, n_bins=experiments.FILTER_STUDY_MIN_BINS)
+    with caplog.at_level(logging.DEBUG, logger="gausshom.experiments"):
+        stage = experiments._sources_and_channels(config)
+    # identical sources share one decomposition, and log once
+    (record,) = [r for r in caplog.records if r.name == "gausshom.experiments"]
+    values = schmidt_decompose(build_jsa(config.source_a, config.grid)).values
+    kept = int(np.count_nonzero(values > experiments.SCHMIDT_CUT * values[0]))
+    assert 0 < kept < values.size
+    assert [m.shape[1] for m in stage.modes] == [kept] * 4
+    assert record.levelno == logging.DEBUG
+    assert record.args[:2] == (kept, values.size)
+    dropped = np.sum(values[kept:] ** 2) / config.source_a.xi ** 2
+    assert 0 < record.args[2] == pytest.approx(dropped, rel=1e-9)
 
 
 @pytest.mark.parametrize("bs_angle", [0.3, math.pi / 4])
