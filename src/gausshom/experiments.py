@@ -241,7 +241,8 @@ def _row_state(stage: _Stage, grid: FrequencyGrid,
     basis = np.zeros((N_SPATIAL, grid.n_bins, r), dtype=complex)
     for arm, q in enumerate((q_0, q_12, q_12, q_3)):
         basis[arm, :, :q.shape[1]] = q
-    a = np.zeros((N_SPATIAL * r,) * 2, dtype=complex)
+    n = N_SPATIAL * r
+    a = np.zeros((n, n), dtype=complex)
     b = np.zeros_like(a)
     for (excess, pairing), (sig, idl) in zip(stage.sources, (SOURCE_A_ARMS, SOURCE_B_ARMS)):
         x_s, x_i = coords[sig], coords[idl]
@@ -251,7 +252,10 @@ def _row_state(stage: _Stage, grid: FrequencyGrid,
         a[i, i] = (x_i * excess) @ x_i.conj().T
         b[s, i] = (-1j * x_s * pairing) @ x_i.T
         b[i, s] = b[s, i].T
-    v = np.block([[(a + b).real, (b - a).imag], [(a + b).imag, (a - b).real]])
+    v = np.empty((2 * n, 2 * n))
+    plus, minus = a + b, b - a
+    v[:n, :n], v[:n, n:] = plus.real, minus.imag
+    v[n:, :n], v[n:, n:] = plus.imag, -minus.real
     v[np.diag_indices_from(v)] += 1
     return CovarianceState(ModeLayout(N_SPATIAL, r), v), basis
 
@@ -266,17 +270,20 @@ def _with_splitter(state: CovarianceState, bs_angle: float) -> CovarianceState:
 def _on_bins(state: CovarianceState, basis: np.ndarray) -> CovarianceState:
     """A state in the arms' bases (``_row_state``) expanded onto every frequency bin.
 
-    V = 1 + R (V' - 1) R^T, with R = [[Re Q, -Im Q], [Im Q, Re Q]] and Q the
-    block-diagonal matrix of the arms' bases.
+    V = 1 + R (V' - 1) R^T, with R block-diagonal over the arms, each block
+    R_a = [[Re Q_a, -Im Q_a], [Im Q_a, Re Q_a]] for the arm's basis Q_a; the
+    products run arm by arm, on V' - 1 with its rows grouped by arm.
     """
     n_arms, n_f, r = basis.shape
-    q = np.zeros((n_arms * n_f, n_arms * r), dtype=complex)
-    for arm, basis_arm in enumerate(basis):
-        q[arm * n_f:(arm + 1) * n_f, arm * r:(arm + 1) * r] = basis_arm
-    rot = np.block([[q.real, -q.imag], [q.imag, q.real]])
+    rot = np.block([[basis.real, -basis.imag], [basis.imag, basis.real]])
     excess = state.v.copy()
     excess[np.diag_indices_from(excess)] -= 1
-    v = rot @ excess @ rot.T
+    # rows and columns from (quadrature, arm, mode) order to (arm, quadrature, mode)
+    excess = excess.reshape(2, n_arms, r, 2, n_arms, r).transpose(1, 0, 2, 4, 3, 5)
+    left = rot @ excess.reshape(n_arms, 2 * r, n_arms * 2 * r)
+    left = left.reshape(n_arms * 2 * n_f, n_arms, 2 * r).transpose(1, 0, 2)
+    v = (left @ rot.transpose(0, 2, 1)).reshape(n_arms, n_arms, 2, n_f, 2, n_f)
+    v = v.transpose(2, 1, 3, 4, 0, 5).reshape(2 * n_arms * n_f, 2 * n_arms * n_f)
     v[np.diag_indices_from(v)] += 1
     return CovarianceState(ModeLayout(n_arms, n_f), v)
 
