@@ -197,15 +197,14 @@ def _sources_and_channels(config: HhomConfig) -> _Stage:
 def _occupied_basis(blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, list]:
     """An orthonormal basis of the mode functions ``blocks``, and each block's coordinates.
 
-    A reduced QR of the blocks side by side, W = Q X, on the bins where W is
-    nonzero: Q (n_f x k, zero on the other bins) has orthonormal columns
-    and W = Q X exactly, so k is at most the number of occupied bins.
+    A reduced QR of the blocks side by side, W = Q X: Q (n_f x k) has
+    orthonormal columns and W = Q X exactly, with k the smaller of n_f and
+    the number of mode functions.  k follows the kept Schmidt count, never
+    the filters: a narrow passband lowers the rank of W but not k, so a
+    row costs the same at every filter width.
     """
     w = np.hstack(blocks)
-    occupied = np.flatnonzero(np.any(w, axis=1))
-    q, x = np.linalg.qr(w[occupied])
-    basis = np.zeros((w.shape[0], q.shape[1]), dtype=complex)
-    basis[occupied] = q
+    basis, x = np.linalg.qr(w)
     return basis, np.split(x, np.cumsum([block.shape[1] for block in blocks])[:-1], axis=1)
 
 

@@ -620,16 +620,33 @@ def test_only_stage_axes_take_a_stage():
     shared = sweep_row(config, "delay", 0.5, False, stage=stage)
     assert shared == sweep_row(config, "delay", 0.5, False)
     # each row builds its own bases, so a shared stage changes no bit of a
-    # row even where the arms occupy fewer modes than there are bins
+    # row, neither at delay 0, where the arms span fewer modes than there
+    # are bins, nor at a delay, where arms 1 and 2 together span every bin
     for detector in DETECTORS:
         config = filter_study_config(0.3, detector=detector,
                                      n_bins=experiments.FILTER_STUDY_MIN_BINS)
         stage = experiments._sources_and_channels(config)
         for delay in (0.0, 2e-12, -7e-12, 13e-12):
             state, _ = experiments._row_state(stage, config.grid, delay)
-            assert state.layout.n_spectral < config.grid.n_bins
+            assert (state.layout.n_spectral < config.grid.n_bins) == (delay == 0.0)
             shared = sweep_row(config, "delay", delay, True, stage=stage)
             assert shared == sweep_row(config, "delay", delay, True)
+
+
+@pytest.mark.parametrize("delay", [0.0, 13e-12])
+def test_row_layout_does_not_depend_on_the_filter_width(delay):
+    """The row layout follows the kept Schmidt count, not the passband, so a
+    row costs the same at every filter width."""
+    config = filter_study_config(0.3, n_bins=experiments.FILTER_STUDY_MIN_BINS)
+    kept = experiments._sources_and_channels(config).modes[0].shape[1]
+    sizes = set()
+    for half_width in (0.8e11, 1.12e11, 2.5e11, 4e11):
+        narrowed = dataclasses.replace(config, filter_half_width=half_width)
+        stage = experiments._sources_and_channels(narrowed)
+        state, _ = experiments._row_state(stage, narrowed.grid, delay)
+        sizes.add(state.layout.n_spectral)
+    expected = kept if delay == 0.0 else min(2 * kept, config.grid.n_bins)
+    assert sizes == {expected}
 
 
 def test_stage_logs_the_schmidt_cut(caplog):
