@@ -86,7 +86,7 @@ def parse_quantity(value, kind: str, field: str) -> float:
         magnitude = float(parts[0])
     except ValueError:
         raise ConfigError(field, f"cannot parse number in {value!r}") from None
-    return magnitude * units[parts[1]]
+    return _number(magnitude * units[parts[1]], field)
 
 
 def _require_mapping(node, field: str) -> dict:
@@ -106,6 +106,8 @@ def _number(node, field: str, lo=None, hi=None) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ConfigError(field, f"expected a number, got {node!r}")
     v = float(node)
+    if not math.isfinite(v):
+        raise ConfigError(field, f"must be finite, got {v}")
     if lo is not None and v < lo:
         raise ConfigError(field, f"must be >= {lo}, got {v}")
     if hi is not None and v > hi:

@@ -3,12 +3,11 @@
 Mode order used everywhere in this package: for a system with
 ``n_spatial`` spatial modes and ``n_spectral`` spectral modes, mode
 ``(i, w)`` is mode ``k = i * n_spectral + w`` of ``N = n_spatial *
-n_spectral``.  The spectral modes are the frequency bins, or, for a state
-written in the arms' occupied bases (``experiments._row_state``), the
-orthonormal basis modes each arm shares with the others; a bin-local
-element acts on basis modes as it does on bins.  Elements are given in the
-doubled basis, annihilation operators first: a_k at row k and a_k^dag at
-row k + N.
+n_spectral``.  The spectral modes are the frequency bins, or, for the
+state of a sweep row, an orthonormal basis of the modes each arm occupies
+(``experiments._coordinates``); a bin-local element acts on basis modes as
+it does on bins.  Elements are given in the doubled basis, annihilation
+operators first: a_k at row k and a_k^dag at row k + N.
 
 States and elements are stored in the real quadrature basis, x_k =
 (a_k + a_k^dag)/sqrt 2 at row k and p_k = -i (a_k - a_k^dag)/sqrt 2 at row

@@ -8,23 +8,25 @@ of angle theta that mixes idlers (1, 2) before detection.
 
 The circuit splits into a source stage (sources, filters and loss) and a
 suffix (delay and beam-splitter).  The stage (``_sources_and_channels``)
-keeps each source's Schmidt modes above ``SCHMIDT_CUT`` and each arm's
-mode functions, scaled by one amplitude transmission per bin.  Filters,
-loss, the delay and the beam-splitter never leave the span of those
-modes, so each sweep row writes its states in closed form in an
-orthonormal basis of each arm's occupied modes (``_row_state``), on
-ModeLayout(4, r) with r set by the Schmidt number rather than the bin
-count.  Detection is exact there: for block-diagonal bases B with
-orthonormal columns and T scalar on each arm, det(1 + T B C B^T T) =
-det(1 + T C T), and vacuum rows that pad a shorter arm contribute a
-factor of 1.  The bases are built per row, never per sweep, so no row
-depends on whether its stage was shared.  ``build_hhom`` expands a row
-state onto every bin; the element-built circuit is the reference both
-match.
+keeps each source's Schmidt modes above ``SCHMIDT_CUT``, each arm's mode
+functions scaled by its passband, and each arm's loss amplitude.  Every
+element after the sources is linear in those mode functions, and a
+two-mode-squeezed state is fixed by them, so every state is written in
+closed form by one function (``_state``): the delay multiplies arm 1's
+functions by a spectral phase, the beam-splitter spreads each idler over
+arms 1 and 2 with scalar weights, and a loss scales its arm's functions
+by its amplitude.  ``build_hhom`` writes the state on the bins.  A sweep
+row writes it on ModeLayout(4, r), in coordinates in an orthonormal basis
+of each arm's occupied modes (``_coordinates``), with r set by the
+Schmidt number rather than the bin count.  Detection is exact there: for
+block-diagonal bases B with orthonormal columns and T scalar on each arm,
+det(1 + T B C B^T T) = det(1 + T C T), and vacuum rows that pad a
+shorter arm contribute a factor of 1.  The coordinates are computed per
+row, never per sweep, so no row depends on whether its stage was shared.
+The element-built circuit is the reference both match.
 
-Every state a sweep row needs is derived from one stage: the state
-without the beam-splitter is the row state at the row's delay, and the
-state at pi/4 adds the splitter.  A sweep along the delay, the
+Every state a sweep row needs is written from one stage: at the row's
+delay, with and without the beam-splitter.  A sweep along the delay, the
 beam-splitter angle or a probe builds the stage once for all of its rows.
 
 The fully distinguishable (infinite-delay) limit is the circuit that
@@ -56,9 +58,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import SYMPLECTIC_TOL, CovarianceState, FrequencyGrid, ModeLayout, apply
+from .core import SYMPLECTIC_TOL, CovarianceState, FrequencyGrid, ModeLayout
 from .detection import inclusion_exclusion, p_pnr, p_threshold, vacuum_probabilities
-from .elements import _amplitude_transmission, _passband, _spectral_phase, beam_splitter, loss
+from .elements import _amplitude_transmission, _passband, _spectral_phase
 from .jsa import JsaSpec, SchmidtData, build_jsa, schmidt_decompose
 
 log = logging.getLogger(__name__)
@@ -108,6 +110,8 @@ class HhomConfig:
             raise ValueError("need one loss value per spatial mode")
         if any(not 0 <= e <= 1 for e in self.loss):
             raise ValueError("loss values must lie in [0, 1]")
+        if not (math.isfinite(self.delay) and math.isfinite(self.bs_angle)):
+            raise ValueError("delay and beam-splitter angle must be finite")
         if self.detector not in DETECTORS:
             raise ValueError(f"unknown detector type {self.detector!r}")
         if self.filter_modes and (self.filter_center is None
@@ -128,11 +132,14 @@ class _Stage(NamedTuple):
     Schmidt modes.  ``modes[arm]`` is the n_f x K complex matrix of that
     arm's mode functions, one column per kept mode of its source: the
     columns of U on a signal arm and of Vh^T on an idler arm, each row
-    scaled by the arm's amplitude transmission in that bin.
+    scaled by the arm's passband in that bin.  ``amplitudes[arm]`` is the
+    arm's loss amplitude sqrt(1 - eps); it stays out of the mode functions,
+    so arms that differ only in loss keep equal functions.
     """
 
     sources: tuple
     modes: tuple
+    amplitudes: tuple
 
 
 def _kept_modes(sd: SchmidtData) -> tuple:
@@ -164,15 +171,14 @@ def _kept_modes(sd: SchmidtData) -> tuple:
 def _sources_and_channels(config: HhomConfig) -> _Stage:
     """The source stage: both pair sources, the bandpass filters and per-arm loss.
 
-    Every state of a configuration is derived from it (``_row_state``), and
-    it does not depend on the delay or the beam-splitter angle.  Each
-    source keeps its Schmidt modes above ``SCHMIDT_CUT`` (``_kept_modes``);
-    identical sources share one JSA and one Schmidt decomposition.  Every
-    filter and loss, all diagonal on the bins, is one amplitude
-    transmission t per row, and it scales that row of its arm's mode
-    functions: the filtered, lossy state is V = 1 + (t t^T) o (V_0 - 1).
-    The element-built circuit (``squeezer``, ``bandpass_filter``,
-    ``loss``) gives the same state.
+    Every state of a configuration is written from it (``_state``), and it
+    does not depend on the delay or the beam-splitter angle.  Each source
+    keeps its Schmidt modes above ``SCHMIDT_CUT`` (``_kept_modes``);
+    identical sources share one JSA and one Schmidt decomposition.  A
+    filter, diagonal on the bins, scales each row of its arm's mode
+    functions by the passband; a loss is the arm's scalar amplitude.  The
+    element-built circuit (``squeezer``, ``bandpass_filter``, ``loss``)
+    gives the same state.
     """
     n_f = config.grid.n_bins
     kept = {}
@@ -183,7 +189,6 @@ def _sources_and_channels(config: HhomConfig) -> _Stage:
     if config.filter_modes:
         t[list(config.filter_modes)] = _passband(config.filter_center,
                                                  config.filter_half_width, config.grid)
-    t *= np.array([[_amplitude_transmission(eps)] for eps in config.loss])
     vacuum = (np.zeros(0), np.zeros(0), np.zeros((n_f, 0)), np.zeros((n_f, 0)))
     sources, modes = [], [None] * N_SPATIAL
     for spec, (sig, idl) in ((config.source_a, SOURCE_A_ARMS),
@@ -191,106 +196,85 @@ def _sources_and_channels(config: HhomConfig) -> _Stage:
         excess, pairing, u, v = kept.get(spec, vacuum)
         sources.append((excess, pairing))
         modes[sig], modes[idl] = t[sig, :, None] * u, t[idl, :, None] * v
-    return _Stage(tuple(sources), tuple(modes))
+    amplitudes = tuple(_amplitude_transmission(eps) for eps in config.loss)
+    return _Stage(tuple(sources), tuple(modes), amplitudes)
 
 
-def _occupied_basis(blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, list]:
-    """An orthonormal basis of the mode functions ``blocks``, and each block's coordinates.
-
-    A reduced QR of the blocks side by side, W = Q X: Q (n_f x k) has
-    orthonormal columns and W = Q X exactly, with k the smaller of n_f and
-    the number of mode functions.  k follows the kept Schmidt count, never
-    the filters: a narrow passband lowers the rank of W but not k, so a
-    row costs the same at every filter width.
-    """
-    w = np.hstack(blocks)
-    basis, x = np.linalg.qr(w)
-    return basis, np.split(x, np.cumsum([block.shape[1] for block in blocks])[:-1], axis=1)
-
-
-def _row_state(stage: _Stage, grid: FrequencyGrid,
-               tau: float) -> tuple[CovarianceState, np.ndarray]:
-    """The stage after a delay tau on arm 1, in each arm's occupied basis.
-
-    The delay multiplies arm 1's mode functions W_1 by its spectral phase.
-    Each arm's basis Q_a, with W_a = Q_a X_a, comes from
-    ``_occupied_basis``; arms 1 and 2 share the basis of [W_1, W_2] (of W_1
-    alone when the two are equal), so the beam-splitter stays bin-local.
-    The state lives on ModeLayout(4, r), r the largest arm rank and at
-    least 1, with vacuum rows padding the shorter arms.  A source on arms
-    (s, i) has the complex blocks A_ss = X_s diag(2 sinh^2 r) X_s^dag,
-    A_ii = X_i diag(2 sinh^2 r) X_i^dag and B_si = X_s (-i diag sinh 2r) X_i^T
-    there, and the real (x, p) blocks of V - 1 are
-    [[Re(A + B), Im(B - A)], [Im(A + B), Re(A - B)]].  Returns the state
-    and the bases, ``basis[arm]`` of shape (n_f, r) with zero padding
-    columns.
-    """
-    w = list(stage.modes)
+def _delayed(stage: _Stage, grid: FrequencyGrid, tau: float) -> list:
+    """Each arm's mode functions after a delay tau on arm 1 (its spectral phase)."""
+    modes = list(stage.modes)
     if tau != 0.0:
-        w[DELAY_MODE] = _spectral_phase(tau, grid)[:, None] * w[DELAY_MODE]
-    q_0, (x_0,) = _occupied_basis([w[0]])
-    q_3, (x_3,) = _occupied_basis([w[3]])
-    if np.array_equal(w[1], w[2]):
-        q_12, (x_1,) = _occupied_basis([w[1]])
-        x_2 = x_1
+        modes[DELAY_MODE] = _spectral_phase(tau, grid)[:, None] * modes[DELAY_MODE]
+    return modes
+
+
+def _coordinates(modes: Sequence[np.ndarray]) -> tuple:
+    """Each arm's mode functions in an orthonormal basis of its occupied modes.
+
+    The R factor X_a of a QR of the arm's functions, W_a = Q_a X_a; Q_a is
+    never formed.  Arms 1 and 2 share the basis of [W_1, W_2], or of W_1
+    alone when the two are equal, so the beam-splitter mixes their
+    coordinates directly.  X_a has min(n_f, K) rows for K mode functions:
+    the count follows the kept Schmidt count, never the filters, so a row
+    costs the same at every filter width.
+    """
+    x_0, x_3 = (np.linalg.qr(modes[arm], mode="r") for arm in (0, 3))
+    if np.array_equal(modes[1], modes[2]):
+        x_1 = x_2 = np.linalg.qr(modes[1], mode="r")
     else:
-        q_12, (x_1, x_2) = _occupied_basis([w[1], w[2]])
-    coords = (x_0, x_1, x_2, x_3)
+        x_1, x_2 = np.hsplit(np.linalg.qr(np.hstack(modes[1:3]), mode="r"),
+                             [modes[1].shape[1]])
+    return x_0, x_1, x_2, x_3
+
+
+def _state(stage: _Stage, coords: Sequence[np.ndarray], bs_angle: float,
+           amplitudes: Sequence[float]) -> CovarianceState:
+    """The stage's four-arm state after the beam-splitter, on ModeLayout(4, r).
+
+    ``coords[arm]`` holds the arm's mode functions, one row per orthonormal
+    spectral mode: the bins (``build_hhom``) or a basis of the arm's
+    occupied modes (``_coordinates``).  r is the longest arm, at least 1,
+    and the rows a shorter arm lacks are vacuum.  A loss scales its arm's
+    coordinates by ``amplitudes[arm]``; the beam-splitter of angle theta
+    sends idler arm 1 to arms (1, 2) with weights (cos, sin) and idler arm
+    2 with (-sin, cos), zero weights skipped.  A source on arms (s, i) then
+    needs three products, X_s E X_s^dag, X_i E X_i^dag and X_s (-i P) X_i^T
+    for E = diag(2 sinh^2 r_k) and P = diag(sinh 2 r_k), placed into the
+    complex blocks A and B with those weights; the real (x, p) blocks of
+    V - 1 are [[Re(A + B), Im(B - A)], [Im(A + B), Re(A - B)]].
+    """
     r = max(1, *(x.shape[0] for x in coords))
-    basis = np.zeros((N_SPATIAL, grid.n_bins, r), dtype=complex)
-    for arm, q in enumerate((q_0, q_12, q_12, q_3)):
-        basis[arm, :, :q.shape[1]] = q
+    c, s = math.cos(bs_angle), math.sin(bs_angle)
+    ports = {1: ((1, c), (2, s)), 2: ((1, -s), (2, c))}
     n = N_SPATIAL * r
     a = np.zeros((n, n), dtype=complex)
     b = np.zeros_like(a)
     for (excess, pairing), (sig, idl) in zip(stage.sources, (SOURCE_A_ARMS, SOURCE_B_ARMS)):
-        x_s, x_i = coords[sig], coords[idl]
-        s = slice(sig * r, sig * r + x_s.shape[0])
-        i = slice(idl * r, idl * r + x_i.shape[0])
-        a[s, s] = (x_s * excess) @ x_s.conj().T
-        a[i, i] = (x_i * excess) @ x_i.conj().T
-        b[s, i] = (-1j * x_s * pairing) @ x_i.T
-        b[i, s] = b[s, i].T
+        x_s, x_i = amplitudes[sig] * coords[sig], amplitudes[idl] * coords[idl]
+        s_rows = slice(sig * r, sig * r + x_s.shape[0])
+        a[s_rows, s_rows] = (x_s * excess) @ x_s.conj().T
+        idler = (x_i * excess) @ x_i.conj().T
+        pair = (-1j * x_s * pairing) @ x_i.T
+        out = [(slice(arm * r, arm * r + x_i.shape[0]), w) for arm, w in ports[idl] if w != 0.0]
+        for i_rows, w in out:
+            b[s_rows, i_rows] = w * pair
+            b[i_rows, s_rows] = b[s_rows, i_rows].T
+            for j_rows, w_j in out:
+                a[i_rows, j_rows] += (w * w_j) * idler
     v = np.empty((2 * n, 2 * n))
     plus, minus = a + b, b - a
     v[:n, :n], v[:n, n:] = plus.real, minus.imag
     v[n:, :n], v[n:, n:] = plus.imag, -minus.real
     v[np.diag_indices_from(v)] += 1
-    return CovarianceState(ModeLayout(N_SPATIAL, r), v), basis
-
-
-def _with_splitter(state: CovarianceState, bs_angle: float) -> CovarianceState:
-    """The beam-splitter of angle ``bs_angle`` on the idler arms, if any."""
-    if bs_angle == 0.0:
-        return state
-    return apply(state, beam_splitter(bs_angle, IDLER_MODES, state.layout))
-
-
-def _on_bins(state: CovarianceState, basis: np.ndarray) -> CovarianceState:
-    """A state in the arms' bases (``_row_state``) expanded onto every frequency bin.
-
-    V = 1 + R (V' - 1) R^T, with R block-diagonal over the arms, each block
-    R_a = [[Re Q_a, -Im Q_a], [Im Q_a, Re Q_a]] for the arm's basis Q_a; the
-    products run arm by arm, on V' - 1 with its rows grouped by arm.
-    """
-    n_arms, n_f, r = basis.shape
-    rot = np.block([[basis.real, -basis.imag], [basis.imag, basis.real]])
-    excess = state.v.copy()
-    excess[np.diag_indices_from(excess)] -= 1
-    # rows and columns from (quadrature, arm, mode) order to (arm, quadrature, mode)
-    excess = excess.reshape(2, n_arms, r, 2, n_arms, r).transpose(1, 0, 2, 4, 3, 5)
-    left = rot @ excess.reshape(n_arms, 2 * r, n_arms * 2 * r)
-    left = left.reshape(n_arms * 2 * n_f, n_arms, 2 * r).transpose(1, 0, 2)
-    v = (left @ rot.transpose(0, 2, 1)).reshape(n_arms, n_arms, 2, n_f, 2, n_f)
-    v = v.transpose(2, 1, 3, 4, 0, 5).reshape(2 * n_arms * n_f, 2 * n_arms * n_f)
-    v[np.diag_indices_from(v)] += 1
-    return CovarianceState(ModeLayout(n_arms, n_f), v)
+    return CovarianceState(ModeLayout(N_SPATIAL, r), v)
 
 
 def build_hhom(config: HhomConfig) -> CovarianceState:
-    """Final covariance state of the heralded-HOM circuit, on every frequency bin."""
-    state, basis = _row_state(_sources_and_channels(config), config.grid, config.delay)
-    return _on_bins(_with_splitter(state, config.bs_angle), basis)
+    """Final covariance state of the heralded-HOM circuit, on every frequency bin:
+    ``_state`` with the arms' mode functions after the delay as coordinates."""
+    stage = _sources_and_channels(config)
+    return _state(stage, _delayed(stage, config.grid, config.delay), config.bs_angle,
+                  stage.amplitudes)
 
 
 def four_fold(state: CovarianceState, detector: str = "pnr") -> float:
@@ -380,23 +364,22 @@ class _Figures:
 class _RowPlan:
     """Figures of merit of one configuration from its distinct states.
 
-    Every state the figures need is derived from one source stage
-    (``_sources_and_channels``): the row state at a delay is built in the
-    arms' occupied bases (``_row_state``), the state at (delay,
-    beam-splitter angle) adds the splitter to it, and the distinguishable
-    limit is read from the state at angle 0.  Each row state is built once
-    per delay and each state once per (delay, angle), and each of its
-    detection quantities is evaluated once.  The plan builds the stage on
-    first use and keeps it; a sweep whose axis leaves the stage unchanged
-    passes in the stage it built.  The bases are built here, per row, so a
-    row's figures do not depend on whether its stage was shared.  A plan
-    serves one sweep row or one public call and holds no state beyond it.
+    Every state is written by ``_state`` from one source stage and the
+    arms' coordinates at a delay (``_coordinates``): the states at (delay,
+    beam-splitter angle), and the threshold plateau's state at angle 0
+    with both idler amplitudes times sqrt(1/2) (50% more loss).  The
+    coordinates are computed once per delay, here, so a row's figures do
+    not depend on whether its stage was shared; each state is written
+    once, and each of its detection quantities is evaluated once.  The
+    plan builds the stage on first use and keeps it; a sweep whose axis
+    leaves the stage unchanged passes in the stage it built.  A plan serves
+    one sweep row or one public call and holds no state beyond it.
     """
 
     def __init__(self, config: HhomConfig, stage: _Stage | None = None):
         self.config = config
         self._stage = stage
-        self._unsplit = {}
+        self._coords = {}
         self._figures = {}
 
     def stage(self) -> _Stage:
@@ -405,16 +388,22 @@ class _RowPlan:
             self._stage = _sources_and_channels(self.config)
         return self._stage
 
+    def state(self, delay: float, bs_angle: float,
+              amplitudes: Sequence[float] | None = None) -> CovarianceState:
+        """The row state at this delay and angle (default amplitudes: the stage's)."""
+        stage = self.stage()
+        if delay not in self._coords:
+            self._coords[delay] = _coordinates(_delayed(stage, self.config.grid, delay))
+        return _state(stage, self._coords[delay], bs_angle,
+                      stage.amplitudes if amplitudes is None else amplitudes)
+
     def figures(self, delay: float | None = None,
                 bs_angle: float | None = None) -> _Figures:
         """Figures of the circuit at this delay and angle (default: the config's)."""
         key = (self.config.delay if delay is None else delay,
                self.config.bs_angle if bs_angle is None else bs_angle)
         if key not in self._figures:
-            if key[0] not in self._unsplit:
-                self._unsplit[key[0]], _ = _row_state(self.stage(), self.config.grid, key[0])
-            state = _with_splitter(self._unsplit[key[0]], key[1])
-            self._figures[key] = _Figures(state, self.config.detector)
+            self._figures[key] = _Figures(self.state(*key), self.config.detector)
         return self._figures[key]
 
     @functools.cached_property
@@ -424,8 +413,10 @@ class _RowPlan:
         unsplit = self.figures(bs_angle=0.0)
         if self.config.detector == "pnr":
             return 0.5 * unsplit.single_pair
+        amplitudes = [t * math.sqrt(0.5) if arm in IDLER_MODES else t
+                      for arm, t in enumerate(self.stage().amplitudes)]
         halved = vacuum_probabilities(
-            apply(unsplit.state, loss(0.5, IDLER_MODES, unsplit.state.layout)),
+            self.state(self.config.delay, 0.0, amplitudes),
             [IDLER_MODES + heralds for heralds in _subsets(HERALD_MODES)])
 
         def vacuum(modes: tuple) -> float:

@@ -51,10 +51,10 @@ class JsaSpec:
     def __post_init__(self):
         if self.variant not in ("gaussian", "waveguide", "double_lobe"):
             raise ValueError(f"unknown JSA variant {self.variant!r}")
-        if self.xi < 0:
-            raise ValueError("squeezing parameter must be nonnegative")
-        if self.zeta <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 <= self.xi < math.inf:
+            raise ValueError("squeezing parameter must be nonnegative and finite")
+        if not 0 < self.zeta < math.inf:
+            raise ValueError("bandwidth must be positive and finite")
         if self.variant == "waveguide" and self.walkoff <= 0:
             raise ValueError("waveguide JSA needs a positive walk-off time")
         if self.variant == "double_lobe":

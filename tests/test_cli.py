@@ -198,6 +198,23 @@ def test_non_whole_counts_are_config_errors(tmp_path, capsys, edit, field):
     assert len(parse_run_config(whole).values) == 3
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("edit, field", [
+    (lambda doc, v: doc["source"].update(xi=v), "source.xi"),
+    (lambda doc, v: doc.update(bs_angle=v), "bs_angle"),
+    (lambda doc, v: doc.update(loss=[0.0, v, 0.0, 0.0]), "loss[1]"),
+    (lambda doc, v: doc.update(grid={"n_bins": 1, "span_factor": v}), "grid.span_factor"),
+    (lambda doc, v: doc["source"].update(bandwidth=f"{v} rad/s"), "source.bandwidth"),
+])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, edit, field, value):
+    """NaN and infinities stop at parsing, with exit code 2 and the field name."""
+    doc = {**TINY_POWER_SWEEP, "source": dict(TINY_POWER_SWEEP["source"])}
+    edit(doc, value)
+    path = write_config(tmp_path, doc)
+    assert main(["--output-dir", str(tmp_path), "run", path]) == 2
+    assert f"'{field}': must be finite" in capsys.readouterr().err
+
+
 def test_unreadable_config_exit_code(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.yaml")]) == 2
     capsys.readouterr()

@@ -68,6 +68,9 @@ def test_config_validation():
         HhomConfig(spec, spec, grid, detector="magic")
     with pytest.raises(ValueError, match="passband"):
         HhomConfig(spec, spec, grid, filter_modes=(0,))
+    for field, value in itertools.product(("delay", "bs_angle"), (math.nan, math.inf, -math.inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            HhomConfig(spec, spec, grid, **{field: value})
 
 
 def test_config_hash_distinguishes_configs():
@@ -407,9 +410,7 @@ def test_closed_form_stage_matches_the_element_circuit(variants, xis, idler_cent
     np.testing.assert_allclose(build_hhom(config).v, want.v, rtol=0, atol=1e-13)
 
     # the row state detects as the state on every bin does
-    stage = experiments._sources_and_channels(config)
-    unsplit, _ = experiments._row_state(stage, config.grid, delay)
-    got = experiments._with_splitter(unsplit, bs_angle)
+    got = experiments._RowPlan(config).state(delay, bs_angle)
     subsets = experiments._subsets(FOUR_ARMS)
     got_vacuum, want_vacuum = (detection.vacuum_probabilities(state, subsets)
                                for state in (got, want))
@@ -432,16 +433,24 @@ def test_101_bin_row_matches_the_dense_element_circuit(monkeypatch, detector):
     config = HhomConfig(spec, spec, default_grid(spec, n_bins=101), loss=(0.1,) * 4,
                         detector=detector)
     got = sweep_row(config, experiments.PROBE_AXIS, 0.0, True)
-    stage = experiments._sources_and_channels(config)
-    state, _ = experiments._row_state(stage, config.grid, 0.0)
+    plan = experiments._RowPlan(config)
+    state = plan.state(0.0, 0.0)
     # fails if the row is ever detected on the bins again
-    assert state.layout.n_spectral <= 2 * stage.modes[0].shape[1] < config.grid.n_bins
+    assert state.layout.n_spectral <= 2 * plan.stage().modes[0].shape[1] < config.grid.n_bins
+    plateau_amplitudes = pytest.approx([math.sqrt(0.9), math.sqrt(0.45),
+                                        math.sqrt(0.45), math.sqrt(0.9)], rel=1e-15)
 
-    def dense_row_state(stage, grid, tau):
-        assert tau == 0.0
-        return sources_filter_and_loss(config, ModeLayout(4, grid.n_bins)), None
+    def dense_state(plan, delay, bs_angle, amplitudes=None):
+        assert delay == 0.0
+        lay = ModeLayout(4, config.grid.n_bins)
+        state = sources_filter_and_loss(config, lay)
+        if amplitudes is not None:
+            # the threshold plateau: 50% more loss on both idlers
+            assert amplitudes == plateau_amplitudes
+            state = apply(state, loss(0.5, experiments.IDLER_MODES, lay))
+        return apply(state, beam_splitter(bs_angle, experiments.IDLER_MODES, lay))
 
-    monkeypatch.setattr(experiments, "_row_state", dense_row_state)
+    monkeypatch.setattr(experiments._RowPlan, "state", dense_state)
     want = sweep_row(config, experiments.PROBE_AXIS, 0.0, True)
     for name in CSV_COLUMNS[2:]:
         rel = 1e-12
@@ -499,15 +508,14 @@ def complex_stage_reference(sd):
 
 @pytest.mark.parametrize("variant", ["waveguide", "gaussian", "double_lobe"])
 def test_real_stage_block_matches_the_complex_sigma(variant):
-    """The row state writes Re(Q sigma Q^dag) blockwise in the arms' bases;
-    here sigma is built on the bins and converted."""
+    """The state writer forms Re(Q sigma Q^dag) blockwise; here sigma is
+    built on the bins and converted."""
     grid = FrequencyGrid(0.0, 1.0, 7)
     spec = stage_source(variant, 0.5, 0.0)
     sd = schmidt_decompose(build_jsa(spec, grid))
-    config = HhomConfig(spec, dataclasses.replace(spec, xi=0.0), grid)
-    state, basis = experiments._row_state(experiments._sources_and_channels(config), grid, 0.0)
-    assert state.v.dtype == np.float64
-    got = experiments._on_bins(state, basis)
+    config = HhomConfig(spec, dataclasses.replace(spec, xi=0.0), grid, bs_angle=0.0)
+    got = build_hhom(config)
+    assert got.v.dtype == np.float64
     rows = subset_indices(got.layout, experiments.SOURCE_A_ARMS)
     np.testing.assert_allclose(got.v[np.ix_(rows, rows)] - np.eye(rows.size),
                                complex_stage_reference(sd), rtol=0, atol=1e-15)
@@ -593,7 +601,8 @@ def test_distinguishable_four_fold_matches_fock_oracle(detector):
 
 
 @pytest.mark.parametrize("axis, values", [("delay", [0.0, 0.4, 1.1]),
-                                          (experiments.PROBE_AXIS, [0.0, 1.0])])
+                                          (experiments.PROBE_AXIS, [0.0, 1.0]),
+                                          ("bs_angle", [0.0, 0.3, math.pi / 4])])
 def test_stage_axis_sweep_builds_one_stage(monkeypatch, axis, values):
     config = lossy_waveguide_config("threshold", delay=0.2)
     stages = count_stages(monkeypatch)
@@ -627,7 +636,7 @@ def test_only_stage_axes_take_a_stage():
                                      n_bins=experiments.FILTER_STUDY_MIN_BINS)
         stage = experiments._sources_and_channels(config)
         for delay in (0.0, 2e-12, -7e-12, 13e-12):
-            state, _ = experiments._row_state(stage, config.grid, delay)
+            state = experiments._RowPlan(config, stage).state(delay, 0.0)
             assert (state.layout.n_spectral < config.grid.n_bins) == (delay == 0.0)
             shared = sweep_row(config, "delay", delay, True, stage=stage)
             assert shared == sweep_row(config, "delay", delay, True)
@@ -636,15 +645,15 @@ def test_only_stage_axes_take_a_stage():
 @pytest.mark.parametrize("delay", [0.0, 13e-12])
 def test_row_layout_does_not_depend_on_the_filter_width(delay):
     """The row layout follows the kept Schmidt count, not the passband, so a
-    row costs the same at every filter width."""
+    row costs the same at every filter width; unequal idler losses scale
+    equal mode functions and share one basis."""
     config = filter_study_config(0.3, n_bins=experiments.FILTER_STUDY_MIN_BINS)
     kept = experiments._sources_and_channels(config).modes[0].shape[1]
     sizes = set()
-    for half_width in (0.8e11, 1.12e11, 2.5e11, 4e11):
-        narrowed = dataclasses.replace(config, filter_half_width=half_width)
-        stage = experiments._sources_and_channels(narrowed)
-        state, _ = experiments._row_state(stage, narrowed.grid, delay)
-        sizes.add(state.layout.n_spectral)
+    for half_width, loss_per_arm in itertools.product((0.8e11, 1.12e11, 2.5e11, 4e11),
+                                                      ((0.0,) * 4, (0.1, 0.1, 0.2, 0.1))):
+        narrowed = dataclasses.replace(config, filter_half_width=half_width, loss=loss_per_arm)
+        sizes.add(experiments._RowPlan(narrowed).state(delay, 0.0).layout.n_spectral)
     expected = kept if delay == 0.0 else min(2 * kept, config.grid.n_bins)
     assert sizes == {expected}
 

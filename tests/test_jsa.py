@@ -1,5 +1,6 @@
 """JSA models, discretization, normalization, Schmidt decomposition."""
 
+import math
 import warnings
 
 import numpy as np
@@ -35,6 +36,11 @@ def test_spec_validation():
         JsaSpec("double_lobe", 0.1, 1.0)  # missing separation
     with pytest.raises(ValueError):
         JsaSpec("double_lobe", 0.1, 1.0, lobe_separation=2.0, relative_sign=2)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="squeezing parameter .* finite"):
+            JsaSpec("gaussian", value, 1.0)
+        with pytest.raises(ValueError, match="bandwidth .* finite"):
+            JsaSpec("gaussian", 0.1, value)
 
 
 def test_gaussian_is_rank_one():
