@@ -5,9 +5,8 @@ Mode order used everywhere in this package: for a system with
 ``(i, w)`` is mode ``k = i * n_spectral + w`` of ``N = n_spatial *
 n_spectral``.  The spectral modes are the frequency bins, or, for the
 state of a sweep row, an orthonormal basis of the modes each arm occupies
-(``experiments._coordinates``); a bin-local element acts on basis modes as
-it does on bins.  Elements are given in the doubled basis, annihilation
-operators first: a_k at row k and a_k^dag at row k + N.
+(``experiments._coordinates``).  Elements are given in the doubled basis,
+annihilation operators first: a_k at row k and a_k^dag at row k + N.
 
 States and elements are stored in the real quadrature basis, x_k =
 (a_k + a_k^dag)/sqrt 2 at row k and p_k = -i (a_k - a_k^dag)/sqrt 2 at row
@@ -26,19 +25,17 @@ arithmetic, and detection reads V directly.
 An element is kept as its own real block plus the spatial modes it acts on
 (``Transform``), and ``apply`` updates only those rows and columns of V: an
 element on k spatial modes costs O((k n_f)^2 N) instead of the O(N^3) of a
-dense 2N x 2N product.  The block's rows fall into 2k runs of n_f rows,
-the x and then the p quadratures of each target mode.  A block that never
-mixes frequency bins (beam-splitter, phase, delay, loss, filter) has a
-diagonal sub-block for every pair of runs; it is read as per-bin
-couplings c[a, b, w] (``_bin_couplings``), applied as scaled sums of row
-runs in O(k^2 n_f N), and checked bin by bin, as n_f blocks of size
-2k x 2k.  A block that mixes bins, such as a multimode squeezer, keeps
-the dense product and check.  ``CovarianceState.sigma`` and ``Transform.matrix`` rebuild the
-complex forms on request; the circuit never calls them.
+dense 2N x 2N product.  Every element, whether or not it mixes frequency
+bins, is checked on its whole block and applied by two dense products:
+B V[rows, :], then B^T on the target columns.  ``CovarianceState.sigma``
+and ``Transform.matrix`` rebuild the complex forms on request; the circuit
+never calls them.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -53,6 +50,11 @@ class UnphysicalStateError(ValueError):
     """A determinant came out negative, or sigma lacks the conjugate structure."""
 
 
+def _is_count(n) -> bool:
+    """Whether n is a positive integer of any integer type except bool."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
+
+
 @dataclass(frozen=True)
 class ModeLayout:
     """Spatial x spectral mode lattice; a spectral mode is a bin or a basis mode."""
@@ -61,8 +63,8 @@ class ModeLayout:
     n_spectral: int
 
     def __post_init__(self):
-        if self.n_spatial < 1 or self.n_spectral < 1:
-            raise ValueError("mode counts must be positive")
+        if not (_is_count(self.n_spatial) and _is_count(self.n_spectral)):
+            raise ValueError("mode counts must be positive integers")
 
     @property
     def n_modes(self) -> int:
@@ -104,10 +106,12 @@ class FrequencyGrid:
     n_bins: int
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("frequency step must be positive")
-        if self.n_bins < 1:
-            raise ValueError("need at least one frequency bin")
+        if not 0 < self.step < math.inf:
+            raise ValueError("frequency step must be positive and finite")
+        if not math.isfinite(self.center):
+            raise ValueError("grid center must be finite")
+        if not _is_count(self.n_bins):
+            raise ValueError("need a positive integer number of frequency bins")
 
     def bin_frequency(self, w: int | np.ndarray) -> float | np.ndarray:
         """Absolute angular frequency of bin ``w`` (0-based)."""
@@ -152,45 +156,6 @@ def _complex_form(v: np.ndarray) -> np.ndarray:
     return np.block([[a, b], [b.conj(), a.conj()]])
 
 
-def _bin_couplings(block: np.ndarray, n_f: int) -> np.ndarray | None:
-    """Per-bin couplings c[a, b, w] of a real block over its runs of ``n_f`` rows.
-
-    A k-mode block has 2k runs (x then p quadratures of each target mode),
-    and c[a, b, w] is its entry from row w of run b to row w of run a.
-    Returned only when nothing off those run-by-run diagonals is nonzero,
-    that is when the block never mixes frequency bins (beam-splitter,
-    delay, phase, loss, filter); None otherwise.
-    """
-    runs = block.shape[0] // n_f
-    couplings = np.diagonal(block.reshape(runs, n_f, runs, n_f), axis1=1, axis2=3)
-    return couplings if np.count_nonzero(block) == np.count_nonzero(couplings) else None
-
-
-def _left_multiply(block: np.ndarray, couplings: np.ndarray | None,
-                   m: np.ndarray) -> np.ndarray:
-    """block @ m, as scaled sums of row runs when ``couplings`` is given."""
-    if couplings is None:
-        return block @ m
-    runs, _, n_f = couplings.shape
-    m = m.reshape(runs, n_f, -1)
-    out = np.zeros_like(m)
-    for a, b in zip(*np.nonzero(np.any(couplings, axis=2))):
-        out[a] += couplings[a, b, :, None] * m[b]
-    return out.reshape(runs * n_f, -1)
-
-
-def _bin_blocks(block: np.ndarray, n_f: int) -> np.ndarray:
-    """A real block as a stack of square blocks that together make it up.
-
-    A bin-local block (``_bin_couplings``) is, up to a reordering of rows
-    and columns, the direct sum of its n_f per-bin 2k x 2k blocks c[:, :, w];
-    any other block is a stack of itself alone.  Either way the block is
-    symplectic or contractive exactly when every stacked block is.
-    """
-    couplings = _bin_couplings(block, n_f)
-    return block[None] if couplings is None else np.moveaxis(couplings, 2, 0)
-
-
 @dataclass(frozen=True)
 class Transform:
     """An element's own block and the spatial modes of ``layout`` it acts on.
@@ -211,10 +176,10 @@ class Transform:
     operators), stored as T = [[Re U, -Im U], [Im U, Re U]], and applied as
     V - 1 -> T (V - 1) T^T.
 
-    Both checks run on the stored block alone, which is exact: identity (+)
-    block is symplectic or contractive exactly when the block is.  A block
-    that never mixes frequency bins is checked bin by bin (``_bin_blocks``),
-    at the same strength.
+    Both checks run on the element's own block alone, which is exact:
+    identity (+) block is symplectic or contractive exactly when the block
+    is.  The symplectic check is S J S^T = J on the whole of S; the passive
+    check is the spectral norm of U, which equals that of T.
     ``matrix`` builds the complex full-layout matrix on request.
     """
 
@@ -241,18 +206,17 @@ class Transform:
             if not imag <= SYMPLECTIC_TOL:
                 raise ValueError(f"symplectic block lacks the conjugate block structure "
                                  f"(relative |Im(Q M Q^dag)| = {imag:.2e})")
-            blocks = _bin_blocks(s, self.layout.n_spectral)
-            half = blocks.shape[1] // 2
+            half = s.shape[0] // 2
             # S J moves the columns of S: [-S_p, S_x]
-            s_j = np.concatenate([-blocks[:, :, half:], blocks[:, :, :half]], axis=2)
+            s_j = np.concatenate([-s[:, half:], s[:, :half]], axis=1)
             j = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(half))
-            residual = np.max(np.abs(s_j @ blocks.transpose(0, 2, 1) - j))
+            residual = np.max(np.abs(s_j @ s.T - j))
             if not residual <= SYMPLECTIC_TOL * max(1.0, np.max(np.abs(s)) ** 2):
                 raise ValueError(f"matrix is not symplectic (residual {residual:.2e})")
         else:
             s = np.block([[m.real, -m.imag], [m.imag, m.real]])
-            smax = np.max(np.linalg.norm(_bin_blocks(s, self.layout.n_spectral), 2,
-                                         axis=(1, 2)))
+            # T has the singular values of U, each twice
+            smax = np.linalg.norm(m, 2)
             if not smax <= 1 + 1e-12:
                 raise ValueError(f"passive matrix is not contractive (s_max = {smax})")
         object.__setattr__(self, "block", s)
@@ -330,11 +294,6 @@ class CovarianceState:
         """The complex covariance matrix Q^dag V Q in the (a, a^dag) basis."""
         return _complex_form(self.v)
 
-    @property
-    def sigma_tilde(self) -> np.ndarray:
-        """sigma minus the identity (the vacuum-subtracted part)."""
-        return self.sigma - np.eye(self.v.shape[0])
-
 
 def vacuum_state(layout: ModeLayout) -> CovarianceState:
     """Vacuum on every mode of the layout."""
@@ -347,8 +306,6 @@ def apply(state: CovarianceState, t: Transform) -> CovarianceState:
     With B the block (S, or T on V - 1 for a passive channel), the target
     rows become B V[rows, :] with B^T applied to their own columns, and
     since the result is symmetric the target columns are their transpose.
-    A block that never mixes frequency bins multiplies as scaled sums of
-    row runs (``_bin_couplings``); any other block as a dense product.
     """
     if t.layout != state.layout:
         raise ValueError("transform layout does not match state layout")
@@ -356,9 +313,8 @@ def apply(state: CovarianceState, t: Transform) -> CovarianceState:
     out = state.v.copy()
     if t.kind == "passive":
         out[rows, rows] -= 1
-    couplings = _bin_couplings(t.block, state.layout.n_spectral)
-    band = _left_multiply(t.block, couplings, out[rows])
-    band[:, rows] = _left_multiply(t.block, couplings, band[:, rows].T).T
+    band = t.block @ out[rows]
+    band[:, rows] = band[:, rows] @ t.block.T
     out[rows] = band
     out[:, rows] = band.T
     if t.kind == "passive":

@@ -116,8 +116,10 @@ def loss(epsilon: float, spatial_modes: Sequence[int], layout: ModeLayout) -> Tr
 
 def _passband(nu0: float, half_width: float, grid: FrequencyGrid) -> np.ndarray:
     """Bins of ``grid`` whose center frequency lies in [nu0 - hw, nu0 + hw], as 0/1."""
-    if half_width <= 0:
+    if not half_width > 0:
         raise ValueError("filter half-width must be positive")
+    if not np.isfinite(nu0):
+        raise ValueError("filter center must be finite")
     freqs = grid.frequencies()
     passing = (freqs >= nu0 - half_width) & (freqs <= nu0 + half_width)
     if not np.any(passing):

@@ -119,6 +119,9 @@ class HhomConfig:
             raise ValueError("filter modes given without a filter passband")
         if any(not 0 <= m < N_SPATIAL for m in self.filter_modes):
             raise ValueError("filter modes must be spatial modes 0..3")
+        if any(x is not None and not math.isfinite(x)
+               for x in (self.filter_center, self.filter_half_width)):
+            raise ValueError("filter center and half-width must be finite")
 
     def config_hash(self) -> str:
         return hashlib.sha256(repr(self).encode()).hexdigest()[:16]

@@ -55,11 +55,13 @@ class JsaSpec:
             raise ValueError("squeezing parameter must be nonnegative and finite")
         if not 0 < self.zeta < math.inf:
             raise ValueError("bandwidth must be positive and finite")
-        if self.variant == "waveguide" and self.walkoff <= 0:
-            raise ValueError("waveguide JSA needs a positive walk-off time")
+        if not (math.isfinite(self.signal_center) and math.isfinite(self.idler_center)):
+            raise ValueError("signal and idler centers must be finite")
+        if self.variant == "waveguide" and not 0 < self.walkoff < math.inf:
+            raise ValueError("waveguide JSA needs a positive, finite walk-off time")
         if self.variant == "double_lobe":
-            if self.lobe_separation <= 0:
-                raise ValueError("double-lobe JSA needs a positive lobe separation")
+            if not 0 < self.lobe_separation < math.inf:
+                raise ValueError("double-lobe JSA needs a positive, finite lobe separation")
             if self.relative_sign not in (+1, -1):
                 raise ValueError("relative sign must be +1 or -1")
 

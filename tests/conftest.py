@@ -85,13 +85,18 @@ def element_transform(op, grid: FrequencyGrid, layout: ModeLayout):
     raise ValueError(f"unknown op {kind!r}")
 
 
+def sigma_tilde(state: CovarianceState) -> np.ndarray:
+    """sigma minus the identity (the vacuum-subtracted part)."""
+    return state.sigma - np.eye(state.v.shape[0])
+
+
 def dense_apply(state: CovarianceState, t: Transform) -> np.ndarray:
     """Reference: the complex full-layout matrix applied to sigma as a dense product."""
     m = t.matrix
     if t.kind == "symplectic":
         return m @ state.sigma @ m.conj().T
     u = np.block([[m, np.zeros_like(m)], [np.zeros_like(m), m.conj()]])
-    return u @ state.sigma_tilde @ u.conj().T + np.eye(state.sigma.shape[0])
+    return u @ sigma_tilde(state) @ u.conj().T + np.eye(state.sigma.shape[0])
 
 
 def run_gaussian(layout: ModeLayout, grid: FrequencyGrid, ops) -> CovarianceState:

@@ -8,7 +8,6 @@ from gausshom.core import (
     FrequencyGrid,
     ModeLayout,
     Transform,
-    _bin_couplings,
     apply,
     subset_indices,
     vacuum_state,
@@ -23,7 +22,7 @@ from gausshom.elements import (
 )
 from gausshom.jsa import JsaMatrix
 
-from conftest import dense_apply, symplectic_from_hamiltonian
+from conftest import dense_apply, sigma_tilde, symplectic_from_hamiltonian
 
 
 def test_layout_indexing():
@@ -40,10 +39,10 @@ def test_layout_indexing():
 
 
 def test_layout_validation():
-    with pytest.raises(ValueError):
-        ModeLayout(0, 1)
-    with pytest.raises(ValueError):
-        ModeLayout(1, 0)
+    for bad in ((0, 1), (1, 0), (4, 2.5), (True, 1)):
+        with pytest.raises(ValueError, match="positive integers"):
+            ModeLayout(*bad)
+    assert ModeLayout(np.int64(4), 2).n_modes == 8
 
 
 def test_metric_structure():
@@ -64,13 +63,22 @@ def test_frequency_grid_validation():
         FrequencyGrid(0.0, 0.0, 3)
     with pytest.raises(ValueError):
         FrequencyGrid(0.0, 1.0, 0)
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            FrequencyGrid(0.0, value, 3)
+        with pytest.raises(ValueError, match="center must be finite"):
+            FrequencyGrid(value, 1.0, 3)
+    for n_bins in (2.5, True):
+        with pytest.raises(ValueError, match="integer number of frequency bins"):
+            FrequencyGrid(0.0, 1.0, n_bins)
+    assert FrequencyGrid(0.0, 1.0, np.int64(3)).frequencies().size == 3
 
 
 def test_vacuum_state_is_identity():
     lay = ModeLayout(2, 3)
     v = vacuum_state(lay)
     np.testing.assert_array_equal(v.sigma, np.eye(12))
-    assert np.max(np.abs(v.sigma_tilde)) == 0
+    assert np.max(np.abs(sigma_tilde(v))) == 0
 
 
 def test_covariance_rejects_non_hermitian():
@@ -105,8 +113,7 @@ def test_transform_passive_rejects_expanding():
     lay = ModeLayout(1, 1)
     with pytest.raises(ValueError, match="contractive"):
         Transform("passive", 1.5 * np.eye(1), lay)
-    # every bin-local block is checked by its per-bin spectral norm, a mixing
-    # block by its whole spectral norm
+    # a passive block is checked by the spectral norm of its whole contraction
     lay2 = ModeLayout(1, 2)
     Transform("passive", np.diag([np.exp(0.3j), 0.5]), lay2)
     with pytest.raises(ValueError, match="contractive"):
@@ -208,6 +215,8 @@ def test_blockwise_apply_matches_dense_product(n_spatial):
             for _ in range(2))
     # Hermitian with the conjugate block structure [[A, B], [B*, A*]]
     h = np.block([[a + a.conj().T, b + b.T], [(b + b.T).conj(), (a + a.conj().T).conj()]])
+    # a contraction that mixes bins across two modes
+    unitary, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
     last = n_spatial - 1
     transforms = [
         squeezer(j, 1, 0, lay),
@@ -220,6 +229,7 @@ def test_blockwise_apply_matches_dense_product(n_spatial):
         loss(0.35, [3, 1], lay),
         loss(0.2, [0], lay),
         bandpass_filter(0.0, 0.5, [2, 0], grid, lay),
+        Transform("passive", 0.8 * unitary, lay, (2, last)),
         # a whole-layout transform is a block on every mode
         symplectic_from_hamiltonian(0.05 * h, lay),
     ]
@@ -295,28 +305,26 @@ def test_stored_blocks_and_states_are_float64():
         assert state.v.dtype == np.float64
 
 
-def test_bin_local_blocks_are_checked_bin_by_bin():
-    """A block that never mixes bins is checked per bin at full strength, so a
-    defect in one bin alone is caught."""
+def test_whole_block_checks_catch_a_defect_in_one_bin():
+    """A block that never mixes bins is checked on the whole block at full
+    strength, so a defect in one bin alone is caught."""
     lay = ModeLayout(2, 3)
     rot = np.array([[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]])
     for scale, ok in ((1.0, True), (1 + 1e-9, False)):
         alpha = np.kron(rot, np.diag([1.0, scale, 1.0]))
         block = np.block([[alpha, np.zeros((6, 6))], [np.zeros((6, 6)), alpha.conj()]])
         if ok:
-            t = Transform("symplectic", block, lay)
-            assert _bin_couplings(t.block, 3) is not None
+            Transform("symplectic", block, lay)
         else:
             with pytest.raises(ValueError, match="not symplectic"):
                 Transform("symplectic", block, lay)
-    # a mixing contraction: s_max is the largest per-bin spectral norm, not
-    # the largest |entry|, which stays below 1 here
+    # a contraction that mixes modes: s_max is the spectral norm, the largest
+    # per-bin one here, not the largest |entry|, which stays below 1
     for scale, ok in ((1.0, True), (1 + 1e-9, False)):
         u = np.kron(rot, np.diag([0.5, scale, 0.9]))
         assert np.max(np.abs(u)) < 1
         if ok:
-            t = Transform("passive", u, lay)
-            assert _bin_couplings(t.block, 3) is not None
+            Transform("passive", u, lay)
         else:
             with pytest.raises(ValueError, match="not contractive"):
                 Transform("passive", u, lay)

@@ -154,8 +154,11 @@ def test_bandpass_filter_passband_selection():
     np.testing.assert_allclose(np.diag(t.matrix), [0, 1, 1, 1, 0])
     with pytest.raises(ValueError, match="passband"):
         bandpass_filter(10.0, 0.5, [0], grid, lay)
-    with pytest.raises(ValueError):
-        bandpass_filter(0.0, -1.0, [0], grid, lay)
+    for half_width in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="half-width must be positive"):
+            bandpass_filter(0.0, half_width, [0], grid, lay)
+    with pytest.raises(ValueError, match="center must be finite"):
+        bandpass_filter(np.nan, 1.0, [0], grid, lay)
 
 
 def test_bandpass_filter_only_touches_named_modes():

@@ -68,7 +68,9 @@ def test_config_validation():
         HhomConfig(spec, spec, grid, detector="magic")
     with pytest.raises(ValueError, match="passband"):
         HhomConfig(spec, spec, grid, filter_modes=(0,))
-    for field, value in itertools.product(("delay", "bs_angle"), (math.nan, math.inf, -math.inf)):
+    for field, value in itertools.product(("delay", "bs_angle", "filter_center",
+                                           "filter_half_width"),
+                                          (math.nan, math.inf, -math.inf)):
         with pytest.raises(ValueError, match="must be finite"):
             HhomConfig(spec, spec, grid, **{field: value})
 

@@ -1,6 +1,7 @@
-"""Every module of the package uses each name it imports, the package
-exports exactly what its `__init__.py` imports, and its third-party imports
-are exactly its declared runtime dependencies.
+"""Every module of the package uses each name it imports, every private
+module-level function and class is referenced by some module of the
+package, the package exports exactly what its `__init__.py` imports, and its
+third-party imports are exactly its declared runtime dependencies.
 
 No linter ships with the test dependencies, so this parses the sources with
 ``ast``.  ``__init__.py`` (re-exports) and ``from __future__`` imports are
@@ -52,6 +53,42 @@ def test_checker_flags_unused_and_accepts_used():
                                           if p.name != "__init__.py"))
 def test_module_has_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private_helpers(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions and classes that no source names.
+
+    A name counts as referenced where any source loads it, reads it as an
+    attribute or imports it; its own definition does not count.
+    """
+    defined, referenced = [], set()
+    for module, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        defined += [(module, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return [f"{module}: {name}" for module, name in defined if name not in referenced]
+
+
+def test_private_checker_flags_helpers_nothing_calls():
+    sources = {"a.py": ("def _used():\n    pass\n"
+                        "def _bin_blocks(block, n_f):\n    return block\n"
+                        "class _Plan:\n    pass\n"
+                        "def public():\n    return _used()\n"),
+               "b.py": "from .a import _Plan\n"}
+    assert unreferenced_private_helpers(sources) == ["a.py: _bin_blocks"]
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unreferenced_private_helpers(sources) == []
 
 
 def test_init_exports_exactly_what_it_imports():

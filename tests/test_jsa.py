@@ -41,6 +41,13 @@ def test_spec_validation():
             JsaSpec("gaussian", value, 1.0)
         with pytest.raises(ValueError, match="bandwidth .* finite"):
             JsaSpec("gaussian", 0.1, value)
+        for center in ("signal_center", "idler_center"):
+            with pytest.raises(ValueError, match="centers must be finite"):
+                JsaSpec("gaussian", 0.1, 1.0, **{center: value})
+        with pytest.raises(ValueError, match="walk-off"):
+            JsaSpec("waveguide", 0.1, 1.0, walkoff=value)
+        with pytest.raises(ValueError, match="lobe separation"):
+            JsaSpec("double_lobe", 0.1, 1.0, lobe_separation=value)
 
 
 def test_gaussian_is_rank_one():

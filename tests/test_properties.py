@@ -26,7 +26,7 @@ from gausshom.detection import (
     vacuum_probabilities,
 )
 
-from conftest import dense_apply, element_transform, random_jsa, run_gaussian
+from conftest import dense_apply, element_transform, random_jsa, run_gaussian, sigma_tilde
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
 REL = 1e-12
@@ -90,7 +90,7 @@ def complex_p_pnr(state, groups, patterns):
     idx = subset_indices(state.layout, flat)
     var_of_mode = np.array([v for v, g in enumerate(groups) for _ in g])
     row_var = np.concatenate([np.repeat(var_of_mode, state.layout.n_spectral)] * 2)
-    f = series_inv_sqrt_det(state.sigma_tilde[np.ix_(idx, idx)], row_var, patterns)
+    f = series_inv_sqrt_det(sigma_tilde(state)[np.ix_(idx, idx)], row_var, patterns)
     coeffs = [f[p] * (-1) ** sum(p) for p in patterns]
     assert all(abs(c.imag) < 1e-10 for c in coeffs)
     return [min(max(c.real, 0.0), 1.0) if -CLAMP_TOL <= c.real <= 1 + CLAMP_TOL
