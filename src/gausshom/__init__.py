@@ -49,7 +49,7 @@ from .experiments import (
     sweep,
     xi_to_db,
 )
-from .jsa import PS, THZ, JsaMatrix, JsaSpec, SchmidtData, build_jsa, default_grid, schmidt_decompose
+from .jsa import PS, THZ, JsaSpec, SchmidtData, build_jsa, default_grid, schmidt_decompose
 
 __all__ = [
     "CovarianceState", "FrequencyGrid", "ModeLayout", "Transform",
@@ -59,7 +59,7 @@ __all__ = [
     "vacuum_probabilities",
     "bandpass_filter", "beam_splitter", "delay", "loss", "phase_shifter",
     "squeezer",
-    "PS", "THZ", "JsaMatrix", "JsaSpec", "SchmidtData", "build_jsa",
+    "PS", "THZ", "JsaSpec", "SchmidtData", "build_jsa",
     "default_grid", "schmidt_decompose",
     "CSV_COLUMNS", "HhomConfig", "RatioResult", "SweepResult",
     "analytic_heralded_purity", "build_hhom", "bunching",

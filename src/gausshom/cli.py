@@ -23,8 +23,8 @@ import numpy as np
 import yaml
 
 from . import experiments
-from .core import FrequencyGrid, ModeLayout, vacuum_state, apply
-from .detection import UnphysicalStateError, p_pnr, p_threshold
+from .core import FrequencyGrid, ModeLayout, Transform, vacuum_state, apply
+from .detection import DetectionPattern, UnphysicalStateError, p_pnr, probability
 from .elements import beam_splitter, delay as delay_element, loss as loss_element, squeezer
 from .experiments import (
     HhomConfig,
@@ -414,34 +414,32 @@ def run_command(config_path: str, output_dir: str) -> int:
 # verification suite
 
 
-def _verify_oracle() -> tuple[bool, str]:
-    from .fock import apply_passive_fock, fock_detection, fock_from_jsa
-    from .detection import DetectionPattern
+def _oracle_gap(f: np.ndarray, element: Transform, patterns) -> float:
+    """Largest |Gaussian - Fock| probability over ``patterns`` for the source
+    ``f`` on arms (0, 1) followed by one element.
 
-    layout = ModeLayout(2, 2)
-    grid = FrequencyGrid(0.0, 1.0, 2)
+    The Fock side evolves passively through a symplectic element and by
+    dilation through a passive (contractive) one.
+    """
+    from .fock import apply_contractive_fock, apply_passive_fock, fock_detection, fock_from_jsa
+
+    layout = element.layout
+    state = apply(apply(vacuum_state(layout), squeezer(f, 0, 1, layout)), element)
+    fock = fock_from_jsa(f, 0, 1, layout, cutoff=8)
+    if element.kind == "symplectic":
+        n = layout.n_modes
+        fock = apply_passive_fock(fock, element.matrix[:n, :n])
+    else:
+        fock = apply_contractive_fock(fock, element.matrix)
+    return max(abs(probability(state, p) - fock_detection(fock, p)) for p in patterns)
+
+
+def _verify_oracle() -> tuple[bool, str]:
     f = 0.3 * np.array([[0.8, 0.2], [0.15, 0.55]], dtype=complex)
     f *= 0.3 / np.linalg.norm(f)
-    from .jsa import JsaMatrix
-    j = JsaMatrix(f, grid, grid)
-
-    state = vacuum_state(layout)
-    state = apply(state, squeezer(j, 0, 1, layout))
-    state = apply(state, beam_splitter(0.6, (0, 1), layout))
-
-    fock = fock_from_jsa(j, 0, 1, layout, cutoff=8)
-    bs = beam_splitter(0.6, (0, 1), layout).matrix
-    n = layout.n_modes
-    fock = apply_passive_fock(fock, bs[:n, :n])
-
-    worst = 0.0
-    for counts in ((0, 0), (1, 1), (2, 0), (1, 2)):
-        pg = p_pnr(state, (0, 1), counts)
-        pf = fock_detection(fock, DetectionPattern((0, 1), counts))
-        worst = max(worst, abs(pg - pf))
-    pg = p_threshold(state, (0,), (1,))
-    pf = fock_detection(fock, DetectionPattern((0, 1), ("on", "off")))
-    worst = max(worst, abs(pg - pf))
+    patterns = [DetectionPattern((0, 1), c)
+                for c in ((0, 0), (1, 1), (2, 0), (1, 2), ("on", "off"))]
+    worst = _oracle_gap(f, beam_splitter(0.6, (0, 1), ModeLayout(2, 2)), patterns)
     return worst < 1e-6, f"max |gaussian - fock| = {worst:.2e}"
 
 
@@ -473,26 +471,9 @@ def _verify_invariants() -> tuple[bool, str]:
 
 
 def _verify_lossy_oracle() -> tuple[bool, str]:
-    from .fock import (apply_contractive_fock, fock_detection, fock_from_jsa)
-    from .detection import DetectionPattern
-    from .jsa import JsaMatrix
-
-    layout = ModeLayout(2, 1)
-    grid = FrequencyGrid(0.0, 1.0, 1)
-    j = JsaMatrix(np.array([[0.35]], dtype=complex), grid, grid)
-    state = vacuum_state(layout)
-    state = apply(state, squeezer(j, 0, 1, layout))
-    state = apply(state, loss_element(0.3, [1], layout))
-
-    fock = fock_from_jsa(j, 0, 1, layout, cutoff=8)
-    contraction = np.diag([1.0, math.sqrt(1 - 0.3)])
-    fock = apply_contractive_fock(fock, contraction)
-
-    worst = 0.0
-    for counts in ((0, 0), (1, 1), (1, 0), (2, 2)):
-        pg = p_pnr(state, (0, 1), counts)
-        pf = fock_detection(fock, DetectionPattern((0, 1), counts))
-        worst = max(worst, abs(pg - pf))
+    patterns = [DetectionPattern((0, 1), c) for c in ((0, 0), (1, 1), (1, 0), (2, 2))]
+    worst = _oracle_gap(np.array([[0.35]], dtype=complex),
+                        loss_element(0.3, [1], ModeLayout(2, 1)), patterns)
     return worst < 1e-6, f"max |gaussian - fock| with loss = {worst:.2e}"
 
 

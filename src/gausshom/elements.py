@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import FrequencyGrid, ModeLayout, Transform
-from .jsa import JsaMatrix, schmidt_decompose
+from .jsa import schmidt_decompose
 
 
 def _unitary_symplectic(alpha: np.ndarray, modes: Sequence[int],
@@ -29,21 +29,22 @@ def _unitary_symplectic(alpha: np.ndarray, modes: Sequence[int],
     return Transform("symplectic", block, layout, tuple(modes))
 
 
-def squeezer(j: JsaMatrix, signal_spatial: int, idler_spatial: int,
+def squeezer(f: np.ndarray, signal_spatial: int, idler_spatial: int,
              layout: ModeLayout) -> Transform:
     """Multimode two-mode squeezer pumping the (signal, idler) spatial pair.
 
-    Built in the Schmidt basis, where it is a stack of independent two-mode
-    squeezers with strengths equal to the singular values of the JSA, then
-    rotated back to the frequency-bin basis.
+    ``f`` is the n_f x n_f JSA matrix that ``build_jsa`` returns.  Built in
+    the Schmidt basis, where it is a stack of independent two-mode squeezers
+    with strengths equal to the singular values of ``f``, then rotated back
+    to the frequency-bin basis.
     """
     if signal_spatial == idler_spatial:
         raise ValueError("signal and idler must be distinct spatial modes")
     nf = layout.n_spectral
-    if j.f.shape != (nf, nf):
+    if np.shape(f) != (nf, nf):
         raise ValueError("JSA matrix size does not match the spectral bin count")
 
-    sd = schmidt_decompose(j)
+    sd = schmidt_decompose(f)
     c = np.diag(np.cosh(sd.values))
     s = np.diag(np.sinh(sd.values))
     z = np.zeros((nf, nf))
@@ -116,8 +117,8 @@ def loss(epsilon: float, spatial_modes: Sequence[int], layout: ModeLayout) -> Tr
 
 def _passband(nu0: float, half_width: float, grid: FrequencyGrid) -> np.ndarray:
     """Bins of ``grid`` whose center frequency lies in [nu0 - hw, nu0 + hw], as 0/1."""
-    if not half_width > 0:
-        raise ValueError("filter half-width must be positive")
+    if not 0 < half_width < np.inf:
+        raise ValueError("filter half-width must be positive and finite")
     if not np.isfinite(nu0):
         raise ValueError("filter center must be finite")
     freqs = grid.frequencies()

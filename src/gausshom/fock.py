@@ -17,10 +17,11 @@ import numpy as np
 
 from .core import ModeLayout
 from .detection import DetectionPattern
-from .jsa import JsaMatrix, schmidt_decompose
+from .jsa import schmidt_decompose
 
 PRUNE_TOL = 1e-10
 SCHMIDT_TOL = 1e-8
+DILATION_TOL = 1e-12
 
 
 @dataclass
@@ -64,9 +65,10 @@ def _apply_creation(amps: dict, coeffs: np.ndarray) -> dict:
     return out
 
 
-def fock_from_jsa(j: JsaMatrix, signal_spatial: int, idler_spatial: int,
+def fock_from_jsa(f: np.ndarray, signal_spatial: int, idler_spatial: int,
                   layout: ModeLayout, cutoff: int = 6) -> FockState:
-    """Two-mode-squeezed state of a source, expanded in its Schmidt basis.
+    """Two-mode-squeezed state of the n_f x n_f JSA ``f``, expanded in its
+    Schmidt basis.
 
     ``cutoff`` bounds the total number of photon pairs kept; the norm
     deficit is the squeezed-state tail beyond it.
@@ -74,9 +76,9 @@ def fock_from_jsa(j: JsaMatrix, signal_spatial: int, idler_spatial: int,
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
     nf = layout.n_spectral
-    if j.f.shape != (nf, nf):
+    if np.shape(f) != (nf, nf):
         raise ValueError("JSA matrix size does not match the spectral bin count")
-    sd = schmidt_decompose(j)
+    sd = schmidt_decompose(f)
     lam = sd.values[sd.values > SCHMIDT_TOL]
     n_modes_kept = len(lam)
 
@@ -152,12 +154,17 @@ def apply_passive_fock(state: FockState, alpha: np.ndarray) -> FockState:
 
 
 def _unitary_dilation(u: np.ndarray) -> np.ndarray:
-    """2n x 2n unitary whose top-left block is the contraction u."""
+    """2n x 2n unitary [[u, c], [-c, u]] whose top-left block is the contraction u.
+
+    c = p sqrt(1 - s^2) qh from the SVD u = p s qh.  Singular values within
+    DILATION_TOL of 1 get an exact zero complement: the SVD returns 1 - eps
+    for them, and sqrt(1 - s^2) would add ancilla couplings of ~1e-8 that
+    the exact dilation lacks.
+    """
     p, s, qh = np.linalg.svd(u)
-    comp = np.sqrt(np.clip(1 - s ** 2, 0, None))
-    top = np.hstack([p @ np.diag(s) @ qh, p @ np.diag(comp) @ qh])
-    bot = np.hstack([-p @ np.diag(comp) @ qh, p @ np.diag(s) @ qh])
-    return np.vstack([top, bot])
+    comp = np.where(s >= 1 - DILATION_TOL, 0.0, np.sqrt(np.clip(1 - s ** 2, 0, None)))
+    c = p @ np.diag(comp) @ qh
+    return np.block([[u, c], [-c, u]])
 
 
 def apply_contractive_fock(state: FockState, u: np.ndarray) -> FockState:

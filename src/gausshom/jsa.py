@@ -1,5 +1,9 @@
 """Joint-spectral-amplitude models, discretization and Schmidt decomposition.
 
+A sampled JSA is a plain complex n_f x n_f array: row k is signal bin k,
+column l is idler bin l, and its Frobenius norm is the squeezing parameter
+xi.  ``squeezer`` and ``fock_from_jsa`` take it as is.
+
 All frequencies are angular (rad/s).  Helpers are provided to convert from
 the units experimentalists quote (THz for bandwidths and centers, ps for
 delays and walk-off lengths).
@@ -67,29 +71,6 @@ class JsaSpec:
 
 
 @dataclass(frozen=True)
-class JsaMatrix:
-    """Discretized JSA: row = signal bin, column = idler bin.
-
-    Normalized so that the Frobenius norm equals the squeezing parameter,
-    making the singular values the per-Schmidt-mode squeezing strengths.
-    """
-
-    f: np.ndarray = field(repr=False)
-    grid_signal: FrequencyGrid
-    grid_idler: FrequencyGrid
-
-    def __post_init__(self):
-        f = np.asarray(self.f, dtype=complex)
-        if f.shape != (self.grid_signal.n_bins, self.grid_idler.n_bins):
-            raise ValueError("JSA matrix shape does not match the grids")
-        object.__setattr__(self, "f", f)
-
-    @property
-    def xi(self) -> float:
-        return float(np.linalg.norm(self.f))
-
-
-@dataclass(frozen=True)
 class SchmidtData:
     """SVD of a JSA matrix: f = u @ diag(values) @ vh."""
 
@@ -128,10 +109,13 @@ def _lobe(offsets: np.ndarray, center: float, width: float) -> np.ndarray:
     return np.exp(-0.5 * ((offsets - center) / width) ** 2)
 
 
-def build_jsa(spec: JsaSpec, grid_signal: FrequencyGrid) -> JsaMatrix:
-    """Sample a JSA model and normalize it to the spec's xi.
+def build_jsa(spec: JsaSpec, grid_signal: FrequencyGrid) -> np.ndarray:
+    """Sample a JSA model on ``grid_signal`` and normalize it to the spec's xi.
 
-    The idler grid is the signal grid moved to the spec's idler center.
+    Returns the complex n_f x n_f matrix f with rows on the signal bins and
+    columns on the idler bins, the signal grid moved to the spec's idler
+    center.  Its Frobenius norm is xi, so its singular values are the
+    per-Schmidt-mode squeezing strengths.
     """
     grid_idler = FrequencyGrid(spec.idler_center, grid_signal.step, grid_signal.n_bins)
     if grid_signal.step > spec.zeta / 4:
@@ -163,12 +147,14 @@ def build_jsa(spec: JsaSpec, grid_signal: FrequencyGrid) -> JsaMatrix:
     norm = np.linalg.norm(f)
     if norm == 0:
         raise ValueError("JSA vanishes on this grid")
-    return JsaMatrix(spec.xi * f / norm, grid_signal, grid_idler)
+    return (spec.xi * f / norm).astype(complex)
 
 
-def schmidt_decompose(j: JsaMatrix) -> SchmidtData:
-    """Singular value decomposition with descending singular values."""
-    if not np.all(np.isfinite(j.f)):
+def schmidt_decompose(f: np.ndarray) -> SchmidtData:
+    """SVD of a JSA matrix ``f``, taken in complex arithmetic, with descending
+    singular values."""
+    f = np.asarray(f, dtype=complex)
+    if not np.all(np.isfinite(f)):
         raise ValueError("JSA matrix contains non-finite entries")
-    u, s, vh = np.linalg.svd(j.f)
+    u, s, vh = np.linalg.svd(f)
     return SchmidtData(s, u, vh)

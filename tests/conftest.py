@@ -49,7 +49,6 @@ from gausshom.fock import (
     fock_from_jsa,
     fock_vacuum,
 )
-from gausshom.jsa import JsaMatrix
 
 
 def symplectic_from_hamiltonian(h: np.ndarray, layout: ModeLayout) -> Transform:
@@ -71,7 +70,7 @@ def element_transform(op, grid: FrequencyGrid, layout: ModeLayout):
     kind = op[0]
     if kind == "squeeze":
         _, f, sig, idl = op
-        return squeezer(JsaMatrix(f, grid, grid), sig, idl, layout)
+        return squeezer(f, sig, idl, layout)
     if kind == "bs":
         return beam_splitter(op[1], op[2], layout)
     if kind == "phase":
@@ -121,7 +120,7 @@ def run_fock(layout: ModeLayout, grid: FrequencyGrid, ops,
     state = fock_vacuum(layout)
     for op in ops[:n_sources]:
         _, f, sig, idl = op
-        src = fock_from_jsa(JsaMatrix(f, grid, grid), sig, idl, layout, cutoff)
+        src = fock_from_jsa(f, sig, idl, layout, cutoff)
         state = combine(state, src)
 
     rest = ops[n_sources:]

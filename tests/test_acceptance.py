@@ -41,7 +41,7 @@ from gausshom.experiments import (
     sweep,
 )
 from gausshom.fock import fock_detection
-from gausshom.jsa import JsaMatrix, JsaSpec, build_jsa, schmidt_decompose
+from gausshom.jsa import JsaSpec, build_jsa, schmidt_decompose
 
 from conftest import compare_circuit, random_jsa, run_fock, run_gaussian
 
@@ -149,7 +149,7 @@ def test_oracle_equivalence_randomized():
 @pytest.mark.parametrize("lam", [0.2, 0.5, 0.9])
 def test_two_mode_squeezer_closed_forms(lam):
     layout = ModeLayout(2, 1)
-    j = JsaMatrix(np.array([[lam]], dtype=complex), grid_of(1), grid_of(1))
+    j = np.array([[lam]], dtype=complex)
     state = apply(vacuum_state(layout), squeezer(j, 0, 1, layout))
     sech2 = 1 / math.cosh(lam) ** 2
     t2 = math.tanh(lam) ** 2
@@ -310,7 +310,7 @@ def test_every_element_is_symplectic_or_contractive(rng):
     k = layout.metric()
     f = random_jsa(rng, 3, 0.5)
     unitaries = [
-        squeezer(JsaMatrix(f, grid, grid), 0, 1, layout),
+        squeezer(f, 0, 1, layout),
         beam_splitter(0.9, (0, 1), layout),
         phase_shifter(0.4, 1, layout),
         delay(1.7, 0, grid, layout),
@@ -327,8 +327,7 @@ def test_pure_path_determinant_is_one(rng):
     layout = ModeLayout(2, 2)
     grid = grid_of(2)
     state = vacuum_state(layout)
-    state = apply(state, squeezer(JsaMatrix(random_jsa(rng, 2, 0.5), grid, grid),
-                                  0, 1, layout))
+    state = apply(state, squeezer(random_jsa(rng, 2, 0.5), 0, 1, layout))
     state = apply(state, beam_splitter(0.3, (0, 1), layout))
     state = apply(state, delay(0.5, 1, grid, layout))
     assert abs(np.linalg.det(state.sigma) - 1) < 1e-8
@@ -343,10 +342,8 @@ def test_single_pair_probability_angle_invariance():
 
 def test_exhaustive_pattern_sum(rng):
     layout = ModeLayout(2, 2)
-    grid = grid_of(2)
     state = vacuum_state(layout)
-    state = apply(state, squeezer(JsaMatrix(random_jsa(rng, 2, 0.3), grid, grid),
-                                  0, 1, layout))
+    state = apply(state, squeezer(random_jsa(rng, 2, 0.3), 0, 1, layout))
     state = apply(state, loss(0.35, [0], layout))
     total = sum(p_pnr(state, (0, 1), (a, b))
                 for a in range(7) for b in range(7))

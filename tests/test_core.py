@@ -20,7 +20,6 @@ from gausshom.elements import (
     phase_shifter,
     squeezer,
 )
-from gausshom.jsa import JsaMatrix
 
 from conftest import dense_apply, sigma_tilde, symplectic_from_hamiltonian
 
@@ -181,9 +180,8 @@ def test_phase_shifter_leaves_probabilities_invariant():
     """Global phase on a detected mode cannot change photon statistics."""
     from gausshom.detection import p_pnr
     lay = ModeLayout(2, 1)
-    grid = FrequencyGrid(0.0, 1.0, 1)
     f = np.array([[0.3]], dtype=complex)
-    state = apply(vacuum_state(lay), squeezer(JsaMatrix(f, grid, grid), 0, 1, lay))
+    state = apply(vacuum_state(lay), squeezer(f, 0, 1, lay))
     rotated = apply(state, phase_shifter(1.234, 0, lay))
     for counts in ((0, 0), (1, 1), (2, 2)):
         assert p_pnr(state, (0, 1), counts) == pytest.approx(
@@ -196,7 +194,7 @@ def _generic_state(layout, grid, rng):
     n = layout.n_spatial
     for a in range(0, n - 1, 2):
         f = rng.normal(size=(grid.n_bins,) * 2) + 1j * rng.normal(size=(grid.n_bins,) * 2)
-        j = JsaMatrix(0.4 * f / np.linalg.norm(f), grid, grid)
+        j = 0.4 * f / np.linalg.norm(f)
         state = apply(state, squeezer(j, a, a + 1, layout))
     for a in range(n - 1):
         state = apply(state, beam_splitter(0.3 + 0.1 * a, (a, a + 1), layout))
@@ -210,7 +208,7 @@ def test_blockwise_apply_matches_dense_product(n_spatial):
     lay = ModeLayout(n_spatial, 3)
     state = _generic_state(lay, grid, rng)
     f = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    j = JsaMatrix(0.5 * f / np.linalg.norm(f), grid, grid)
+    j = 0.5 * f / np.linalg.norm(f)
     a, b = (rng.normal(size=(lay.n_modes,) * 2) + 1j * rng.normal(size=(lay.n_modes,) * 2)
             for _ in range(2))
     # Hermitian with the conjugate block structure [[A, B], [B*, A*]]
@@ -292,7 +290,7 @@ def test_stored_blocks_and_states_are_float64():
     grid = FrequencyGrid(0.0, 1.0, 3)
     lay = ModeLayout(4, 3)
     f = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    jsa = JsaMatrix(0.5 * f / np.linalg.norm(f), grid, grid)
+    jsa = 0.5 * f / np.linalg.norm(f)
     transforms = [squeezer(jsa, 0, 1, lay), squeezer(jsa, 3, 2, lay),
                   beam_splitter(0.4, (1, 2), lay), phase_shifter(0.7, 3, lay),
                   delay(1.3, 1, grid, lay), loss(0.2, [0, 2], lay),

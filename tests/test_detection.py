@@ -26,7 +26,7 @@ from gausshom.detection import (
 )
 from gausshom.elements import beam_splitter, loss, squeezer
 from gausshom.experiments import HhomConfig, build_hhom
-from gausshom.jsa import JsaMatrix, JsaSpec
+from gausshom.jsa import JsaSpec
 
 from conftest import random_jsa
 
@@ -37,7 +37,7 @@ def grid_of(n_bins):
 
 def tms_state(lam, lay=None):
     lay = lay or ModeLayout(2, 1)
-    j = JsaMatrix(np.array([[lam]], dtype=complex), grid_of(1), grid_of(1))
+    j = np.array([[lam]], dtype=complex)
     return apply(vacuum_state(lay), squeezer(j, 0, 1, lay))
 
 
@@ -128,7 +128,7 @@ def test_pnr_two_mode_squeezed_closed_form():
     lams = (0.7, 0.45)
     state = vacuum_state(lay)
     for (sig, idl), lam in zip(((0, 1), (2, 3)), lams):
-        j = JsaMatrix(np.array([[lam]], dtype=complex), grid_of(1), grid_of(1))
+        j = np.array([[lam]], dtype=complex)
         state = apply(state, squeezer(j, sig, idl, lay))
     patterns = [(3, 3, 3, 3), (2, 2, 4, 4)]
     for (n1, _, n2, _), p in zip(patterns, p_pnr(state, (0, 1, 2, 3), patterns)):
@@ -165,7 +165,7 @@ def test_pnr_pattern_list_shares_one_expansion(rng):
     lay = ModeLayout(4, n_f)
     state = vacuum_state(lay)
     for sig, idl in ((0, 1), (3, 2)):
-        j = JsaMatrix(random_jsa(rng, n_f, 0.5), grid_of(n_f), grid_of(n_f))
+        j = random_jsa(rng, n_f, 0.5)
         state = apply(state, squeezer(j, sig, idl, lay))
     state = apply(state, beam_splitter(0.6, (1, 2), lay))
     state = apply(state, loss(0.2, [2], lay))
@@ -182,8 +182,7 @@ def test_pnr_multimode_marginalizes_spectral_bins(rng):
     """A detector sums over its spectral bins: rotating them is invisible."""
     n_f = 2
     lay = ModeLayout(2, n_f)
-    f = random_jsa(rng, n_f, 0.4)
-    j = JsaMatrix(f, grid_of(n_f), grid_of(n_f))
+    j = random_jsa(rng, n_f, 0.4)
     state = apply(vacuum_state(lay), squeezer(j, 0, 1, lay))
     probs = [p_pnr(state, (0, 1), (n, n)) for n in range(3)]
     # same state with the signal's spectral bins mixed by a phase rotation
@@ -290,8 +289,7 @@ def test_probability_dispatch():
 def test_exhaustive_pnr_sums_to_one(rng):
     n_f = 2
     lay = ModeLayout(2, n_f)
-    f = random_jsa(rng, n_f, 0.3)
-    j = JsaMatrix(f, grid_of(n_f), grid_of(n_f))
+    j = random_jsa(rng, n_f, 0.3)
     state = apply(vacuum_state(lay), squeezer(j, 0, 1, lay))
     state = apply(state, loss(0.2, [1], lay))
     total = sum(p_pnr(state, (0, 1), (a, b))

@@ -592,8 +592,8 @@ def test_distinguishable_four_fold_matches_fock_oracle(detector):
     source_b = dataclasses.replace(source_a, xi=0.2)
     config = HhomConfig(source_a, source_b, grid, loss=(0.0, 0.2, 0.15, 0.0),
                         detector=detector)
-    ops = [("squeeze", build_jsa(source_a, grid).f, 0, 1),
-           ("squeeze", build_jsa(source_b, grid).f, 3, 2)]
+    ops = [("squeeze", build_jsa(source_a, grid), 0, 1),
+           ("squeeze", build_jsa(source_b, grid), 3, 2)]
     ops += [("loss", config.loss[mode], (mode,)) for mode in experiments.IDLER_MODES]
     ops += [("bs", math.pi / 4, modes) for modes in ANCILLA_SPLITTERS]
     fock = run_fock(ModeLayout(6, 1), grid, ops, cutoff=6)

@@ -13,8 +13,9 @@ from gausshom.fock import (
     fock_detection,
     fock_from_jsa,
     fock_vacuum,
+    _unitary_dilation,
 )
-from gausshom.jsa import JsaMatrix, schmidt_decompose
+from gausshom.jsa import schmidt_decompose
 
 from conftest import compare_circuit, random_jsa
 
@@ -32,7 +33,7 @@ def test_vacuum_state():
 
 def test_source_norm_approaches_one_with_cutoff():
     lay = ModeLayout(2, 1)
-    j = JsaMatrix(np.array([[0.5]], dtype=complex), grid_of(1), grid_of(1))
+    j = np.array([[0.5]], dtype=complex)
     norms = [fock_from_jsa(j, 0, 1, lay, cutoff=c).norm_squared()
              for c in (1, 3, 8)]
     assert norms[0] < norms[1] < norms[2]
@@ -44,7 +45,7 @@ def test_source_norm_approaches_one_with_cutoff():
 def test_source_amplitudes_single_schmidt_mode():
     lam = 0.4
     lay = ModeLayout(2, 1)
-    j = JsaMatrix(np.array([[lam]], dtype=complex), grid_of(1), grid_of(1))
+    j = np.array([[lam]], dtype=complex)
     state = fock_from_jsa(j, 0, 1, lay, cutoff=4)
     for n in range(5):
         amp = state.amplitudes.get((n, n), 0.0)
@@ -62,7 +63,7 @@ def test_combine_rejects_overlap():
 
 def test_passive_fock_preserves_norm(rng):
     lay = ModeLayout(2, 1)
-    j = JsaMatrix(np.array([[0.3]], dtype=complex), grid_of(1), grid_of(1))
+    j = np.array([[0.3]], dtype=complex)
     state = fock_from_jsa(j, 0, 1, lay, cutoff=6)
     q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     rotated = apply_passive_fock(state, q)
@@ -71,7 +72,7 @@ def test_passive_fock_preserves_norm(rng):
 
 def test_contractive_fock_adds_ancillas():
     lay = ModeLayout(2, 1)
-    j = JsaMatrix(np.array([[0.3]], dtype=complex), grid_of(1), grid_of(1))
+    j = np.array([[0.3]], dtype=complex)
     state = fock_from_jsa(j, 0, 1, lay, cutoff=6)
     lossy = apply_contractive_fock(state, np.diag([1.0, 0.8]))
     assert lossy.layout.n_spatial == 4
@@ -81,10 +82,22 @@ def test_contractive_fock_adds_ancillas():
         apply_contractive_fock(state, 1.2 * np.eye(2))
 
 
+def test_dilation_couples_only_the_lossy_direction(rng):
+    """V diag(1, 1, 1, sqrt(0.7)) W loses in one direction only: the exact
+    dilation couples one ancilla direction, not four of size ~1e-8."""
+    n = 4
+    for _ in range(20):
+        v, w = (np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+                for _ in range(2))
+        dil = _unitary_dilation(v @ np.diag([1, 1, 1, np.sqrt(0.7)]) @ w)
+        assert np.linalg.matrix_rank(dil[n:, :n], tol=1e-12) == 1
+        np.testing.assert_allclose(dil @ dil.conj().T, np.eye(2 * n), rtol=0, atol=1e-14)
+
+
 def test_detection_marginalizes_ancillas():
     lay = ModeLayout(2, 1)
     lam = 0.4
-    j = JsaMatrix(np.array([[lam]], dtype=complex), grid_of(1), grid_of(1))
+    j = np.array([[lam]], dtype=complex)
     state = fock_from_jsa(j, 0, 1, lay, cutoff=8)
     eps = 0.35
     lossy = apply_contractive_fock(state, np.diag([1.0, np.sqrt(1 - eps)]))
@@ -135,8 +148,7 @@ def test_conditional_idler_matrix_purity_matches_schmidt(rng):
     from gausshom.experiments import analytic_heralded_purity
     n_f = 2
     lay = ModeLayout(2, n_f)
-    f = random_jsa(rng, n_f, 0.35)
-    j = JsaMatrix(f, grid_of(n_f), grid_of(n_f))
+    j = random_jsa(rng, n_f, 0.35)
     state = fock_from_jsa(j, 0, 1, lay, cutoff=6)
     rho = conditional_idler_matrix(state, 0, 1)
     rho = rho / np.trace(rho)

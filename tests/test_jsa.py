@@ -6,11 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from gausshom.core import FrequencyGrid
+from gausshom.core import FrequencyGrid, ModeLayout
+from gausshom.elements import squeezer
+from gausshom.fock import fock_from_jsa
 from gausshom.jsa import (
     PS,
     THZ,
-    JsaMatrix,
     JsaSpec,
     SchmidtData,
     build_jsa,
@@ -67,7 +68,7 @@ def test_frobenius_norm_equals_xi():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             j = build_jsa(spec, make_grid(spec, n_bins=n_bins))
-        assert j.xi == pytest.approx(0.37, abs=1e-12)
+        assert np.linalg.norm(j) == pytest.approx(0.37, abs=1e-12)
 
 
 def test_waveguide_is_spectrally_impure():
@@ -112,21 +113,24 @@ def test_schmidt_reconstruction():
     j = build_jsa(spec, grid)
     sd = schmidt_decompose(j)
     reconstructed = (sd.u * sd.values) @ sd.vh
-    assert np.linalg.norm(reconstructed - j.f) < 1e-10 * np.linalg.norm(j.f)
+    assert np.linalg.norm(reconstructed - j) < 1e-10 * np.linalg.norm(j)
     assert np.all(np.diff(sd.values) <= 0)
 
 
 def test_schmidt_decompose_rejects_non_finite():
-    grid = FrequencyGrid(0.0, 1.0, 2)
     f = np.array([[np.nan, 0], [0, 0]], dtype=complex)
     with pytest.raises(ValueError, match="finite"):
-        schmidt_decompose(JsaMatrix(f, grid, grid))
+        schmidt_decompose(f)
 
 
-def test_matrix_shape_validation():
-    grid = FrequencyGrid(0.0, 1.0, 3)
-    with pytest.raises(ValueError):
-        JsaMatrix(np.zeros((2, 2)), grid, grid)
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 3), (3,)])
+def test_jsa_shape_must_match_the_layout(shape):
+    layout = ModeLayout(2, 3)
+    f = np.full(shape, 0.1, dtype=complex)
+    with pytest.raises(ValueError, match="spectral bin count"):
+        squeezer(f, 0, 1, layout)
+    with pytest.raises(ValueError, match="spectral bin count"):
+        fock_from_jsa(f, 0, 1, layout)
 
 
 def test_default_grid_resolves_bandwidth():
@@ -142,7 +146,7 @@ def test_default_grid_step_fits_waveguide_bandwidth():
     grid = default_grid(spec)
     assert grid.step == spec.zeta / 4
     j = build_jsa(spec, grid)
-    assert j.f.shape == (41, 41)
+    assert j.shape == (41, 41)
     # a grid that was already fine enough is unchanged
     fine = default_grid(spec, n_bins=101)
     assert fine.step == 2 * 4.0 * (2 * np.pi / spec.walkoff) / 100
