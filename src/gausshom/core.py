@@ -240,6 +240,23 @@ class Transform:
         return out
 
 
+def _symmetrized(v: np.ndarray) -> np.ndarray:
+    """(V + V^T) / 2 of a real matrix that is symmetric to ``HERMITICITY_TOL``.
+
+    Raises ``ValueError`` otherwise; written so that a NaN anywhere fails
+    the check.
+    """
+    # V^T as a contiguous copy, so the passes below stream through memory
+    v_t = v.T.copy()
+    symmetric = v + v_t
+    symmetric *= 0.5
+    v_t -= v
+    residual = np.max(np.abs(v_t, out=v_t), initial=0.0)
+    if not residual <= HERMITICITY_TOL * max(1.0, np.linalg.norm(v)):
+        raise ValueError(f"covariance matrix is not symmetric (residual {residual:.2e})")
+    return symmetric
+
+
 @dataclass(frozen=True)
 class CovarianceState:
     """Vacuum-normalized covariance matrix V = Re(Q sigma Q^dag), real (x, p) basis."""
@@ -255,17 +272,8 @@ class CovarianceState:
         v = np.asarray(self.v, dtype=float)
         if v.shape != (2 * n, 2 * n):
             raise ValueError(f"covariance matrix must be {2 * n}x{2 * n}")
-        # V^T as a contiguous copy, so the passes below stream through memory
-        v_t = v.T.copy()
         # re-symmetrize to bound drift over long circuits
-        symmetric = v + v_t
-        symmetric *= 0.5
-        v_t -= v
-        residual = np.max(np.abs(v_t, out=v_t))
-        # written so that a NaN anywhere fails the check
-        if not residual <= HERMITICITY_TOL * max(1.0, np.linalg.norm(v)):
-            raise ValueError(f"covariance matrix is not symmetric (residual {residual:.2e})")
-        object.__setattr__(self, "v", symmetric)
+        object.__setattr__(self, "v", _symmetrized(v))
 
     @classmethod
     def from_sigma(cls, layout: ModeLayout, sigma: np.ndarray) -> CovarianceState:

@@ -17,20 +17,24 @@ mode, so nested subsets share their factorizations.
 
 Number-resolved probabilities are mixed Taylor coefficients of
 det(1 + T sigma_tilde T / 2)^(-1/2) about t = 1, where sigma_tilde is V - 1
-on the detected rows.  Those come from one dense solve,
-Z = (1 + S)^-1 S with S = sigma_tilde / 2, and the power-trace expansion
-of log det(1 + Z D(s)) over the detector variables s.  Its coefficients
-are traces of cyclic words over the per-detector blocks of Z: by rotation,
-only the words that end in one start detector per multi-index are summed,
-each as the product of two half-length block paths, the second read
-reversed through the Hermitian symmetry of Z.  The expansion is a dict
-keyed by multi-index that holds only the multi-indices at or below the
-requested count patterns; ``series.exp`` exponentiates it on those
-multi-indices by the power-series recurrence.  A spatial detector sums
-over all of its arm's spectral modes, whether those are frequency bins or
-an orthonormal basis of the modes the arm occupies (``ModeLayout``); every
-quantity here is the same in either, and there is no per-mode detection
-API.
+on the detected rows.  The expansion has two halves.  The first
+(``pnr_factor``) is one Cholesky factorization and one dense solve: it
+gives log det(1 + S) and Z = (1 + S)^-1 S with S = sigma_tilde / 2.  The
+second (``pnr_series``) is the power-trace expansion of log det(1 + Z D(s))
+over the detector variables s, from that pair and the variable of each
+row; a caller that knows Z of a rotated state (``experiments``) passes it
+straight in.  ``series_inv_sqrt_det`` and ``p_pnr`` run both halves in
+turn.  The coefficients are traces of cyclic words over the per-detector
+blocks of Z: by rotation, only the words that end in one start detector
+per multi-index are summed, each as the product of two half-length block
+paths, the second read reversed through the Hermitian symmetry of Z.  The
+expansion is a dict keyed by multi-index that holds only the
+multi-indices at or below the requested count patterns; ``series.exp``
+exponentiates it on those multi-indices by the power-series recurrence.
+A spatial detector sums over all of its arm's spectral modes, whether
+those are frequency bins or an orthonormal basis of the modes the arm
+occupies (``ModeLayout``); every quantity here is the same in either, and
+there is no per-mode detection API.
 """
 
 from __future__ import annotations
@@ -289,6 +293,56 @@ def _path(blocks, memo: dict, a: int, b: int, k: tuple) -> np.ndarray:
     return memo[key]
 
 
+def pnr_factor(sigma_tilde: np.ndarray) -> tuple:
+    """log det(1 + S) and Z = (1 + S)^-1 S for S = sigma_tilde / 2.
+
+    The first half of ``series_inv_sqrt_det``: the one factorization and
+    solve that an expansion needs.  The determinant comes from the Cholesky
+    factor of 1 + S, which fails unless 1 + S is positive definite; a NaN
+    can pass the factorization, so the log-determinant must also be finite.
+    Real input gives a real Z, complex Hermitian input a complex one.
+    """
+    s_half = 0.5 * sigma_tilde
+    one_plus_s = np.eye(s_half.shape[0]) + s_half
+    try:
+        logdet = 2 * np.sum(np.log(np.diagonal(np.linalg.cholesky(one_plus_s)).real))
+    except np.linalg.LinAlgError:
+        logdet = np.nan
+    if not np.isfinite(logdet):
+        raise UnphysicalStateError(
+            "determinant constant term det(1 + sigma_tilde / 2) is not positive and finite")
+    return logdet, np.linalg.solve(one_plus_s, s_half)
+
+
+def pnr_series(logdet: float, z: np.ndarray, row_variable: np.ndarray,
+               patterns: Sequence[Sequence[int]]) -> dict:
+    """Taylor expansion of det(1 + S)^(-1/2) det(1 + Z D(s))^(-1/2) about s = 0.
+
+    The second half of ``series_inv_sqrt_det``, from ``pnr_factor``'s
+    (log det(1 + S), Z).  ``row_variable[a]`` names the series variable
+    of row/column ``a`` of Z, and the result maps every multi-index at or
+    below one of ``patterns`` to its coefficient.  For an orthogonal O,
+    S' = O S O^T has det(1 + S') = det(1 + S) and Z' = O Z O^T, so a
+    caller that rotates a factored state (the beam-splitter in
+    ``experiments``) passes O Z O^T with the same log-determinant.
+    """
+    patterns = tuple(tuple(p) for p in patterns)
+    zero = (0,) * len(patterns[0])
+    # group the rows by variable, so that every block Z_ab is a slice
+    order = np.argsort(row_variable, kind="stable")
+    ends = np.searchsorted(row_variable[order], np.arange(len(zero) + 1))
+    z = z[np.ix_(order, order)]
+    blocks = [[z[ends[a]:ends[a + 1], ends[b]:ends[b + 1]] for b in range(len(zero))]
+              for a in range(len(zero))]
+
+    logser, memo = {zero: logdet}, {}
+    for m, a, weight, halves in _power_plan(patterns):
+        words = sum(np.vdot(_path(blocks, memo, a, b, k2), _path(blocks, memo, a, b, k1))
+                    for b, k1, k2 in halves) if halves else np.trace(blocks[a][a])
+        logser[m] = weight * words
+    return series.exp({m: -0.5 * g for m, g in logser.items()})
+
+
 def series_inv_sqrt_det(sigma_tilde: np.ndarray, row_variable: np.ndarray,
                         patterns: Sequence[Sequence[int]]) -> dict:
     """Taylor expansion of det(1 + T sigma_tilde T / 2)^(-1/2) about t = 1.
@@ -304,46 +358,25 @@ def series_inv_sqrt_det(sigma_tilde: np.ndarray, row_variable: np.ndarray,
     With S = sigma_tilde / 2 and T^2 = 1 + D(s), D the diagonal of row
     variables, Sylvester's identity gives
     det(1 + T S T) = det(1 + S) det(1 + Z D) with Z = (1 + S)^-1 S, where
-    det(1 + S) comes from the Cholesky factor of 1 + S, and
+    det(1 + S) comes from the Cholesky factor of 1 + S (``pnr_factor``), and
     log det(1 + Z D) = sum_j (-1)^(j+1) / j tr((Z D)^j) is exact up to the
-    total order.  Its s^m term, |m| = j, sums the traces of the cyclic
-    words Z_(v1 v2) Z_(v2 v3) ... Z_(vj v1) of the blocks Z_ab = P_a Z P_b
-    whose letters have counts m.  Rotating a word keeps its trace, so that
-    sum is j / m_a times the sum over the words that end in a, the first
-    variable with m_a > 0.  Each of those is a closed path from a, split
-    after ceil(j/2) steps at some b into two half paths; path products are
-    memoized by (start, end, arrival counts).  Z is Hermitian, so the
-    second half is the conjugate transpose of a path a -> b, and each
-    trace is one ``np.vdot``.  ``series.exp`` then exponentiates the
+    total order (``pnr_series``).  Its s^m term, |m| = j, sums the traces
+    of the cyclic words Z_(v1 v2) Z_(v2 v3) ... Z_(vj v1) of the blocks
+    Z_ab = P_a Z P_b whose letters have counts m.  Rotating a word keeps its
+    trace, so that sum is j / m_a times the sum over the words that end in
+    a, the first variable with m_a > 0.  Each of those is a closed path
+    from a, split after ceil(j/2) steps at some b into two half paths; path
+    products are memoized by (start, end, arrival counts).  Z is Hermitian,
+    so the second half is the conjugate transpose of a path a -> b, and
+    each trace is one ``np.vdot``.  ``series.exp`` then exponentiates the
     log-series on the same multi-indices.
     """
-    patterns = tuple(tuple(p) for p in patterns)
-    n2 = sigma_tilde.shape[0]
-    s_half = 0.5 * sigma_tilde
-    one_plus_s = np.eye(n2) + s_half
-    try:
-        # a NaN can pass the factorization, so the log-determinant is checked too
-        logdet = 2 * np.sum(np.log(np.diagonal(np.linalg.cholesky(one_plus_s)).real))
-    except np.linalg.LinAlgError:
-        logdet = np.nan
-    if not np.isfinite(logdet):
-        raise UnphysicalStateError(
-            "determinant constant term det(1 + sigma_tilde / 2) is not positive and finite")
-    z = np.linalg.solve(one_plus_s, s_half)
-    zero = (0,) * len(patterns[0])
-    # group the rows by variable, so that every block Z_ab is a slice
-    order = np.argsort(row_variable, kind="stable")
-    ends = np.searchsorted(row_variable[order], np.arange(len(zero) + 1))
-    z = z[np.ix_(order, order)]
-    blocks = [[z[ends[a]:ends[a + 1], ends[b]:ends[b + 1]] for b in range(len(zero))]
-              for a in range(len(zero))]
+    return pnr_series(*pnr_factor(sigma_tilde), row_variable, patterns)
 
-    logser, memo = {zero: logdet}, {}
-    for m, a, weight, halves in _power_plan(patterns):
-        words = sum(np.vdot(_path(blocks, memo, a, b, k2), _path(blocks, memo, a, b, k1))
-                    for b, k1, k2 in halves) if halves else np.trace(blocks[a][a])
-        logser[m] = weight * words
-    return series.exp({m: -0.5 * g for m, g in logser.items()})
+
+def _count_probabilities(f: dict, patterns: Sequence[tuple], label: str) -> list[float]:
+    """P(n) = (-1)^|n| times the s^n coefficient of an expansion about t = 1, range-checked."""
+    return [_clamp(float(f[n].real) * (-1) ** sum(n), label) for n in patterns]
 
 
 def p_pnr(state: CovarianceState, spatial_modes: Sequence[int], counts: Sequence):
@@ -370,8 +403,7 @@ def p_pnr(state: CovarianceState, spatial_modes: Sequence[int], counts: Sequence
     var_of_mode = np.array([v for v, g in enumerate(groups) for _ in g])
     row_var = np.concatenate([np.repeat(var_of_mode, state.layout.n_spectral)] * 2)
     f = series_inv_sqrt_det(_detected_tilde(state, flat), row_var, patterns)
-    probs = [_clamp(float(f[pattern].real) * (-1) ** sum(pattern), "p_pnr")
-             for pattern in patterns]
+    probs = _count_probabilities(f, patterns, "p_pnr")
     return probs[0] if single else probs
 
 
@@ -384,8 +416,8 @@ def pnr_distribution(state: CovarianceState, spatial_mode: int,
         raise ValueError(f"n_max must be a nonnegative integer, not {n_max!r}")
     row_var = np.zeros(2 * state.layout.n_spectral, dtype=int)
     f = series_inv_sqrt_det(_detected_tilde(state, [spatial_mode]), row_var, [(n_max,)])
-    return np.array([_clamp(float((-1.0) ** n * f[(n,)]), f"pnr_distribution[{n}]")
-                     for n in range(n_max + 1)])
+    return np.array(_count_probabilities(f, [(n,) for n in range(n_max + 1)],
+                                         "pnr_distribution"))
 
 
 def probability(state: CovarianceState, pattern: DetectionPattern) -> float:

@@ -12,21 +12,38 @@ keeps each source's Schmidt modes above ``SCHMIDT_CUT``, each arm's mode
 functions scaled by its passband, and each arm's loss amplitude.  Every
 element after the sources is linear in those mode functions, and a
 two-mode-squeezed state is fixed by them, so every state is written in
-closed form by one function (``_state``): the delay multiplies arm 1's
-functions by a spectral phase, the beam-splitter spreads each idler over
-arms 1 and 2 with scalar weights, and a loss scales its arm's functions
-by its amplitude.  ``build_hhom`` writes the state on the bins.  A sweep
-row writes it on ModeLayout(4, r), in coordinates in an orthonormal basis
-of each arm's occupied modes (``_coordinates``), with r set by the
-Schmidt number rather than the bin count.  Detection is exact there: for
-block-diagonal bases B with orthonormal columns and T scalar on each arm,
-det(1 + T B C B^T T) = det(1 + T C T), and vacuum rows that pad a
-shorter arm contribute a factor of 1.  The coordinates are computed per
-row, never per sweep, so no row depends on whether its stage was shared.
-The element-built circuit is the reference both match.
+closed form: the delay multiplies arm 1's functions by a spectral phase,
+a loss scales its arm's functions by its amplitude, one writer
+(``_source_tildes``) gives sigma_tilde = V - 1 of source A on arms (0, 1)
+and of source B on arms (3, 2), and the beam-splitter spreads each idler
+over arms 1 and 2 with scalar weights (``_after_splitter``).
+``build_hhom`` writes the state on the bins.  A sweep row works in
+coordinates in an orthonormal basis of each arm's occupied modes
+(``_coordinates``), with a row count set by the Schmidt number rather than
+the bin count.  Detection is exact there: for block-diagonal bases B with
+orthonormal columns and T scalar on each arm,
+det(1 + T B C B^T T) = det(1 + T C T), and vacuum rows that pad a shorter
+arm contribute a factor of 1.  The coordinates are computed per row, never
+per sweep, so no row depends on whether its stage was shared.  The
+element-built circuit is the reference both match.
 
-Every state a sweep row needs is written from one stage: at the row's
-delay, with and without the beam-splitter.  A sweep along the delay, the
+With threshold detectors a row writes each state on ModeLayout(4, r),
+padding every arm to the longest (``_state``).  With PNR detectors it
+builds no four-arm state.  Before the splitter the sources are
+independent, S = S_A + S_B (a direct sum, S = sigma_tilde / 2), and the
+splitter is a real orthogonal O on the rows of arms 1 and 2, so
+S' = O S O^T gives
+det(1 + S') = det(1 + S_A) det(1 + S_B) and
+Z' = (1 + S')^-1 S' = O (Z_A + Z_B) O^T.
+Each source's sigma_tilde, on its own arms' rows with no padding, is
+factored once per delay (``detection.pnr_factor``), and each angle's
+expansion (``detection.pnr_series``) reads Z' and the summed
+log-determinant.  The splitter touches neither herald arm, and arms 0
+and 3 belong to different sources, so the heralding rate is the product
+P_0(1) P_3(1), each factor from its arm's own rows of its source.
+
+Every figure a sweep row needs comes from one stage: at the row's delay,
+with and without the beam-splitter.  A sweep along the delay, the
 beam-splitter angle or a probe builds the stage once for all of its rows.
 
 The fully distinguishable (infinite-delay) limit is the circuit that
@@ -58,8 +75,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import SYMPLECTIC_TOL, CovarianceState, FrequencyGrid, ModeLayout
-from .detection import inclusion_exclusion, p_pnr, p_threshold, vacuum_probabilities
+from .core import SYMPLECTIC_TOL, CovarianceState, FrequencyGrid, ModeLayout, _symmetrized
+from .detection import (_count_probabilities, inclusion_exclusion, p_pnr, p_threshold,
+                        pnr_factor, pnr_series, vacuum_probabilities)
 from .elements import _amplitude_transmission, _passband, _spectral_phase
 from .jsa import JsaSpec, SchmidtData, build_jsa, schmidt_decompose
 
@@ -230,44 +248,98 @@ def _coordinates(modes: Sequence[np.ndarray]) -> tuple:
     return x_0, x_1, x_2, x_3
 
 
-def _state(stage: _Stage, coords: Sequence[np.ndarray], bs_angle: float,
-           amplitudes: Sequence[float]) -> CovarianceState:
-    """The stage's four-arm state after the beam-splitter, on ModeLayout(4, r).
+def _source_tildes(stage: _Stage, coords: Sequence[np.ndarray],
+                   amplitudes: Sequence[float]) -> tuple:
+    """Each arm's row count, and sigma_tilde = V - 1 of each source before
+    the beam-splitter, on its own rows.
 
     ``coords[arm]`` holds the arm's mode functions, one row per orthonormal
     spectral mode: the bins (``build_hhom``) or a basis of the arm's
-    occupied modes (``_coordinates``).  r is the longest arm, at least 1,
-    and the rows a shorter arm lacks are vacuum.  A loss scales its arm's
-    coordinates by ``amplitudes[arm]``; the beam-splitter of angle theta
-    sends idler arm 1 to arms (1, 2) with weights (cos, sin) and idler arm
-    2 with (-sin, cos), zero weights skipped.  A source on arms (s, i) then
-    needs three products, X_s E X_s^dag, X_i E X_i^dag and X_s (-i P) X_i^T
-    for E = diag(2 sinh^2 r_k) and P = diag(sinh 2 r_k), placed into the
-    complex blocks A and B with those weights; the real (x, p) blocks of
-    V - 1 are [[Re(A + B), Im(B - A)], [Im(A + B), Re(A - B)]].
+    occupied modes (``_coordinates``); each arm keeps its own row count.
+    Source A's matrix has the rows (x_0, x_1, p_0, p_1) and source B's
+    (x_3, x_2, p_3, p_2).  A loss scales its arm's coordinates by
+    ``amplitudes[arm]``.  A source on arms (s, i) needs three products,
+    A_s = X_s E X_s^dag, A_i = X_i E X_i^dag and B = X_s (-i P) X_i^T for
+    E = diag(2 sinh^2 r_k) and P = diag(sinh 2 r_k), placed into the complex
+    blocks A and B of its sigma; the real (x, p) blocks of V - 1 are
+    [[Re(A + B), Im(B - A)], [Im(A + B), Re(A - B)]].
     """
-    r = max(1, *(x.shape[0] for x in coords))
-    c, s = math.cos(bs_angle), math.sin(bs_angle)
-    ports = {1: ((1, c), (2, s)), 2: ((1, -s), (2, c))}
-    n = N_SPATIAL * r
-    a = np.zeros((n, n), dtype=complex)
-    b = np.zeros_like(a)
+    tildes = []
     for (excess, pairing), (sig, idl) in zip(stage.sources, (SOURCE_A_ARMS, SOURCE_B_ARMS)):
         x_s, x_i = amplitudes[sig] * coords[sig], amplitudes[idl] * coords[idl]
-        s_rows = slice(sig * r, sig * r + x_s.shape[0])
-        a[s_rows, s_rows] = (x_s * excess) @ x_s.conj().T
-        idler = (x_i * excess) @ x_i.conj().T
-        pair = (-1j * x_s * pairing) @ x_i.T
-        out = [(slice(arm * r, arm * r + x_i.shape[0]), w) for arm, w in ports[idl] if w != 0.0]
-        for i_rows, w in out:
-            b[s_rows, i_rows] = w * pair
-            b[i_rows, s_rows] = b[s_rows, i_rows].T
-            for j_rows, w_j in out:
-                a[i_rows, j_rows] += (w * w_j) * idler
-    v = np.empty((2 * n, 2 * n))
-    plus, minus = a + b, b - a
-    v[:n, :n], v[:n, n:] = plus.real, minus.imag
-    v[n:, :n], v[n:, n:] = plus.imag, -minus.real
+        r_s = x_s.shape[0]
+        m = r_s + x_i.shape[0]
+        a = np.zeros((m, m), dtype=complex)
+        b = np.zeros_like(a)
+        a[:r_s, :r_s] = (x_s * excess) @ x_s.conj().T
+        a[r_s:, r_s:] = (x_i * excess) @ x_i.conj().T
+        b[:r_s, r_s:] = (-1j * x_s * pairing) @ x_i.T
+        b[r_s:, :r_s] = b[:r_s, r_s:].T
+        plus, minus = a + b, b - a
+        tilde = np.empty((2 * m, 2 * m))
+        tilde[:m, :m], tilde[:m, m:] = plus.real, minus.imag
+        tilde[m:, :m], tilde[m:, m:] = plus.imag, -minus.real
+        tildes.append(tilde)
+    return tuple(x.shape[0] for x in coords), tildes
+
+
+def _after_splitter(blocks: Sequence[np.ndarray], rows: Sequence[int],
+                    slots: Sequence[int], bs_angle: float) -> np.ndarray:
+    """O (M_A + M_B) O^T on the four arms, from one matrix per source before the splitter.
+
+    ``blocks`` holds source A's matrix on its rows (x_0, x_1, p_0, p_1) and
+    source B's on (x_3, x_2, p_3, p_2), arm a with ``rows[a]`` rows
+    (``_source_tildes``).  The result has the x rows of arms 0 to 3, then
+    their p rows, arm a in a slot of ``slots[a]`` rows whose rows beyond
+    ``rows[a]`` are zero.  O is the beam-splitter of angle theta: it sends
+    idler arm 1 to arms (1, 2) with weights (cos, sin) and idler arm 2 with
+    (-sin, cos), the same on x and p, and keeps the signal arms.  Each
+    entry of the result is a sum over sources, A first, of (w_k w_l) m: the
+    product of its rows' two weights, formed first, times the source's
+    entry m.  That fixes the rounding of every entry, so a state is the
+    same to the last bit however its arms are laid out.
+    """
+    c, s = math.cos(bs_angle), math.sin(bs_angle)
+    weights = {1: np.array([c, s]), 2: np.array([-s, c])}
+    starts = np.cumsum((0,) + tuple(slots))
+    n = int(starts[-1])
+    out = np.zeros((2 * n, 2 * n))
+    # (quadrature, row, quadrature, row) views; arms 1 and 2 have equal
+    # slots and row counts and sit side by side, so their rows split into
+    # (arm, row) per quadrature
+    quads = out.reshape(2, n, 2, n)
+    r_i, slot = rows[1], slots[1]
+    both = slice(starts[1], starts[1] + 2 * slot)
+    idlers = 0.0
+    for block, (sig, idl) in zip(blocks, (SOURCE_A_ARMS, SOURCE_B_ARMS)):
+        r_s, half = rows[sig], rows[sig] + rows[idl]
+        source = block.reshape(2, half, 2, half)
+        s_in, i_in = slice(0, r_s), slice(r_s, half)
+        s_out = slice(starts[sig], starts[sig] + r_s)
+        w = weights[idl]
+        quads[:, s_out, :, s_out] = source[:, s_in, :, s_in]
+        # np.multiply.outer puts the weight axes first; each transpose
+        # moves a weight axis next to the rows of its idler arm
+        quads[:, s_out, :, both].reshape(2, r_s, 2, 2, slot)[..., :r_i] = (
+            np.multiply.outer(w, source[:, s_in, :, i_in]).transpose(1, 2, 3, 0, 4))
+        quads[:, both, :, s_out].reshape(2, 2, slot, 2, r_s)[:, :, :r_i] = (
+            np.multiply.outer(w, source[:, i_in, :, s_in]).transpose(1, 0, 2, 3, 4))
+        idlers = idlers + np.multiply.outer(np.multiply.outer(w, w), source[:, i_in, :, i_in])
+    quads[:, both, :, both].reshape(2, 2, slot, 2, 2, slot)[:, :, :r_i, :, :, :r_i] = (
+        idlers.transpose(2, 0, 3, 4, 1, 5))
+    return out
+
+
+def _state(rows: Sequence[int], tildes: Sequence[np.ndarray],
+           bs_angle: float) -> CovarianceState:
+    """The four-arm state after the beam-splitter, on ModeLayout(4, r), from
+    ``_source_tildes``'s row counts and matrices.
+
+    ``_after_splitter`` carries the sources through the splitter; r is the
+    longest arm, at least 1, and the rows a shorter arm lacks are vacuum.
+    """
+    r = max(1, *rows)
+    v = _after_splitter(tildes, rows, (r,) * N_SPATIAL, bs_angle)
     v[np.diag_indices_from(v)] += 1
     return CovarianceState(ModeLayout(N_SPATIAL, r), v)
 
@@ -276,8 +348,8 @@ def build_hhom(config: HhomConfig) -> CovarianceState:
     """Final covariance state of the heralded-HOM circuit, on every frequency bin:
     ``_state`` with the arms' mode functions after the delay as coordinates."""
     stage = _sources_and_channels(config)
-    return _state(stage, _delayed(stage, config.grid, config.delay), config.bs_angle,
-                  stage.amplitudes)
+    return _state(*_source_tildes(stage, _delayed(stage, config.grid, config.delay),
+                                  stage.amplitudes), config.bs_angle)
 
 
 def four_fold(state: CovarianceState, detector: str = "pnr") -> float:
@@ -317,73 +389,80 @@ def _subsets(modes: tuple) -> list[tuple]:
             for subset in itertools.combinations(modes, r)]
 
 
-class _Figures:
-    """Four-fold, bunching and heralding probabilities of one four-arm state.
+class _Figures(NamedTuple):
+    """Four-fold, bunching and heralding probabilities of one circuit.
 
-    Each detection quantity is evaluated once.  With PNR detectors the
-    four-fold and both bunching patterns come from one expansion; with
-    threshold detectors every figure is an inclusion-exclusion sum over the
-    same table of 16 vacuum probabilities of the four arms, built once.
+    With threshold detectors, ``vacuum`` is the table of the vacuum
+    probabilities of every subset of the four arms that the figures are
+    summed from, and ``state`` the four-arm state it was read from
+    (``_threshold_figures``); with PNR detectors both are None.  The state
+    is kept so that a row frees its states together when its plan goes:
+    freeing each one as soon as it was detected made threshold rows 4-6%
+    slower (same-process alternating runs of a 61-bin row).
     """
 
-    def __init__(self, state: CovarianceState, detector: str):
-        self.state = state
-        self.detector = detector
-
-    @functools.cached_property
-    def vacuum(self) -> dict:
-        """Vacuum probability of each subset of the four arms, keyed by the subset."""
-        return vacuum_probabilities(self.state, _subsets(FOUR_ARMS))
-
-    def _threshold(self, on_modes, off_modes=()) -> float:
-        return inclusion_exclusion(self.vacuum.__getitem__, on_modes, off_modes)
-
-    @functools.cached_property
-    def four_fold_and_bunching(self) -> tuple[float, float]:
-        if self.detector == "pnr":
-            p4, *p_bunch = p_pnr(self.state, FOUR_ARMS,
-                                 (FOUR_FOLD_COUNTS,) + BUNCHING_COUNTS)
-            return p4, sum(p_bunch)
-        return (self._threshold(FOUR_ARMS),
-                self._threshold((0, 2, 3), (1,)) + self._threshold((0, 1, 3), (2,)))
-
-    @property
-    def four_fold(self) -> float:
-        return self.four_fold_and_bunching[0]
+    four_fold: float
+    p_bunch: float
+    heralding_rate: float
+    vacuum: dict | None = None
+    state: CovarianceState | None = None
 
     @property
     def single_pair(self) -> float:
         """Four-fold plus bunching: heralds fire and two idler photons emerge."""
-        p4, p_bunch = self.four_fold_and_bunching
-        return p4 + p_bunch
+        return self.four_fold + self.p_bunch
 
-    @functools.cached_property
-    def heralding_rate(self) -> float:
-        if self.detector == "pnr":
-            return p_pnr(self.state, HERALD_MODES, (1, 1))
-        return self._threshold(HERALD_MODES)
+
+def _threshold_figures(state: CovarianceState) -> _Figures:
+    """Every threshold figure of a four-arm state, as inclusion-exclusion sums
+    over one table of its 16 vacuum probabilities."""
+    vacuum = vacuum_probabilities(state, _subsets(FOUR_ARMS))
+
+    def threshold(on_modes, off_modes=()) -> float:
+        return inclusion_exclusion(vacuum.__getitem__, on_modes, off_modes)
+
+    return _Figures(threshold(FOUR_ARMS),
+                    threshold((0, 2, 3), (1,)) + threshold((0, 1, 3), (2,)),
+                    threshold(HERALD_MODES), vacuum, state)
+
+
+def _signal_click(tilde: np.ndarray, r_s: int) -> float:
+    """P(1) on the signal arm of a source's sigma_tilde, whose first ``r_s``
+    rows of each quadrature are the signal's (``_source_tildes``)."""
+    half = tilde.shape[0] // 2
+    signal = np.r_[:r_s, half:half + r_s]
+    f = pnr_series(*pnr_factor(tilde[np.ix_(signal, signal)]), np.zeros(2 * r_s, dtype=int),
+                   [(1,)])
+    return _count_probabilities(f, [(1,)], "p_herald")[0]
 
 
 class _RowPlan:
     """Figures of merit of one configuration from its distinct states.
 
-    Every state is written by ``_state`` from one source stage and the
-    arms' coordinates at a delay (``_coordinates``): the states at (delay,
-    beam-splitter angle), and the threshold plateau's state at angle 0
-    with both idler amplitudes times sqrt(1/2) (50% more loss).  The
-    coordinates are computed once per delay, here, so a row's figures do
-    not depend on whether its stage was shared; each state is written
-    once, and each of its detection quantities is evaluated once.  The
-    plan builds the stage on first use and keeps it; a sweep whose axis
-    leaves the stage unchanged passes in the stage it built.  A plan serves
-    one sweep row or one public call and holds no state beyond it.
+    Everything is written from one source stage and the arms' coordinates
+    at a delay (``_coordinates``), computed once per delay, here, so a
+    row's figures do not depend on whether its stage was shared.  Each
+    source's sigma_tilde is written once per delay (``sources``).  With
+    threshold detectors each state at (delay, beam-splitter angle) is
+    carried through the splitter from those (``_state``) and its vacuum
+    table built once; the plateau's state at angle 0 has both idler
+    amplitudes times sqrt(1/2) (50% more loss).  With PNR detectors each
+    source is factored once per delay, and each angle's figures come from
+    those factors (module docstring); the herald arms are factored once per
+    plan.  The plan builds the stage on first use and keeps it; a sweep
+    whose axis leaves the stage unchanged passes in the stage it built.  A
+    plan serves one sweep row or one public call and holds no state beyond
+    it.
     """
 
     def __init__(self, config: HhomConfig, stage: _Stage | None = None):
         self.config = config
         self._stage = stage
         self._coords = {}
+        self._sources = {}
+        self._factors = {}
         self._figures = {}
+        self._heralding_rate = None
 
     def stage(self) -> _Stage:
         """The source stage, built on first use and kept."""
@@ -391,14 +470,54 @@ class _RowPlan:
             self._stage = _sources_and_channels(self.config)
         return self._stage
 
+    def coordinates(self, delay: float) -> tuple:
+        """The arms' coordinates at this delay, computed once."""
+        if delay not in self._coords:
+            self._coords[delay] = _coordinates(_delayed(self.stage(), self.config.grid, delay))
+        return self._coords[delay]
+
+    def sources(self, delay: float) -> tuple:
+        """``_source_tildes`` at this delay with the stage's amplitudes, written once."""
+        if delay not in self._sources:
+            stage = self.stage()
+            self._sources[delay] = _source_tildes(stage, self.coordinates(delay),
+                                                  stage.amplitudes)
+        return self._sources[delay]
+
     def state(self, delay: float, bs_angle: float,
               amplitudes: Sequence[float] | None = None) -> CovarianceState:
         """The row state at this delay and angle (default amplitudes: the stage's)."""
-        stage = self.stage()
-        if delay not in self._coords:
-            self._coords[delay] = _coordinates(_delayed(stage, self.config.grid, delay))
-        return _state(stage, self._coords[delay], bs_angle,
-                      stage.amplitudes if amplitudes is None else amplitudes)
+        if amplitudes is None:
+            return _state(*self.sources(delay), bs_angle)
+        return _state(*_source_tildes(self.stage(), self.coordinates(delay), amplitudes),
+                      bs_angle)
+
+    def source_factors(self, delay: float) -> tuple:
+        """Each arm's row count, and (log det(1 + S), Z) of each source at this delay.
+
+        Each source's sigma_tilde is checked for symmetry and factored
+        once.  The first call also detects the herald arms: each one's
+        rows of its source's sigma_tilde, which no delay changes.
+        """
+        if delay not in self._factors:
+            rows, tildes = self.sources(delay)
+            tildes = [_symmetrized(t) for t in tildes]
+            if self._heralding_rate is None:
+                self._heralding_rate = (_signal_click(tildes[0], rows[SOURCE_A_ARMS[0]])
+                                        * _signal_click(tildes[1], rows[SOURCE_B_ARMS[0]]))
+            self._factors[delay] = rows, [pnr_factor(t) for t in tildes]
+        return self._factors[delay]
+
+    def _pnr_figures(self, delay: float, bs_angle: float) -> _Figures:
+        """The four-arm expansion at this angle from the sources' factors:
+        log det = log det_A + log det_B and Z' = O (Z_A + Z_B) O^T."""
+        rows, ((logdet_a, z_a), (logdet_b, z_b)) = self.source_factors(delay)
+        z = _after_splitter((z_a, z_b), rows, rows, bs_angle)
+        row_variable = np.repeat(np.tile(np.arange(N_SPATIAL), 2), np.tile(rows, 2))
+        patterns = (FOUR_FOLD_COUNTS,) + BUNCHING_COUNTS
+        f = pnr_series(logdet_a + logdet_b, z, row_variable, patterns)
+        p4, *p_bunch = _count_probabilities(f, patterns, "p_pnr")
+        return _Figures(p4, sum(p_bunch), self._heralding_rate)
 
     def figures(self, delay: float | None = None,
                 bs_angle: float | None = None) -> _Figures:
@@ -406,7 +525,8 @@ class _RowPlan:
         key = (self.config.delay if delay is None else delay,
                self.config.bs_angle if bs_angle is None else bs_angle)
         if key not in self._figures:
-            self._figures[key] = _Figures(self.state(*key), self.config.detector)
+            self._figures[key] = (self._pnr_figures(*key) if self.config.detector == "pnr"
+                                  else _threshold_figures(self.state(*key)))
         return self._figures[key]
 
     @functools.cached_property
@@ -449,9 +569,8 @@ class _RowPlan:
 
     def row(self, param: str, value: float, visibilities: bool) -> dict:
         here = self.figures()
-        p4, p_bunch = here.four_fold_and_bunching
-        row = {"param": param, "value": value, "p4": p4, "p_bunch": p_bunch,
-               "p_herald": here.heralding_rate,
+        row = {"param": param, "value": value, "p4": here.four_fold,
+               "p_bunch": here.p_bunch, "p_herald": here.heralding_rate,
                "eta_herald": None, "v_hom": None, "v_mzi": None}
         if visibilities:
             row["eta_herald"] = self.heralding_efficiency()

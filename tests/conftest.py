@@ -31,7 +31,7 @@ from gausshom.core import (
     apply,
     vacuum_state,
 )
-from gausshom.detection import DetectionPattern, probability
+from gausshom.detection import probability
 from gausshom.elements import (
     bandpass_filter,
     beam_splitter,

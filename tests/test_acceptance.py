@@ -28,7 +28,6 @@ from gausshom.experiments import (
     HhomConfig,
     analytic_heralded_purity,
     build_hhom,
-    bunching,
     distinguishable_four_fold,
     filter_study_config,
     four_fold,
@@ -43,7 +42,7 @@ from gausshom.experiments import (
 from gausshom.fock import fock_detection
 from gausshom.jsa import JsaSpec, build_jsa, schmidt_decompose
 
-from conftest import compare_circuit, random_jsa, run_fock, run_gaussian
+from conftest import random_jsa, run_fock, run_gaussian
 
 
 def grid_of(n_bins):

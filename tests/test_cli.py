@@ -1,7 +1,6 @@
 """Config parsing, experiment runner, CSV/SVG emission, exit codes."""
 
 import math
-import os
 import re
 import threading
 from pathlib import Path
@@ -10,11 +9,9 @@ import numpy as np
 import pytest
 import yaml
 
-from gausshom import cli, experiments
+from gausshom import experiments
 from gausshom.cli import (
     ConfigError,
-    RunConfig,
-    load_run_config,
     main,
     parse_quantity,
     parse_run_config,

@@ -266,16 +266,17 @@ def test_sweep_row_matches_standalone_figures(detector, delay):
 
 @pytest.mark.parametrize("detector", DETECTORS)
 def test_visibility_row_builds_and_detects_each_distinct_state_once(monkeypatch, detector):
-    stages, calls = [], []
+    stages, calls, factored, expanded = [], [], [], []
     stage = experiments._sources_and_channels
     vacuum_probabilities = experiments.vacuum_probabilities
     p_pnr = experiments.p_pnr
+    pnr_factor, pnr_series = experiments.pnr_factor, experiments.pnr_series
 
     def counting_stage(config):
         stages.append(config)
         return stage(config)
 
-    # the list keeps every detected state alive, so their ids stay distinct
+    # the lists keep every detected state and matrix alive, so their ids stay distinct
     def counting_vacuum(state, subsets):
         calls.append((state, tuple(subsets)))
         return vacuum_probabilities(state, subsets)
@@ -284,28 +285,58 @@ def test_visibility_row_builds_and_detects_each_distinct_state_once(monkeypatch,
         calls.append((state, repr(modes)))
         return p_pnr(state, modes, counts)
 
+    def counting_factor(tilde):
+        factored.append(tilde)
+        return pnr_factor(tilde)
+
+    def counting_series(logdet, z, row_variable, patterns):
+        expanded.append((z, tuple(patterns)))
+        return pnr_series(logdet, z, row_variable, patterns)
+
     monkeypatch.setattr(experiments, "_sources_and_channels", counting_stage)
     monkeypatch.setattr(experiments, "vacuum_probabilities", counting_vacuum)
     monkeypatch.setattr(detection, "vacuum_probabilities", counting_vacuum)
     monkeypatch.setattr(experiments, "p_pnr", counting_pnr)
-    sweep_row(lossy_waveguide_config(detector), "xi", 0.3, visibilities=True)
+    monkeypatch.setattr(experiments, "pnr_factor", counting_factor)
+    monkeypatch.setattr(experiments, "pnr_series", counting_series)
+    patterns = (experiments.FOUR_FOLD_COUNTS,) + experiments.BUNCHING_COUNTS
+    for delay in (0.0, 0.7):
+        for record in (stages, calls, factored, expanded):
+            record.clear()
+        config = lossy_waveguide_config(detector, delay=delay)
+        sweep_row(config, "xi", 0.3, visibilities=True)
 
-    # one source stage serves bs = pi/4, bs = 0 and the distinguishable limit
-    assert len(stages) == 1
-    keys = [(id(state), what) for state, what in calls]
-    assert len(keys) == len(set(keys))
-    assert {state.layout.n_spatial for state, _ in calls} == {4}
-    states = {id(state) for state, _ in calls}
-    if detector == "threshold":
-        # one table per state: the 16 subsets of 4 detectors at bs = pi/4
-        # and at bs = 0, and the 4 subsets that hold both idlers after 50%
-        # idler loss
-        assert (len(calls), len(states)) == (3, 3)
-        assert sorted(len(subsets) for _, subsets in calls) == [4, 16, 16]
-    else:
-        # at bs = pi/4 the four-arm and the herald expansions; at bs = 0 the
-        # four-arm one, which also gives the plateau
-        assert (len(calls), len(states)) == (3, 2)
+        # one source stage serves bs = pi/4, bs = 0 and the distinguishable
+        # limit at the row's delay, and bs = pi/4 at the dip's delay 0
+        assert len(stages) == 1
+        delays = sorted({delay, 0.0})
+        if detector == "threshold":
+            keys = [(id(state), what) for state, what in calls]
+            assert len(keys) == len(set(keys))
+            assert {state.layout.n_spatial for state, _ in calls} == {4}
+            # one table per state: the 16 subsets of 4 detectors at bs = pi/4
+            # and at bs = 0, the 4 subsets that hold both idlers after 50%
+            # idler loss, and the 16 at the dip when the row has a delay
+            assert len({id(state) for state, _ in calls}) == len(calls) == 2 + len(delays)
+            assert sorted(len(subsets) for _, subsets in calls) == [4] + [16] * (1 + len(delays))
+            assert factored == expanded == []
+            continue
+        # no four-arm state is built or detected: each source's sigma_tilde
+        # is factored once per delay, and each herald arm's rows once per row
+        assert calls == []
+        xi = dataclasses.replace(config.source_a, xi=0.3)
+        plan = experiments._RowPlan(dataclasses.replace(config, source_a=xi, source_b=xi))
+        rows = [[x.shape[0] for x in plan.coordinates(d)] for d in delays]
+        sources = [2 * (r[sig] + r[idl]) for r in rows
+                   for sig, idl in (experiments.SOURCE_A_ARMS, experiments.SOURCE_B_ARMS)]
+        heralds = [2 * rows[0][arm] for arm in experiments.HERALD_MODES]
+        assert sorted(t.shape[0] for t in factored) == sorted(sources + heralds)
+        assert max(t.shape[0] for t in factored) == max(sources)
+        assert len({id(t) for t in factored}) == len(factored)
+        # one expansion per angle at the row's delay, one at the dip, one per herald arm
+        four_arm = [id(z) for z, p in expanded if p == patterns]
+        assert len(set(four_arm)) == len(four_arm) == 1 + len(delays)
+        assert sorted(p for _, p in expanded if p != patterns) == [((1,),), ((1,),)]
 
 
 def count_stages(monkeypatch) -> list:
@@ -420,6 +451,11 @@ def test_closed_form_stage_matches_the_element_circuit(variants, xis, idler_cent
                                [want_vacuum[s] for s in subsets])
     assert_close_probabilities(p_pnr(got, FOUR_ARMS, TWO_PER_ARM),
                                p_pnr(want, FOUR_ARMS, TWO_PER_ARM))
+    # the row's PNR figures, from the sources' factors carried through the
+    # splitter and the herald arms' own rows, as p_pnr on the element circuit
+    figures = experiments._RowPlan(config).figures(delay, bs_angle)
+    assert_close_probabilities([figures.four_fold, figures.p_bunch, figures.heralding_rate],
+                               [four_fold(want), bunching(want), heralding_rate(want)])
     if xis == (0.0, 0.0):
         # no source: one vacuum row per arm, and the parent's error
         assert got.layout == ModeLayout(4, 1)
@@ -439,21 +475,34 @@ def test_101_bin_row_matches_the_dense_element_circuit(monkeypatch, detector):
     state = plan.state(0.0, 0.0)
     # fails if the row is ever detected on the bins again
     assert state.layout.n_spectral <= 2 * plan.stage().modes[0].shape[1] < config.grid.n_bins
-    plateau_amplitudes = pytest.approx([math.sqrt(0.9), math.sqrt(0.45),
-                                        math.sqrt(0.45), math.sqrt(0.9)], rel=1e-15)
+    lay = ModeLayout(4, config.grid.n_bins)
+    if detector == "pnr":
+        assert max(plan.source_factors(0.0)[0]) < config.grid.n_bins
+        # PNR rows detect no state of the plan: the figures of the dense
+        # states at both angles, at delay 0 (also the dip's)
+        sources = sources_filter_and_loss(config, lay)
+        here, split = (apply(sources, beam_splitter(bs_angle, experiments.IDLER_MODES, lay))
+                       for bs_angle in (math.pi / 4, 0.0))
+        p_sps = four_fold(split) + bunching(split)
+        want = {"p4": four_fold(here), "p_bunch": bunching(here),
+                "p_herald": heralding_rate(here), "eta_herald": p_sps / heralding_rate(here),
+                "v_hom": visibility_hom(four_fold(here), 0.5 * p_sps),
+                "v_mzi": visibility_mzi(four_fold(split), four_fold(here))}
+    else:
+        plateau_amplitudes = pytest.approx([math.sqrt(0.9), math.sqrt(0.45),
+                                            math.sqrt(0.45), math.sqrt(0.9)], rel=1e-15)
 
-    def dense_state(plan, delay, bs_angle, amplitudes=None):
-        assert delay == 0.0
-        lay = ModeLayout(4, config.grid.n_bins)
-        state = sources_filter_and_loss(config, lay)
-        if amplitudes is not None:
-            # the threshold plateau: 50% more loss on both idlers
-            assert amplitudes == plateau_amplitudes
-            state = apply(state, loss(0.5, experiments.IDLER_MODES, lay))
-        return apply(state, beam_splitter(bs_angle, experiments.IDLER_MODES, lay))
+        def dense_state(plan, delay, bs_angle, amplitudes=None):
+            assert delay == 0.0
+            state = sources_filter_and_loss(config, lay)
+            if amplitudes is not None:
+                # the threshold plateau: 50% more loss on both idlers
+                assert amplitudes == plateau_amplitudes
+                state = apply(state, loss(0.5, experiments.IDLER_MODES, lay))
+            return apply(state, beam_splitter(bs_angle, experiments.IDLER_MODES, lay))
 
-    monkeypatch.setattr(experiments._RowPlan, "state", dense_state)
-    want = sweep_row(config, experiments.PROBE_AXIS, 0.0, True)
+        monkeypatch.setattr(experiments._RowPlan, "state", dense_state)
+        want = sweep_row(config, experiments.PROBE_AXIS, 0.0, True)
     for name in CSV_COLUMNS[2:]:
         rel = 1e-12
         if detector == "threshold" and name in ("p4", "v_hom", "v_mzi"):
@@ -581,6 +630,32 @@ def test_threshold_plateau_is_range_checked(monkeypatch):
         distinguishable_four_fold(lossy_waveguide_config("threshold"))
 
 
+@pytest.mark.parametrize("defect, error, match", [
+    ("asymmetric", ValueError, "not symmetric"),
+    ("indefinite", detection.UnphysicalStateError, "not positive"),
+    ("nan", ValueError, "not symmetric"),
+])
+def test_pnr_row_checks_each_source_block(monkeypatch, defect, error, match):
+    """A PNR row builds no CovarianceState, so each source's sigma_tilde is
+    checked for symmetry and factored, and a defect in either source raises."""
+    source_tildes = experiments._source_tildes
+    for source in (0, 1):
+        def damaged(*args, source=source):
+            rows, tildes = source_tildes(*args)
+            t = tildes[source]
+            if defect == "asymmetric":
+                t[0, 1] += 1e-6
+            elif defect == "indefinite":
+                t -= 3 * np.eye(t.shape[0])
+            else:
+                t[1, 1] = np.nan
+            return rows, tildes
+
+        monkeypatch.setattr(experiments, "_source_tildes", damaged)
+        with pytest.raises(error, match=match):
+            sweep_row(lossy_waveguide_config("pnr"), "delay", 0.7, visibilities=False)
+
+
 @pytest.mark.parametrize("detector", DETECTORS)
 def test_distinguishable_four_fold_matches_fock_oracle(detector):
     """The plateau of a 1-bin circuit with idler loss against the six-mode
@@ -605,11 +680,15 @@ def test_distinguishable_four_fold_matches_fock_oracle(detector):
 @pytest.mark.parametrize("axis, values", [("delay", [0.0, 0.4, 1.1]),
                                           (experiments.PROBE_AXIS, [0.0, 1.0]),
                                           ("bs_angle", [0.0, 0.3, math.pi / 4])])
-def test_stage_axis_sweep_builds_one_stage(monkeypatch, axis, values):
-    config = lossy_waveguide_config("threshold", delay=0.2)
+@pytest.mark.parametrize("detector", DETECTORS)
+def test_stage_axis_sweep_builds_one_stage(monkeypatch, detector, axis, values):
+    config = lossy_waveguide_config(detector, delay=0.2)
     stages = count_stages(monkeypatch)
-    text = sweep(config, axis, values).to_csv()
+    result = sweep(config, axis, values)
+    text = result.to_csv()
     assert len(stages) == 1
+    # neither the delay nor the beam-splitter touches the herald arms
+    assert len(set(result.column("p_herald"))) == 1
     # one-value sweeps build their own stage and give the same bytes
     singles = [sweep(config, axis, [v]).to_csv().splitlines(keepends=True)
                for v in values]

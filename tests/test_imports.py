@@ -1,7 +1,7 @@
-"""Every module of the package uses each name it imports, every private
-module-level function and class is referenced by some module of the
-package, the package exports exactly what its `__init__.py` imports, and its
-third-party imports are exactly its declared runtime dependencies.
+"""Every module of the package and of its tests uses each name it imports,
+every private module-level function and class is referenced by some module
+of the package, the package exports exactly what its `__init__.py` imports,
+and its third-party imports are exactly its declared runtime dependencies.
 
 No linter ships with the test dependencies, so this parses the sources with
 ``ast``.  ``__init__.py`` (re-exports) and ``from __future__`` imports are
@@ -49,10 +49,16 @@ def test_checker_flags_unused_and_accepts_used():
     assert unused_imports(source) == ["line 2: sys", "line 3: tau", "line 5: dumps"]
 
 
+TESTS = ROOT / "tests"
+
+
+# package modules by file name, test modules by their path from the root
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")
-                                          if p.name != "__init__.py"))
+                                          if p.name != "__init__.py")
+                         + sorted(f"tests/{p.name}" for p in TESTS.glob("*.py")))
 def test_module_has_no_unused_imports(module):
-    assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+    path = ROOT / module if module.startswith("tests/") else PACKAGE / module
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
 def unreferenced_private_helpers(sources: dict[str, str]) -> list[str]:

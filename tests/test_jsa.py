@@ -13,7 +13,6 @@ from gausshom.jsa import (
     PS,
     THZ,
     JsaSpec,
-    SchmidtData,
     build_jsa,
     default_grid,
     schmidt_decompose,
