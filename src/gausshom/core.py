@@ -179,7 +179,8 @@ class Transform:
     Both checks run on the element's own block alone, which is exact:
     identity (+) block is symplectic or contractive exactly when the block
     is.  The symplectic check is S J S^T = J on the whole of S; the passive
-    check is the spectral norm of U, which equals that of T.
+    check is that the spectral norm of U, which equals that of T, is at
+    most 1 + 1e-12, read from a Cholesky factorization rather than an SVD.
     ``matrix`` builds the complex full-layout matrix on request.
     """
 
@@ -215,10 +216,12 @@ class Transform:
                 raise ValueError(f"matrix is not symplectic (residual {residual:.2e})")
         else:
             s = np.block([[m.real, -m.imag], [m.imag, m.real]])
-            # T has the singular values of U, each twice
-            smax = np.linalg.norm(m, 2)
-            if not smax <= 1 + 1e-12:
-                raise ValueError(f"passive matrix is not contractive (s_max = {smax})")
+            # s_max(T) = s_max(U) <= 1 + 1e-12 iff (1 + 1e-12)^2 - U^dag U is positive definite
+            try:
+                np.linalg.cholesky((1 + 1e-12) ** 2 * np.eye(n) - m.conj().T @ m)
+            except np.linalg.LinAlgError:
+                raise ValueError(f"passive matrix is not contractive "
+                                 f"(s_max = {np.linalg.norm(m, 2)})") from None
         object.__setattr__(self, "block", s)
 
     @property

@@ -13,7 +13,9 @@ projections.  The vacuum probabilities of all subsets a state needs come
 from one factorization tree (``vacuum_probabilities``): the Cholesky factor
 of one spatial mode's block of (1 + V)/2 at a time, with the Schur
 complement of the later modes passed down the branches that include that
-mode, so nested subsets share their factorizations.
+mode, so nested subsets share their factorizations.  A caller that holds
+independent pair sources (``experiments``) factors each one instead
+(``source_vacuum_blocks``) and sums log-determinants (``half_logdet``).
 
 Number-resolved probabilities are mixed Taylor coefficients of
 det(1 + T sigma_tilde T / 2)^(-1/2) about t = 1, where sigma_tilde is V - 1
@@ -138,6 +140,46 @@ def _detected_tilde(state: CovarianceState, spatial_modes: Sequence[int]) -> np.
     return sigma_tilde
 
 
+def _vacuum_cholesky(block: np.ndarray, where: str) -> np.ndarray:
+    """Cholesky factor of a block of (1 + V)/2; raises unless it is positive definite."""
+    try:
+        return np.linalg.cholesky(block)
+    except np.linalg.LinAlgError:
+        raise UnphysicalStateError(
+            f"vacuum-projection matrix (1 + V)/2 is not positive definite {where}") from None
+
+
+def half_logdet(excess: np.ndarray, where: str) -> float:
+    """log det(1 + excess) / 2 from the Cholesky factor L of 1 + excess, which
+    must be positive definite (``where`` names the block in the error).  The
+    rounding of diag L near 1 is added back to first order from the residual
+    diag(1 + excess - L L^T) = diag(excess - M M^T) - 2 diag M, M = L - 1."""
+    m = _vacuum_cholesky(np.eye(excess.shape[0]) + excess, where) - np.eye(excess.shape[0])
+    m_diag = np.diagonal(m)
+    residual = np.diagonal(excess) - np.einsum("ij,ij->i", m, m) - 2 * m_diag
+    return float(np.sum(np.log1p(m_diag)) + 0.5 * np.sum(residual))
+
+
+def source_vacuum_blocks(sigma_tilde: np.ndarray, n_signal: int) -> tuple:
+    """One pair source's vacuum factors, its herald excluded and included.
+
+    ``sigma_tilde`` is the source's V - 1, the signal's ``n_signal`` rows
+    first in each quadrature.  With H = 1 + sigma_tilde / 2, the signal
+    alone has vacuum probability exp(-l), l = log det(H_ss) / 2, taken
+    first, so that H_ss is known to be invertible; the idler alone has
+    H_ii = 1 + E, and with the signal eliminated 1 + C, C = E - H_is
+    H_ss^-1 H_si.  Returns l and, for E and then C, (X, log det(1 + X) / 2).
+    """
+    half = sigma_tilde.shape[0] // 2
+    signal = np.r_[:n_signal, half:half + n_signal]
+    idler = np.r_[n_signal:half, half + n_signal:2 * half]
+    excess_s, excess = (0.5 * sigma_tilde[np.ix_(rows, rows)] for rows in (signal, idler))
+    ell = half_logdet(excess_s, "on a signal arm")
+    coupling = 0.5 * sigma_tilde[np.ix_(signal, idler)]
+    schur = excess - coupling.T @ np.linalg.solve(np.eye(2 * n_signal) + excess_s, coupling)
+    return ell, tuple((x, half_logdet(x, "on an idler arm")) for x in (excess, schur))
+
+
 def vacuum_probabilities(state: CovarianceState,
                          subsets: Sequence[Sequence[int]]) -> dict[tuple[int, ...], float]:
     """Vacuum probability of each spatial subset, keyed by the sorted subset.
@@ -176,12 +218,7 @@ def vacuum_probabilities(state: CovarianceState,
         rest = block[rows:, rows:]
         with_mode = [subset for subset in below if mode in subset]
         if with_mode:
-            try:
-                chol = np.linalg.cholesky(block[:rows, :rows])
-            except np.linalg.LinAlgError:
-                raise UnphysicalStateError(
-                    f"vacuum-projection matrix (1 + V)/2 is not positive definite at "
-                    f"spatial mode {mode}") from None
+            chol = _vacuum_cholesky(block[:rows, :rows], f"at spatial mode {mode}")
             schur = rest
             if rest.size:
                 w = np.linalg.inv(chol) @ block[:rows, rows:]

@@ -22,25 +22,27 @@ coordinates in an orthonormal basis of each arm's occupied modes
 (``_coordinates``), with a row count set by the Schmidt number rather than
 the bin count.  Detection is exact there: for block-diagonal bases B with
 orthonormal columns and T scalar on each arm,
-det(1 + T B C B^T T) = det(1 + T C T), and vacuum rows that pad a shorter
-arm contribute a factor of 1.  The coordinates are computed per row, never
-per sweep, so no row depends on whether its stage was shared.  The
-element-built circuit is the reference both match.
+det(1 + T B C B^T T) = det(1 + T C T).  The coordinates are computed per
+row, never per sweep, so no row depends on whether its stage was shared.
+The element-built circuit is the reference both match.
 
-With threshold detectors a row writes each state on ModeLayout(4, r),
-padding every arm to the longest (``_state``).  With PNR detectors it
-builds no four-arm state.  Before the splitter the sources are
+A sweep row builds no four-arm state.  Before the splitter the sources are
 independent, S = S_A + S_B (a direct sum, S = sigma_tilde / 2), and the
-splitter is a real orthogonal O on the rows of arms 1 and 2, so
-S' = O S O^T gives
-det(1 + S') = det(1 + S_A) det(1 + S_B) and
-Z' = (1 + S')^-1 S' = O (Z_A + Z_B) O^T.
-Each source's sigma_tilde, on its own arms' rows with no padding, is
-factored once per delay (``detection.pnr_factor``), and each angle's
-expansion (``detection.pnr_series``) reads Z' and the summed
-log-determinant.  The splitter touches neither herald arm, and arms 0
-and 3 belong to different sources, so the heralding rate is the product
-P_0(1) P_3(1), each factor from its arm's own rows of its source.
+splitter is a real orthogonal O on the rows of arms 1 and 2, so each
+source's sigma_tilde, on its own arms' rows, is factored once per delay.
+With PNR detectors S' = O S O^T has det(1 + S') = det(1 + S_A) det(1 + S_B)
+and Z' = (1 + S')^-1 S' = O (Z_A + Z_B) O^T (``detection.pnr_factor`` and
+``pnr_series``), and the heralding rate is P_0(1) P_3(1), each factor from
+its herald arm's own rows: the splitter touches neither herald arm.  With
+threshold detectors each figure sums the vacuum probabilities
+exp(-log det(1 + S'_subset) / 2) of the 16 subsets of the arms (Quesada,
+Arrazola and Killoran, PRA 98, 062322 (2018)), from each source's signal
+term l and idler excess X, the Schur complement C with its herald in the
+subset and E without (``detection.source_vacuum_blocks``): the l of each
+herald in it, plus each source's log det(1 + X) / 2 with both idler arms,
+whose rows O maps onto themselves, or log det(1 + cos^2 X_A + sin^2 X_B) / 2
+with arm 1 alone (sin and cos swapped for arm 2), as arms 1 and 2 share one
+basis.
 
 Every figure a sweep row needs comes from one stage: at the row's delay,
 with and without the beam-splitter.  A sweep along the delay, the
@@ -52,7 +54,8 @@ collecting half of both idlers.  Its generating function is the four-arm
 one with both idler variables (t_A + t_B) / 2, so with PNR detectors it is
 half of P(1,1,1,1) + P(1,2,0,1) + P(1,0,2,1) at angle 0, and with
 threshold detectors P(A and B) = P(A) + P(B) - P(A or B), where vacuum in
-A alone is vacuum in both idlers after 50% loss.
+A alone is vacuum in both idlers after 50% loss.  An idler amplitude t
+scales both E and C by t^2, so that loss halves each idler's X.
 
 Figures of merit: the four-fold coincidence probability, the two bunching
 patterns, both visibility definitions (delay dip and beam-splitter-angle
@@ -76,8 +79,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import SYMPLECTIC_TOL, CovarianceState, FrequencyGrid, ModeLayout, _symmetrized
-from .detection import (_count_probabilities, inclusion_exclusion, p_pnr, p_threshold,
-                        pnr_factor, pnr_series, vacuum_probabilities)
+from .detection import (_clamp, _count_probabilities, half_logdet, inclusion_exclusion, p_pnr,
+                        p_threshold, pnr_factor, pnr_series, source_vacuum_blocks)
 from .elements import _amplitude_transmission, _passband, _spectral_phase
 from .jsa import JsaSpec, SchmidtData, build_jsa, schmidt_decompose
 
@@ -192,7 +195,7 @@ def _kept_modes(sd: SchmidtData) -> tuple:
 def _sources_and_channels(config: HhomConfig) -> _Stage:
     """The source stage: both pair sources, the bandpass filters and per-arm loss.
 
-    Every state of a configuration is written from it (``_state``), and it
+    Every state and row of a configuration is written from it, and it
     does not depend on the delay or the beam-splitter angle.  Each source
     keeps its Schmidt modes above ``SCHMIDT_CUT`` (``_kept_modes``);
     identical sources share one JSA and one Schmidt decomposition.  A
@@ -248,8 +251,7 @@ def _coordinates(modes: Sequence[np.ndarray]) -> tuple:
     return x_0, x_1, x_2, x_3
 
 
-def _source_tildes(stage: _Stage, coords: Sequence[np.ndarray],
-                   amplitudes: Sequence[float]) -> tuple:
+def _source_tildes(stage: _Stage, coords: Sequence[np.ndarray]) -> tuple:
     """Each arm's row count, and sigma_tilde = V - 1 of each source before
     the beam-splitter, on its own rows.
 
@@ -257,8 +259,8 @@ def _source_tildes(stage: _Stage, coords: Sequence[np.ndarray],
     spectral mode: the bins (``build_hhom``) or a basis of the arm's
     occupied modes (``_coordinates``); each arm keeps its own row count.
     Source A's matrix has the rows (x_0, x_1, p_0, p_1) and source B's
-    (x_3, x_2, p_3, p_2).  A loss scales its arm's coordinates by
-    ``amplitudes[arm]``.  A source on arms (s, i) needs three products,
+    (x_3, x_2, p_3, p_2).  A loss scales its arm's coordinates by its
+    amplitude.  A source on arms (s, i) needs three products,
     A_s = X_s E X_s^dag, A_i = X_i E X_i^dag and B = X_s (-i P) X_i^T for
     E = diag(2 sinh^2 r_k) and P = diag(sinh 2 r_k), placed into the complex
     blocks A and B of its sigma; the real (x, p) blocks of V - 1 are
@@ -266,7 +268,7 @@ def _source_tildes(stage: _Stage, coords: Sequence[np.ndarray],
     """
     tildes = []
     for (excess, pairing), (sig, idl) in zip(stage.sources, (SOURCE_A_ARMS, SOURCE_B_ARMS)):
-        x_s, x_i = amplitudes[sig] * coords[sig], amplitudes[idl] * coords[idl]
+        x_s, x_i = (stage.amplitudes[arm] * coords[arm] for arm in (sig, idl))
         r_s = x_s.shape[0]
         m = r_s + x_i.shape[0]
         a = np.zeros((m, m), dtype=complex)
@@ -284,32 +286,31 @@ def _source_tildes(stage: _Stage, coords: Sequence[np.ndarray],
 
 
 def _after_splitter(blocks: Sequence[np.ndarray], rows: Sequence[int],
-                    slots: Sequence[int], bs_angle: float) -> np.ndarray:
+                    bs_angle: float) -> np.ndarray:
     """O (M_A + M_B) O^T on the four arms, from one matrix per source before the splitter.
 
     ``blocks`` holds source A's matrix on its rows (x_0, x_1, p_0, p_1) and
     source B's on (x_3, x_2, p_3, p_2), arm a with ``rows[a]`` rows
-    (``_source_tildes``).  The result has the x rows of arms 0 to 3, then
-    their p rows, arm a in a slot of ``slots[a]`` rows whose rows beyond
-    ``rows[a]`` are zero.  O is the beam-splitter of angle theta: it sends
-    idler arm 1 to arms (1, 2) with weights (cos, sin) and idler arm 2 with
-    (-sin, cos), the same on x and p, and keeps the signal arms.  Each
-    entry of the result is a sum over sources, A first, of (w_k w_l) m: the
-    product of its rows' two weights, formed first, times the source's
-    entry m.  That fixes the rounding of every entry, so a state is the
-    same to the last bit however its arms are laid out.
+    (``_source_tildes``); arms 1 and 2 have equal row counts.  The result
+    has the x rows of arms 0 to 3, then their p rows.  O is the
+    beam-splitter of angle theta: it sends idler arm 1 to arms (1, 2) with
+    weights (cos, sin) and idler arm 2 with (-sin, cos), the same on x and
+    p, and keeps the signal arms.  Each entry of the result is a sum over
+    sources, A first, of (w_k w_l) m: the product of its rows' two weights,
+    formed first, times the source's entry m, which fixes the rounding of
+    every entry.
     """
     c, s = math.cos(bs_angle), math.sin(bs_angle)
     weights = {1: np.array([c, s]), 2: np.array([-s, c])}
-    starts = np.cumsum((0,) + tuple(slots))
+    starts = np.cumsum((0,) + tuple(rows))
     n = int(starts[-1])
     out = np.zeros((2 * n, 2 * n))
-    # (quadrature, row, quadrature, row) views; arms 1 and 2 have equal
-    # slots and row counts and sit side by side, so their rows split into
-    # (arm, row) per quadrature
+    # (quadrature, row, quadrature, row) views; arms 1 and 2 have equal row
+    # counts and sit side by side, so their rows split into (arm, row) per
+    # quadrature
     quads = out.reshape(2, n, 2, n)
-    r_i, slot = rows[1], slots[1]
-    both = slice(starts[1], starts[1] + 2 * slot)
+    r_i = rows[1]
+    both = slice(starts[1], starts[1] + 2 * r_i)
     idlers = 0.0
     for block, (sig, idl) in zip(blocks, (SOURCE_A_ARMS, SOURCE_B_ARMS)):
         r_s, half = rows[sig], rows[sig] + rows[idl]
@@ -320,36 +321,23 @@ def _after_splitter(blocks: Sequence[np.ndarray], rows: Sequence[int],
         quads[:, s_out, :, s_out] = source[:, s_in, :, s_in]
         # np.multiply.outer puts the weight axes first; each transpose
         # moves a weight axis next to the rows of its idler arm
-        quads[:, s_out, :, both].reshape(2, r_s, 2, 2, slot)[..., :r_i] = (
+        quads[:, s_out, :, both].reshape(2, r_s, 2, 2, r_i)[...] = (
             np.multiply.outer(w, source[:, s_in, :, i_in]).transpose(1, 2, 3, 0, 4))
-        quads[:, both, :, s_out].reshape(2, 2, slot, 2, r_s)[:, :, :r_i] = (
+        quads[:, both, :, s_out].reshape(2, 2, r_i, 2, r_s)[...] = (
             np.multiply.outer(w, source[:, i_in, :, s_in]).transpose(1, 0, 2, 3, 4))
         idlers = idlers + np.multiply.outer(np.multiply.outer(w, w), source[:, i_in, :, i_in])
-    quads[:, both, :, both].reshape(2, 2, slot, 2, 2, slot)[:, :, :r_i, :, :, :r_i] = (
-        idlers.transpose(2, 0, 3, 4, 1, 5))
+    quads[:, both, :, both].reshape(2, 2, r_i, 2, 2, r_i)[...] = idlers.transpose(2, 0, 3, 4, 1, 5)
     return out
-
-
-def _state(rows: Sequence[int], tildes: Sequence[np.ndarray],
-           bs_angle: float) -> CovarianceState:
-    """The four-arm state after the beam-splitter, on ModeLayout(4, r), from
-    ``_source_tildes``'s row counts and matrices.
-
-    ``_after_splitter`` carries the sources through the splitter; r is the
-    longest arm, at least 1, and the rows a shorter arm lacks are vacuum.
-    """
-    r = max(1, *rows)
-    v = _after_splitter(tildes, rows, (r,) * N_SPATIAL, bs_angle)
-    v[np.diag_indices_from(v)] += 1
-    return CovarianceState(ModeLayout(N_SPATIAL, r), v)
 
 
 def build_hhom(config: HhomConfig) -> CovarianceState:
     """Final covariance state of the heralded-HOM circuit, on every frequency bin:
-    ``_state`` with the arms' mode functions after the delay as coordinates."""
+    the sources on the arms' mode functions after the delay, then the splitter."""
     stage = _sources_and_channels(config)
-    return _state(*_source_tildes(stage, _delayed(stage, config.grid, config.delay),
-                                  stage.amplitudes), config.bs_angle)
+    rows, tildes = _source_tildes(stage, _delayed(stage, config.grid, config.delay))
+    v = _after_splitter(tildes, rows, config.bs_angle)
+    v[np.diag_indices_from(v)] += 1
+    return CovarianceState(ModeLayout(N_SPATIAL, config.grid.n_bins), v)
 
 
 def four_fold(state: CovarianceState, detector: str = "pnr") -> float:
@@ -383,47 +371,17 @@ def distinguishable_four_fold(config: HhomConfig) -> float:
     return _RowPlan(config).distinguishable_four_fold
 
 
-def _subsets(modes: tuple) -> list[tuple]:
-    """Every subset of ``modes``, each in the order of ``modes``."""
-    return [subset for r in range(len(modes) + 1)
-            for subset in itertools.combinations(modes, r)]
-
-
 class _Figures(NamedTuple):
-    """Four-fold, bunching and heralding probabilities of one circuit.
-
-    With threshold detectors, ``vacuum`` is the table of the vacuum
-    probabilities of every subset of the four arms that the figures are
-    summed from, and ``state`` the four-arm state it was read from
-    (``_threshold_figures``); with PNR detectors both are None.  The state
-    is kept so that a row frees its states together when its plan goes:
-    freeing each one as soon as it was detected made threshold rows 4-6%
-    slower (same-process alternating runs of a 61-bin row).
-    """
+    """Four-fold, bunching and heralding probabilities of one circuit."""
 
     four_fold: float
     p_bunch: float
     heralding_rate: float
-    vacuum: dict | None = None
-    state: CovarianceState | None = None
 
     @property
     def single_pair(self) -> float:
         """Four-fold plus bunching: heralds fire and two idler photons emerge."""
         return self.four_fold + self.p_bunch
-
-
-def _threshold_figures(state: CovarianceState) -> _Figures:
-    """Every threshold figure of a four-arm state, as inclusion-exclusion sums
-    over one table of its 16 vacuum probabilities."""
-    vacuum = vacuum_probabilities(state, _subsets(FOUR_ARMS))
-
-    def threshold(on_modes, off_modes=()) -> float:
-        return inclusion_exclusion(vacuum.__getitem__, on_modes, off_modes)
-
-    return _Figures(threshold(FOUR_ARMS),
-                    threshold((0, 2, 3), (1,)) + threshold((0, 1, 3), (2,)),
-                    threshold(HERALD_MODES), vacuum, state)
 
 
 def _signal_click(tilde: np.ndarray, r_s: int) -> float:
@@ -437,29 +395,20 @@ def _signal_click(tilde: np.ndarray, r_s: int) -> float:
 
 
 class _RowPlan:
-    """Figures of merit of one configuration from its distinct states.
+    """Figures of merit of one configuration from its sources' factors.
 
-    Everything is written from one source stage and the arms' coordinates
-    at a delay (``_coordinates``), computed once per delay, here, so a
-    row's figures do not depend on whether its stage was shared.  Each
-    source's sigma_tilde is written once per delay (``sources``).  With
-    threshold detectors each state at (delay, beam-splitter angle) is
-    carried through the splitter from those (``_state``) and its vacuum
-    table built once; the plateau's state at angle 0 has both idler
-    amplitudes times sqrt(1/2) (50% more loss).  With PNR detectors each
-    source is factored once per delay, and each angle's figures come from
-    those factors (module docstring); the herald arms are factored once per
-    plan.  The plan builds the stage on first use and keeps it; a sweep
-    whose axis leaves the stage unchanged passes in the stage it built.  A
-    plan serves one sweep row or one public call and holds no state beyond
-    it.
+    A plan writes, checks and factors each source's sigma_tilde once per
+    delay, in the arms' coordinates at that delay (``source_factors``), so
+    a row's figures do not depend on whether its stage was shared, and
+    each angle's figures come from those factors (module docstring).  The
+    plan builds the stage on first use and keeps it; a sweep whose axis
+    leaves the stage unchanged passes in the stage it built.  A plan serves
+    one sweep row or one public call and holds no state beyond it.
     """
 
     def __init__(self, config: HhomConfig, stage: _Stage | None = None):
         self.config = config
         self._stage = stage
-        self._coords = {}
-        self._sources = {}
         self._factors = {}
         self._figures = {}
         self._heralding_rate = None
@@ -471,53 +420,69 @@ class _RowPlan:
         return self._stage
 
     def coordinates(self, delay: float) -> tuple:
-        """The arms' coordinates at this delay, computed once."""
-        if delay not in self._coords:
-            self._coords[delay] = _coordinates(_delayed(self.stage(), self.config.grid, delay))
-        return self._coords[delay]
-
-    def sources(self, delay: float) -> tuple:
-        """``_source_tildes`` at this delay with the stage's amplitudes, written once."""
-        if delay not in self._sources:
-            stage = self.stage()
-            self._sources[delay] = _source_tildes(stage, self.coordinates(delay),
-                                                  stage.amplitudes)
-        return self._sources[delay]
-
-    def state(self, delay: float, bs_angle: float,
-              amplitudes: Sequence[float] | None = None) -> CovarianceState:
-        """The row state at this delay and angle (default amplitudes: the stage's)."""
-        if amplitudes is None:
-            return _state(*self.sources(delay), bs_angle)
-        return _state(*_source_tildes(self.stage(), self.coordinates(delay), amplitudes),
-                      bs_angle)
+        """The arms' coordinates at this delay."""
+        return _coordinates(_delayed(self.stage(), self.config.grid, delay))
 
     def source_factors(self, delay: float) -> tuple:
-        """Each arm's row count, and (log det(1 + S), Z) of each source at this delay.
-
-        Each source's sigma_tilde is checked for symmetry and factored
-        once.  The first call also detects the herald arms: each one's
-        rows of its source's sigma_tilde, which no delay changes.
-        """
+        """Each arm's row count, and each source's (log det(1 + S), Z) with PNR
+        detectors or vacuum blocks with threshold ones at this delay; the
+        first PNR call also detects the herald arms, which no delay changes."""
         if delay not in self._factors:
-            rows, tildes = self.sources(delay)
+            rows, tildes = _source_tildes(self.stage(), self.coordinates(delay))
             tildes = [_symmetrized(t) for t in tildes]
-            if self._heralding_rate is None:
-                self._heralding_rate = (_signal_click(tildes[0], rows[SOURCE_A_ARMS[0]])
-                                        * _signal_click(tildes[1], rows[SOURCE_B_ARMS[0]]))
-            self._factors[delay] = rows, [pnr_factor(t) for t in tildes]
+            if self.config.detector == "threshold":
+                factors = [source_vacuum_blocks(t, rows[s]) for t, s in zip(tildes, HERALD_MODES)]
+            else:
+                if self._heralding_rate is None:
+                    self._heralding_rate = (_signal_click(tildes[0], rows[SOURCE_A_ARMS[0]])
+                                            * _signal_click(tildes[1], rows[SOURCE_B_ARMS[0]]))
+                factors = [pnr_factor(t) for t in tildes]
+            self._factors[delay] = rows, factors
         return self._factors[delay]
 
     def _pnr_figures(self, delay: float, bs_angle: float) -> _Figures:
         """The four-arm expansion at this angle from the sources' factors:
         log det = log det_A + log det_B and Z' = O (Z_A + Z_B) O^T."""
         rows, ((logdet_a, z_a), (logdet_b, z_b)) = self.source_factors(delay)
-        z = _after_splitter((z_a, z_b), rows, rows, bs_angle)
+        z = _after_splitter((z_a, z_b), rows, bs_angle)
         row_variable = np.repeat(np.tile(np.arange(N_SPATIAL), 2), np.tile(rows, 2))
         patterns = (FOUR_FOLD_COUNTS,) + BUNCHING_COUNTS
         f = pnr_series(logdet_a + logdet_b, z, row_variable, patterns)
         p4, *p_bunch = _count_probabilities(f, patterns, "p_pnr")
         return _Figures(p4, sum(p_bunch), self._heralding_rate)
+
+    def _vacuum_table(self, delay: float, bs_angle: float | None) -> dict:
+        """The vacuum probability of each sorted subset of the arms (module docstring);
+        with ``bs_angle`` None, the plateau's: 50% more idler loss halves each X."""
+        (ell_a, idlers_a), (ell_b, idlers_b) = self.source_factors(delay)[1]
+        if bs_angle is None:
+            halved = [[half_logdet(x / 2, "on the idlers") for x, _ in xs]
+                      for xs in (idlers_a, idlers_b)]
+        vacuum = {}
+        for in_a, in_b in itertools.product((False, True), repeat=2):
+            (x_a, h_a), (x_b, h_b) = idlers_a[in_a], idlers_b[in_b]
+            if bs_angle is None:
+                one_idler = (halved[0][in_a] + halved[1][in_b],) * 2
+            else:
+                c2, s2 = math.cos(bs_angle) ** 2, math.sin(bs_angle) ** 2
+                one_idler = (half_logdet(c2 * x_a + s2 * x_b, "on arm 1"),
+                             half_logdet(s2 * x_a + c2 * x_b, "on arm 2"))
+            heralds = SOURCE_A_ARMS[:1] * in_a + SOURCE_B_ARMS[:1] * in_b
+            for idlers, h in zip(((), (1,), (2,), IDLER_MODES), (0.0, *one_idler, h_a + h_b)):
+                vacuum[tuple(sorted(heralds + idlers))] = _clamp(
+                    math.exp(-ell_a * in_a - ell_b * in_b - h), "p_vacuum")
+        return vacuum
+
+    def _threshold_figures(self, delay: float, bs_angle: float) -> _Figures:
+        """Every threshold figure at this angle, summed from one vacuum table."""
+        vacuum = self._vacuum_table(delay, bs_angle)
+
+        def threshold(on_modes, off_modes=()) -> float:
+            return inclusion_exclusion(vacuum.__getitem__, on_modes, off_modes)
+
+        return _Figures(threshold(FOUR_ARMS),
+                        threshold((0, 2, 3), (1,)) + threshold((0, 1, 3), (2,)),
+                        threshold(HERALD_MODES))
 
     def figures(self, delay: float | None = None,
                 bs_angle: float | None = None) -> _Figures:
@@ -526,28 +491,18 @@ class _RowPlan:
                self.config.bs_angle if bs_angle is None else bs_angle)
         if key not in self._figures:
             self._figures[key] = (self._pnr_figures(*key) if self.config.detector == "pnr"
-                                  else _threshold_figures(self.state(*key)))
+                                  else self._threshold_figures(*key))
         return self._figures[key]
 
     @functools.cached_property
     def distinguishable_four_fold(self) -> float:
-        """From the state at angle 0 (module docstring); with threshold
-        detectors, one range-checked sum in which modes 1 and 2 are A and B."""
-        unsplit = self.figures(bs_angle=0.0)
+        """From the circuit without the splitter (module docstring); with
+        threshold detectors, one range-checked sum in which modes 1 and 2
+        are A and B."""
         if self.config.detector == "pnr":
-            return 0.5 * unsplit.single_pair
-        amplitudes = [t * math.sqrt(0.5) if arm in IDLER_MODES else t
-                      for arm, t in enumerate(self.stage().amplitudes)]
-        halved = vacuum_probabilities(
-            self.state(self.config.delay, 0.0, amplitudes),
-            [IDLER_MODES + heralds for heralds in _subsets(HERALD_MODES)])
-
-        def vacuum(modes: tuple) -> float:
-            if len(set(modes) & set(IDLER_MODES)) == 1:
-                return halved[tuple(sorted(set(modes) | set(IDLER_MODES)))]
-            return unsplit.vacuum[modes]
-
-        return inclusion_exclusion(vacuum, FOUR_ARMS)
+            return 0.5 * self.figures(bs_angle=0.0).single_pair
+        return inclusion_exclusion(self._vacuum_table(self.config.delay, None).__getitem__,
+                                   FOUR_ARMS)
 
     def heralding_efficiency(self) -> float:
         p_sps = self.figures(bs_angle=0.0).single_pair

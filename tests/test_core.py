@@ -121,6 +121,20 @@ def test_transform_passive_rejects_expanding():
         Transform("passive", np.array([[0.9, 0.5], [0.0, 0.9]]), lay2)
 
 
+def test_passive_check_at_101_bins():
+    """The contraction check needs no SVD: a 101-bin beam-splitter unitary
+    and a 101-bin loss pass, and the unitary, or a lossless arm, scaled by
+    1 + 1e-9 is rejected with its s_max."""
+    lay = ModeLayout(2, 101)
+    c, s = np.cos(0.3), np.sin(0.3)
+    splitter = np.kron([[c, -s], [s, c]], np.eye(101))
+    Transform("passive", splitter, lay)
+    loss(0.1, [0, 1], lay)
+    for u in (splitter, loss(0.0, [0, 1], lay).matrix):
+        with pytest.raises(ValueError, match=r"not contractive \(s_max = 1\.000000001"):
+            Transform("passive", (1 + 1e-9) * u, lay)
+
+
 def test_apply_dispatch_and_kind_check():
     lay = ModeLayout(1, 1)
     state = vacuum_state(lay)

@@ -16,6 +16,7 @@ from gausshom.detection import (
     UnphysicalStateError,
     _clamp,
     _power_plan,
+    half_logdet,
     p_pnr,
     p_threshold,
     p_vacuum,
@@ -77,6 +78,19 @@ def test_vacuum_table_matches_extended_precision_determinants(xi):
             half = (np.eye(idx.size) + state.v[np.ix_(idx, idx)]) / 2
             exact = mpmath.det(mpmath.matrix(half.tolist())) ** -0.5
             assert abs(mpmath.mpf(table[subset]) / exact - 1) <= 1e-14, subset
+
+
+def test_half_logdet_keeps_the_excess_that_rounding_of_1_drops():
+    """log det(1 + X) / 2 of a small excess, against 40 digits of the same
+    float64 X: a plain sum of log diag L of the rounded 1 + X is off by
+    2.3e-16 here, from the rounding of its diagonal near 1."""
+    q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(60, 60)))
+    x = (q * np.concatenate([np.full(10, 1e-3), np.full(50, 2e-17)])) @ q.T
+    x = (x + x.T) / 2
+    with mpmath.workdps(40):
+        chol = mpmath.cholesky(mpmath.eye(60) + mpmath.matrix(x.tolist()))
+        exact = mpmath.fsum(mpmath.log(chol[k, k]) for k in range(60))
+        assert abs(half_logdet(x, "") - exact) <= 1e-17
 
 
 def test_threshold_two_mode_squeezed_closed_form():

@@ -5,6 +5,7 @@ import itertools
 import logging
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +15,7 @@ from gausshom import detection, elements, experiments
 from gausshom.core import (CovarianceState, FrequencyGrid, ModeLayout, apply, subset_indices,
                            vacuum_state)
 from gausshom.elements import bandpass_filter, beam_splitter, loss, squeezer
-from gausshom.detection import DetectionPattern, p_pnr, p_threshold
+from gausshom.detection import DetectionPattern, p_pnr, p_threshold, p_vacuum
 from gausshom.fock import fock_detection
 from gausshom.experiments import (
     CSV_COLUMNS,
@@ -264,13 +265,27 @@ def test_sweep_row_matches_standalone_figures(detector, delay):
         assert row[name] == pytest.approx(value, rel=1e-12, abs=1e-15), name
 
 
+def count_states(monkeypatch) -> list:
+    """Record every CovarianceState constructed from here on."""
+    states = []
+    post_init = CovarianceState.__post_init__
+
+    def counting_post_init(self):
+        states.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(CovarianceState, "__post_init__", counting_post_init)
+    return states
+
+
 @pytest.mark.parametrize("detector", DETECTORS)
 def test_visibility_row_builds_and_detects_each_distinct_state_once(monkeypatch, detector):
-    stages, calls, factored, expanded = [], [], [], []
+    stages, calls, factored, expanded, blocked = [], [], [], [], []
     stage = experiments._sources_and_channels
-    vacuum_probabilities = experiments.vacuum_probabilities
+    vacuum_probabilities = detection.vacuum_probabilities
     p_pnr = experiments.p_pnr
     pnr_factor, pnr_series = experiments.pnr_factor, experiments.pnr_series
+    source_vacuum_blocks = experiments.source_vacuum_blocks
 
     def counting_stage(config):
         stages.append(config)
@@ -293,15 +308,20 @@ def test_visibility_row_builds_and_detects_each_distinct_state_once(monkeypatch,
         expanded.append((z, tuple(patterns)))
         return pnr_series(logdet, z, row_variable, patterns)
 
+    def counting_blocks(tilde, n_signal):
+        blocked.append(tilde)
+        return source_vacuum_blocks(tilde, n_signal)
+
     monkeypatch.setattr(experiments, "_sources_and_channels", counting_stage)
-    monkeypatch.setattr(experiments, "vacuum_probabilities", counting_vacuum)
     monkeypatch.setattr(detection, "vacuum_probabilities", counting_vacuum)
     monkeypatch.setattr(experiments, "p_pnr", counting_pnr)
     monkeypatch.setattr(experiments, "pnr_factor", counting_factor)
     monkeypatch.setattr(experiments, "pnr_series", counting_series)
+    monkeypatch.setattr(experiments, "source_vacuum_blocks", counting_blocks)
+    states = count_states(monkeypatch)
     patterns = (experiments.FOUR_FOLD_COUNTS,) + experiments.BUNCHING_COUNTS
     for delay in (0.0, 0.7):
-        for record in (stages, calls, factored, expanded):
+        for record in (stages, calls, factored, expanded, blocked, states):
             record.clear()
         config = lossy_waveguide_config(detector, delay=delay)
         sweep_row(config, "xi", 0.3, visibilities=True)
@@ -309,34 +329,46 @@ def test_visibility_row_builds_and_detects_each_distinct_state_once(monkeypatch,
         # one source stage serves bs = pi/4, bs = 0 and the distinguishable
         # limit at the row's delay, and bs = pi/4 at the dip's delay 0
         assert len(stages) == 1
-        delays = sorted({delay, 0.0})
-        if detector == "threshold":
-            keys = [(id(state), what) for state, what in calls]
-            assert len(keys) == len(set(keys))
-            assert {state.layout.n_spatial for state, _ in calls} == {4}
-            # one table per state: the 16 subsets of 4 detectors at bs = pi/4
-            # and at bs = 0, the 4 subsets that hold both idlers after 50%
-            # idler loss, and the 16 at the dip when the row has a delay
-            assert len({id(state) for state, _ in calls}) == len(calls) == 2 + len(delays)
-            assert sorted(len(subsets) for _, subsets in calls) == [4] + [16] * (1 + len(delays))
-            assert factored == expanded == []
-            continue
         # no four-arm state is built or detected: each source's sigma_tilde
-        # is factored once per delay, and each herald arm's rows once per row
-        assert calls == []
+        # is factored once per delay
+        assert calls == [] and states == []
+        delays = sorted({delay, 0.0})
         xi = dataclasses.replace(config.source_a, xi=0.3)
         plan = experiments._RowPlan(dataclasses.replace(config, source_a=xi, source_b=xi))
         rows = [[x.shape[0] for x in plan.coordinates(d)] for d in delays]
         sources = [2 * (r[sig] + r[idl]) for r in rows
                    for sig, idl in (experiments.SOURCE_A_ARMS, experiments.SOURCE_B_ARMS)]
+        factors = blocked if detector == "threshold" else factored
+        assert len({id(t) for t in factors}) == len(factors)
+        if detector == "threshold":
+            assert sorted(t.shape[0] for t in blocked) == sorted(sources)
+            assert factored == expanded == []
+            continue
+        # each herald arm's rows are factored once per row
+        assert blocked == []
         heralds = [2 * rows[0][arm] for arm in experiments.HERALD_MODES]
         assert sorted(t.shape[0] for t in factored) == sorted(sources + heralds)
         assert max(t.shape[0] for t in factored) == max(sources)
-        assert len({id(t) for t in factored}) == len(factored)
         # one expansion per angle at the row's delay, one at the dip, one per herald arm
         four_arm = [id(z) for z, p in expanded if p == patterns]
         assert len(set(four_arm)) == len(four_arm) == 1 + len(delays)
         assert sorted(p for _, p in expanded if p != patterns) == [((1,),), ((1,),)]
+
+
+@pytest.mark.parametrize("detector", DETECTORS)
+@pytest.mark.parametrize("axis, values", [("xi", [0.2, 0.4]), ("loss", [0.0, 0.3]),
+                                          ("filter_width", [1.0, 2.0]), ("delay", [0.0, 0.7]),
+                                          ("bs_angle", [0.0, 0.3]),
+                                          (experiments.PROBE_AXIS, [0.0])])
+def test_sweep_rows_build_no_covariance_state(monkeypatch, axis, values, detector):
+    """Every row is detected from its sources' factors, with visibilities or not."""
+    states = count_states(monkeypatch)
+    config = lossy_waveguide_config(detector, delay=0.4)
+    for visibilities in (True, False):
+        sweep(config, axis, values, visibilities=visibilities)
+    assert states == []
+    build_hhom(config)
+    assert len(states) == 1
 
 
 def count_stages(monkeypatch) -> list:
@@ -397,13 +429,13 @@ STAGE_XI = (0.0, 0.2, 0.9)
 ARM_LOSS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
+FOUR_ARM_SUBSETS = [s for r in range(5) for s in itertools.combinations(FOUR_ARMS, r)]
+
+
 def assert_close_probabilities(got, want):
     """Each probability within 1e-12 relative or 1e-14 absolute."""
     got, want = np.asarray(got), np.asarray(want)
     assert np.all(np.abs(got - want) <= np.maximum(1e-12 * np.abs(want), 1e-14)), (got, want)
-
-
-TWO_PER_ARM = list(itertools.product(range(3), repeat=4))
 
 
 @settings(max_examples=25, deadline=None)
@@ -442,29 +474,29 @@ def test_closed_form_stage_matches_the_element_circuit(variants, xis, idler_cent
     want = apply(want, beam_splitter(bs_angle, experiments.IDLER_MODES, lay))
     np.testing.assert_allclose(build_hhom(config).v, want.v, rtol=0, atol=1e-13)
 
-    # the row state detects as the state on every bin does
-    got = experiments._RowPlan(config).state(delay, bs_angle)
-    subsets = experiments._subsets(FOUR_ARMS)
-    got_vacuum, want_vacuum = (detection.vacuum_probabilities(state, subsets)
-                               for state in (got, want))
-    assert_close_probabilities([got_vacuum[s] for s in subsets],
-                               [want_vacuum[s] for s in subsets])
-    assert_close_probabilities(p_pnr(got, FOUR_ARMS, TWO_PER_ARM),
-                               p_pnr(want, FOUR_ARMS, TWO_PER_ARM))
-    # the row's PNR figures, from the sources' factors carried through the
-    # splitter and the herald arms' own rows, as p_pnr on the element circuit
-    figures = experiments._RowPlan(config).figures(delay, bs_angle)
-    assert_close_probabilities([figures.four_fold, figures.p_bunch, figures.heralding_rate],
-                               [four_fold(want), bunching(want), heralding_rate(want)])
+    # the row's figures, from the sources' factors carried through the
+    # splitter and the herald arms' own rows, as on the element circuit; with
+    # threshold detectors the 16 vacuum terms they are summed from, too
+    want_vacuum = detection.vacuum_probabilities(want, FOUR_ARM_SUBSETS)
+    for detector in DETECTORS:
+        plan = experiments._RowPlan(dataclasses.replace(config, detector=detector))
+        figures = plan.figures(delay, bs_angle)
+        assert_close_probabilities(
+            [figures.four_fold, figures.p_bunch, figures.heralding_rate],
+            [four_fold(want, detector), bunching(want, detector), heralding_rate(want, detector)])
+        if detector == "threshold":
+            got_vacuum = plan._vacuum_table(delay, bs_angle)
+            assert_close_probabilities([got_vacuum[s] for s in FOUR_ARM_SUBSETS],
+                                       [want_vacuum[s] for s in FOUR_ARM_SUBSETS])
     if xis == (0.0, 0.0):
-        # no source: one vacuum row per arm, and the parent's error
-        assert got.layout == ModeLayout(4, 1)
+        # no source: no arm has a row, and the parent's error
+        assert [x.shape[0] for x in plan.coordinates(delay)] == [0] * 4
         with pytest.raises(ZeroDivisionError, match="heralding rate is zero"):
             heralding_efficiency(config)
 
 
 @pytest.mark.parametrize("detector", DETECTORS)
-def test_101_bin_row_matches_the_dense_element_circuit(monkeypatch, detector):
+def test_101_bin_row_matches_the_dense_element_circuit(detector):
     """A lossy waveguide row at delay 0, detected in the arms' occupied
     bases, against the same row on the element circuit over all 101 bins."""
     spec = JsaSpec("waveguide", 0.3, 1e11, walkoff=29 * PS)
@@ -472,37 +504,34 @@ def test_101_bin_row_matches_the_dense_element_circuit(monkeypatch, detector):
                         detector=detector)
     got = sweep_row(config, experiments.PROBE_AXIS, 0.0, True)
     plan = experiments._RowPlan(config)
-    state = plan.state(0.0, 0.0)
     # fails if the row is ever detected on the bins again
-    assert state.layout.n_spectral <= 2 * plan.stage().modes[0].shape[1] < config.grid.n_bins
+    assert max(plan.source_factors(0.0)[0]) <= 2 * plan.stage().modes[0].shape[1]
+    assert 2 * plan.stage().modes[0].shape[1] < config.grid.n_bins
+    # the row detects no state: the figures of the dense states at both
+    # angles, at delay 0 (also the dip's)
     lay = ModeLayout(4, config.grid.n_bins)
+    sources = sources_filter_and_loss(config, lay)
+    here, split = (apply(sources, beam_splitter(bs_angle, experiments.IDLER_MODES, lay))
+                   for bs_angle in (math.pi / 4, 0.0))
+    p_sps = four_fold(split, detector) + bunching(split, detector)
     if detector == "pnr":
-        assert max(plan.source_factors(0.0)[0]) < config.grid.n_bins
-        # PNR rows detect no state of the plan: the figures of the dense
-        # states at both angles, at delay 0 (also the dip's)
-        sources = sources_filter_and_loss(config, lay)
-        here, split = (apply(sources, beam_splitter(bs_angle, experiments.IDLER_MODES, lay))
-                       for bs_angle in (math.pi / 4, 0.0))
-        p_sps = four_fold(split) + bunching(split)
-        want = {"p4": four_fold(here), "p_bunch": bunching(here),
-                "p_herald": heralding_rate(here), "eta_herald": p_sps / heralding_rate(here),
-                "v_hom": visibility_hom(four_fold(here), 0.5 * p_sps),
-                "v_mzi": visibility_mzi(four_fold(split), four_fold(here))}
+        plateau = 0.5 * p_sps
     else:
-        plateau_amplitudes = pytest.approx([math.sqrt(0.9), math.sqrt(0.45),
-                                            math.sqrt(0.45), math.sqrt(0.9)], rel=1e-15)
+        # the threshold plateau: a subset with one idler sees both idlers
+        # after 50% more loss on each
+        halved = apply(sources, loss(0.5, experiments.IDLER_MODES, lay))
 
-        def dense_state(plan, delay, bs_angle, amplitudes=None):
-            assert delay == 0.0
-            state = sources_filter_and_loss(config, lay)
-            if amplitudes is not None:
-                # the threshold plateau: 50% more loss on both idlers
-                assert amplitudes == plateau_amplitudes
-                state = apply(state, loss(0.5, experiments.IDLER_MODES, lay))
-            return apply(state, beam_splitter(bs_angle, experiments.IDLER_MODES, lay))
+        def plateau_vacuum(modes):
+            if len(set(modes) & set(experiments.IDLER_MODES)) == 1:
+                return p_vacuum(halved, set(modes) | set(experiments.IDLER_MODES))
+            return p_vacuum(split, modes)
 
-        monkeypatch.setattr(experiments._RowPlan, "state", dense_state)
-        want = sweep_row(config, experiments.PROBE_AXIS, 0.0, True)
+        plateau = detection.inclusion_exclusion(plateau_vacuum, FOUR_ARMS)
+    want = {"p4": four_fold(here, detector), "p_bunch": bunching(here, detector),
+            "p_herald": heralding_rate(here, detector),
+            "eta_herald": p_sps / heralding_rate(here, detector),
+            "v_hom": visibility_hom(four_fold(here, detector), plateau),
+            "v_mzi": visibility_mzi(four_fold(split, detector), four_fold(here, detector))}
     for name in CSV_COLUMNS[2:]:
         rel = 1e-12
         if detector == "threshold" and name in ("p4", "v_hom", "v_mzi"):
@@ -617,17 +646,42 @@ def test_distinguishable_four_fold_matches_six_mode_circuit(detector, xi):
 
 def test_threshold_plateau_is_range_checked(monkeypatch):
     """A plateau pushed below zero raises instead of passing through."""
-    vacuum_probabilities = experiments.vacuum_probabilities
+    vacuum_table = experiments._RowPlan._vacuum_table
 
-    def shifted_vacuum(state, subsets):
-        # enters the plateau as +0.01 at angle 0 and -0.02 after the idler loss
-        table = vacuum_probabilities(state, subsets)
-        table[(1, 2)] += 0.01
-        return table
+    def shifted(plan, delay, bs_angle):
+        # the term (1, 2) enters the plateau (about 1.3e-3) as -0.01
+        table = vacuum_table(plan, delay, bs_angle)
+        return {**table, (1, 2): table[(1, 2)] - 0.01}
 
-    monkeypatch.setattr(experiments, "vacuum_probabilities", shifted_vacuum)
+    monkeypatch.setattr(experiments._RowPlan, "_vacuum_table", shifted)
     with pytest.raises(detection.UnphysicalStateError, match="p_threshold"):
         distinguishable_four_fold(lossy_waveguide_config("threshold"))
+
+
+@pytest.mark.parametrize("xi_a, xi_b", [(0.03, 0.03), (0.3, 0.3), (1.0, 1.0), (0.3, 0.0)])
+def test_row_vacuum_table_matches_extended_precision_determinants(xi_a, xi_b):
+    """Each of a threshold row's 16 vacuum terms, from the sources' vacuum
+    blocks, against a 40-digit det((1 + V_S) / 2)^(-1/2) of ``build_hhom``'s
+    state on the bins, at two delays and four beam-splitter angles, with the
+    bound of the vacuum tree's own extended-precision test."""
+    spec = JsaSpec("waveguide", xi_a, 4.0, signal_center=0.0, idler_center=0.0, walkoff=1.0)
+    config = HhomConfig(spec, dataclasses.replace(spec, xi=xi_b), FrequencyGrid(0.0, 1.0, 5),
+                        loss=(0.1, 0.2, 0.15, 0.05), detector="threshold")
+    subsets = FOUR_ARM_SUBSETS[1:]
+    for delay, bs_angle in itertools.product((0.0, 0.7), (0.0, 0.3, math.pi / 4, math.pi / 2)):
+        config = dataclasses.replace(config, delay=delay, bs_angle=bs_angle)
+        table = experiments._RowPlan(config)._vacuum_table(delay, bs_angle)
+        assert sorted(table) == sorted(FOUR_ARM_SUBSETS) and table[()] == 1.0
+        state = build_hhom(config)
+        with mpmath.workdps(40):
+            for subset in subsets:
+                idx = subset_indices(state.layout, subset)
+                half = (np.eye(idx.size) + state.v[np.ix_(idx, idx)]) / 2
+                # det^(-1/2) from a 40-digit Cholesky factor, faster than mpmath.det
+                chol = mpmath.cholesky(mpmath.matrix(half.tolist()))
+                exact = 1 / mpmath.fprod(chol[k, k] for k in range(idx.size))
+                assert abs(mpmath.mpf(table[subset]) / exact - 1) <= 1e-14, (delay, bs_angle,
+                                                                              subset)
 
 
 @pytest.mark.parametrize("defect, error, match", [
@@ -635,8 +689,9 @@ def test_threshold_plateau_is_range_checked(monkeypatch):
     ("indefinite", detection.UnphysicalStateError, "not positive"),
     ("nan", ValueError, "not symmetric"),
 ])
-def test_pnr_row_checks_each_source_block(monkeypatch, defect, error, match):
-    """A PNR row builds no CovarianceState, so each source's sigma_tilde is
+@pytest.mark.parametrize("detector", DETECTORS)
+def test_row_checks_each_source_block(monkeypatch, detector, defect, error, match):
+    """A row builds no CovarianceState, so each source's sigma_tilde is
     checked for symmetry and factored, and a defect in either source raises."""
     source_tildes = experiments._source_tildes
     for source in (0, 1):
@@ -653,7 +708,7 @@ def test_pnr_row_checks_each_source_block(monkeypatch, defect, error, match):
 
         monkeypatch.setattr(experiments, "_source_tildes", damaged)
         with pytest.raises(error, match=match):
-            sweep_row(lossy_waveguide_config("pnr"), "delay", 0.7, visibilities=False)
+            sweep_row(lossy_waveguide_config(detector), "delay", 0.7, visibilities=False)
 
 
 @pytest.mark.parametrize("detector", DETECTORS)
@@ -717,8 +772,8 @@ def test_only_stage_axes_take_a_stage():
                                      n_bins=experiments.FILTER_STUDY_MIN_BINS)
         stage = experiments._sources_and_channels(config)
         for delay in (0.0, 2e-12, -7e-12, 13e-12):
-            state = experiments._RowPlan(config, stage).state(delay, 0.0)
-            assert (state.layout.n_spectral < config.grid.n_bins) == (delay == 0.0)
+            rows = [x.shape[0] for x in experiments._RowPlan(config, stage).coordinates(delay)]
+            assert (max(rows) < config.grid.n_bins) == (delay == 0.0)
             shared = sweep_row(config, "delay", delay, True, stage=stage)
             assert shared == sweep_row(config, "delay", delay, True)
 
@@ -734,7 +789,7 @@ def test_row_layout_does_not_depend_on_the_filter_width(delay):
     for half_width, loss_per_arm in itertools.product((0.8e11, 1.12e11, 2.5e11, 4e11),
                                                       ((0.0,) * 4, (0.1, 0.1, 0.2, 0.1))):
         narrowed = dataclasses.replace(config, filter_half_width=half_width, loss=loss_per_arm)
-        sizes.add(experiments._RowPlan(narrowed).state(delay, 0.0).layout.n_spectral)
+        sizes.add(max(x.shape[0] for x in experiments._RowPlan(narrowed).coordinates(delay)))
     expected = kept if delay == 0.0 else min(2 * kept, config.grid.n_bins)
     assert sizes == {expected}
 

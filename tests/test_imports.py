@@ -1,7 +1,8 @@
 """Every module of the package and of its tests uses each name it imports,
-every private module-level function and class is referenced by some module
-of the package, the package exports exactly what its `__init__.py` imports,
-and its third-party imports are exactly its declared runtime dependencies.
+every private module-level function and class, and every method of a
+private class, is referenced by some module of the package, the package
+exports exactly what its `__init__.py` imports, and its third-party
+imports are exactly its declared runtime dependencies.
 
 No linter ships with the test dependencies, so this parses the sources with
 ``ast``.  ``__init__.py`` (re-exports) and ``from __future__`` imports are
@@ -62,25 +63,37 @@ def test_module_has_no_unused_imports(module):
 
 
 def unreferenced_private_helpers(sources: dict[str, str]) -> list[str]:
-    """Private module-level functions and classes that no source names.
+    """Private module-level functions and classes, and the non-dunder methods
+    of private classes, that no source names.
 
-    A name counts as referenced where any source loads it, reads it as an
-    attribute or imports it; its own definition does not count.
+    A function or class counts as referenced where any source loads it,
+    reads it as an attribute or imports it; a method, reported as
+    ``Class.method``, where any source reads it as an attribute.  A
+    definition does not count as its own reference.
     """
-    defined, referenced = [], set()
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.startswith("__")
+
+    helpers, methods, names, attributes = [], [], set(), set()
     for module, source in sorted(sources.items()):
         tree = ast.parse(source)
-        defined += [(module, node.name) for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")]
+        for node in tree.body:
+            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and private(node.name)):
+                continue
+            helpers.append((module, node.name))
+            if isinstance(node, ast.ClassDef):
+                methods += [(module, f"{node.name}.{item.name}", item.name) for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not (item.name.startswith("__") and item.name.endswith("__"))]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                referenced.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
-                referenced.update(alias.name for alias in node.names)
-    return [f"{module}: {name}" for module, name in defined if name not in referenced]
+                names.update(alias.name for alias in node.names)
+    return ([f"{module}: {name}" for module, name in helpers if name not in names | attributes]
+            + [f"{module}: {label}" for module, label, name in methods if name not in attributes])
 
 
 def test_private_checker_flags_helpers_nothing_calls():
@@ -90,6 +103,25 @@ def test_private_checker_flags_helpers_nothing_calls():
                         "def public():\n    return _used()\n"),
                "b.py": "from .a import _Plan\n"}
     assert unreferenced_private_helpers(sources) == ["a.py: _bin_blocks"]
+
+
+def test_private_checker_flags_methods_of_private_classes():
+    """A method of a private class that no source reads as an attribute is
+    flagged, whether public, private or a property, although a variable
+    shares its name; dunder methods and the methods of public classes are
+    not."""
+    sources = {"a.py": ("class _Plan:\n"
+                        "    def __init__(self):\n        self.rows = self._rows()\n"
+                        "    def _rows(self):\n        return 1\n"
+                        "    def state(self):\n        return 2\n"
+                        "    def _unused(self):\n        return 3\n"
+                        "    @property\n    def figures(self):\n        return 4\n"
+                        "class Public:\n"
+                        "    def helper(self):\n        return 5\n"
+                        "def run(state):\n    return _Plan().rows, state\n"),
+               "b.py": "from .a import run\n"}
+    assert unreferenced_private_helpers(sources) == ["a.py: _Plan.state", "a.py: _Plan._unused",
+                                                     "a.py: _Plan.figures"]
 
 
 def test_every_private_helper_has_a_caller_in_the_package():
