@@ -244,13 +244,14 @@ class Transform:
 
 
 def _symmetrized(v: np.ndarray) -> np.ndarray:
-    """(V + V^T) / 2 of a real matrix that is symmetric to ``HERMITICITY_TOL``.
+    """(V + V^dag) / 2 of a matrix that is Hermitian (symmetric, if real) to
+    ``HERMITICITY_TOL``.
 
     Raises ``ValueError`` otherwise; written so that a NaN anywhere fails
     the check.
     """
-    # V^T as a contiguous copy, so the passes below stream through memory
-    v_t = v.T.copy()
+    # V^dag as a contiguous copy, so the passes below stream through memory
+    v_t = v.T.conj().copy()
     symmetric = v + v_t
     symmetric *= 0.5
     v_t -= v

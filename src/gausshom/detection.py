@@ -1,9 +1,9 @@
 """Vacuum-projection, threshold and photon-number-resolving probabilities.
 
-Every quantity is read from ``CovarianceState.v``, the real symmetric
-covariance matrix of the state in the (x, p) basis, indexed by the detected
-rows: no reduced state is built, and every factorization and solve runs in
-real arithmetic.  A state's structure was checked where it entered
+Every quantity of a state is read from ``CovarianceState.v``, the real
+symmetric covariance matrix in the (x, p) basis, indexed by the detected
+rows: no reduced state is built, and every factorization and solve on it
+runs in real arithmetic.  A state's structure was checked where it entered
 (``CovarianceState.from_sigma``), so detection checks only that each
 matrix it factors is positive definite (a Cholesky factorization fails
 otherwise) and the range of each probability.
@@ -25,14 +25,20 @@ gives log det(1 + S) and Z = (1 + S)^-1 S with S = sigma_tilde / 2.  The
 second (``pnr_series``) is the power-trace expansion of log det(1 + Z D(s))
 over the detector variables s, from that pair and the variable of each
 row; a caller that knows Z of a rotated state (``experiments``) passes it
-straight in.  ``series_inv_sqrt_det`` and ``p_pnr`` run both halves in
-turn.  The coefficients are traces of cyclic words over the per-detector
-blocks of Z: by rotation, only the words that end in one start detector
-per multi-index are summed, each as the product of two half-length block
-paths, the second read reversed through the Hermitian symmetry of Z.  The
-expansion is a dict keyed by multi-index that holds only the
-multi-indices at or below the requested count patterns; ``series.exp``
-exponentiates it on those multi-indices by the power-series recurrence.
+straight in.  A caller may instead factor a complex Hermitian H whose
+realification [[Re H, -Im H], [Im H, Re H]] is sigma_tilde up to an
+orthogonal reflection (the passive form in ``experiments``): then
+det_real(1 + S) = det_C(1 + H/2)^2 and Z_real is the realification of Z_C,
+so the expansion of H takes the exponent -1 instead of -1/2, and an
+imaginary part beyond ``CLAMP_TOL`` raises.  ``series_inv_sqrt_det`` and
+``p_pnr`` run both halves in turn.  The coefficients are traces of cyclic
+words over the per-detector blocks of Z: by rotation, only the words that
+end in one start detector per multi-index are summed, each as the product
+of two half-length block paths, the second read reversed through the
+Hermitian symmetry of Z.  The expansion is a dict keyed by multi-index
+that holds only the multi-indices at or below the requested count
+patterns; ``series.exp`` exponentiates it on those multi-indices by the
+power-series recurrence.
 A spatial detector sums over all of its arm's spectral modes, whether
 those are frequency bins or an orthonormal basis of the modes the arm
 occupies (``ModeLayout``); every quantity here is the same in either, and
@@ -164,11 +170,11 @@ def source_vacuum_blocks(sigma_tilde: np.ndarray, n_signal: int) -> tuple:
     """One pair source's vacuum factors, its herald excluded and included.
 
     ``sigma_tilde`` is the source's V - 1, the signal's ``n_signal`` rows
-    first in each quadrature.  With H = 1 + sigma_tilde / 2, the signal
-    alone has vacuum probability exp(-l), l = log det(H_ss) / 2, taken
-    first, so that H_ss is known to be invertible; the idler alone has
-    H_ii = 1 + E, and with the signal eliminated 1 + C, C = E - H_is
-    H_ss^-1 H_si.  Returns l and, for E and then C, (X, log det(1 + X) / 2).
+    first in each quadrature.  With M = 1 + sigma_tilde / 2, the signal
+    alone has vacuum probability exp(-l), l = log det(M_ss) / 2, taken
+    first, so that M_ss is known to be invertible; the idler alone has
+    M_ii = 1 + E, and with the signal eliminated 1 + C, C = E - M_is
+    M_ss^-1 M_si.  Returns l and, for E and then C, (X, log det(1 + X) / 2).
     """
     half = sigma_tilde.shape[0] // 2
     signal = np.r_[:n_signal, half:half + n_signal]
@@ -352,8 +358,8 @@ def pnr_factor(sigma_tilde: np.ndarray) -> tuple:
 
 
 def pnr_series(logdet: float, z: np.ndarray, row_variable: np.ndarray,
-               patterns: Sequence[Sequence[int]]) -> dict:
-    """Taylor expansion of det(1 + S)^(-1/2) det(1 + Z D(s))^(-1/2) about s = 0.
+               patterns: Sequence[Sequence[int]], exponent: float = -0.5) -> dict:
+    """Taylor expansion of (det(1 + S) det(1 + Z D(s)))^exponent about s = 0.
 
     The second half of ``series_inv_sqrt_det``, from ``pnr_factor``'s
     (log det(1 + S), Z).  ``row_variable[a]`` names the series variable
@@ -361,7 +367,8 @@ def pnr_series(logdet: float, z: np.ndarray, row_variable: np.ndarray,
     below one of ``patterns`` to its coefficient.  For an orthogonal O,
     S' = O S O^T has det(1 + S') = det(1 + S) and Z' = O Z O^T, so a
     caller that rotates a factored state (the beam-splitter in
-    ``experiments``) passes O Z O^T with the same log-determinant.
+    ``experiments``) passes O Z O^T with the same log-determinant.  A
+    passive form (module docstring) passes ``exponent`` -1.
     """
     patterns = tuple(tuple(p) for p in patterns)
     zero = (0,) * len(patterns[0])
@@ -377,7 +384,7 @@ def pnr_series(logdet: float, z: np.ndarray, row_variable: np.ndarray,
         words = sum(np.vdot(_path(blocks, memo, a, b, k2), _path(blocks, memo, a, b, k1))
                     for b, k1, k2 in halves) if halves else np.trace(blocks[a][a])
         logser[m] = weight * words
-    return series.exp({m: -0.5 * g for m, g in logser.items()})
+    return series.exp({m: exponent * g for m, g in logser.items()})
 
 
 def series_inv_sqrt_det(sigma_tilde: np.ndarray, row_variable: np.ndarray,
@@ -412,7 +419,11 @@ def series_inv_sqrt_det(sigma_tilde: np.ndarray, row_variable: np.ndarray,
 
 
 def _count_probabilities(f: dict, patterns: Sequence[tuple], label: str) -> list[float]:
-    """P(n) = (-1)^|n| times the s^n coefficient of an expansion about t = 1, range-checked."""
+    """P(n) = (-1)^|n| times the s^n coefficient of an expansion about t = 1,
+    range-checked; an imaginary part beyond ``CLAMP_TOL`` raises."""
+    for n in patterns:
+        if not abs(f[n].imag) <= CLAMP_TOL:
+            raise UnphysicalStateError(f"{label} has imaginary part {f[n].imag:.3e}")
     return [_clamp(float(f[n].real) * (-1) ** sum(n), label) for n in patterns]
 
 

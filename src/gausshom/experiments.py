@@ -12,37 +12,41 @@ keeps each source's Schmidt modes above ``SCHMIDT_CUT``, each arm's mode
 functions scaled by its passband, and each arm's loss amplitude.  Every
 element after the sources is linear in those mode functions, and a
 two-mode-squeezed state is fixed by them, so every state is written in
-closed form: the delay multiplies arm 1's functions by a spectral phase,
-a loss scales its arm's functions by its amplitude, one writer
-(``_source_tildes``) gives sigma_tilde = V - 1 of source A on arms (0, 1)
-and of source B on arms (3, 2), and the beam-splitter spreads each idler
-over arms 1 and 2 with scalar weights (``_after_splitter``).
-``build_hhom`` writes the state on the bins.  A sweep row works in
-coordinates in an orthonormal basis of each arm's occupied modes
+closed form: the delay multiplies arm 1's functions by a spectral phase, a
+loss scales its arm's functions by its amplitude, and one writer
+(``_source_tildes``) gives source A on arms (0, 1) and source B on (3, 2).
+Such a source has no anomalous correlations once its idler is conjugated
+(a_i -> a_i^dag, p_i -> -p_i: an orthogonal reflection R), so R sigma_tilde R,
+sigma_tilde = V - 1, is the realification [[Re H, -Im H], [Im H, Re H]] of
+a complex Hermitian H, one row per mode: the passive form the writer
+gives (``_realified`` undoes it).  The beam-splitter spreads each idler
+over arms 1 and 2 with scalar weights (``_after_splitter``), a real
+rotation that commutes with R on both idler arms, so it acts on H as on
+sigma_tilde.  ``build_hhom`` writes the state on the bins.  A sweep row
+works in coordinates in an orthonormal basis of each arm's occupied modes
 (``_coordinates``), with a row count set by the Schmidt number rather than
-the bin count.  Detection is exact there: for block-diagonal bases B with
+the bin count, where detection is exact: for block-diagonal bases B with
 orthonormal columns and T scalar on each arm,
 det(1 + T B C B^T T) = det(1 + T C T).  The coordinates are computed per
-row, never per sweep, so no row depends on whether its stage was shared.
-The element-built circuit is the reference both match.
+row, so no row depends on whether its stage was shared.  The element-built
+circuit is the reference both match.
 
-A sweep row builds no four-arm state.  Before the splitter the sources are
-independent, S = S_A + S_B (a direct sum, S = sigma_tilde / 2), and the
-splitter is a real orthogonal O on the rows of arms 1 and 2, so each
-source's sigma_tilde, on its own arms' rows, is factored once per delay.
-With PNR detectors S' = O S O^T has det(1 + S') = det(1 + S_A) det(1 + S_B)
-and Z' = (1 + S')^-1 S' = O (Z_A + Z_B) O^T (``detection.pnr_factor`` and
-``pnr_series``), and the heralding rate is P_0(1) P_3(1), each factor from
-its herald arm's own rows: the splitter touches neither herald arm.  With
-threshold detectors each figure sums the vacuum probabilities
-exp(-log det(1 + S'_subset) / 2) of the 16 subsets of the arms (Quesada,
-Arrazola and Killoran, PRA 98, 062322 (2018)), from each source's signal
-term l and idler excess X, the Schur complement C with its herald in the
-subset and E without (``detection.source_vacuum_blocks``): the l of each
-herald in it, plus each source's log det(1 + X) / 2 with both idler arms,
-whose rows O maps onto themselves, or log det(1 + cos^2 X_A + sin^2 X_B) / 2
-with arm 1 alone (sin and cos swapped for arm 2), as arms 1 and 2 share one
-basis.
+A sweep row builds no four-arm state: before the splitter the sources are
+independent, so each is factored once per delay on its own arms' rows.
+With PNR detectors R and O keep every determinant and per-arm block of
+Z = (1 + S)^-1 S, S = sigma_tilde / 2, so a row factors each source's H
+(``detection.pnr_factor``): det(1 + S') = (det_C(1 + H_A/2) det_C(1 + H_B/2))^2
+and Z' = realify(O (Z_A + Z_B) O^T), expanded to the power -1
+(``pnr_series``); the heralding rate P_0(1) P_3(1) reads each herald arm's
+rows of H.  With threshold detectors each figure sums the vacuum
+probabilities exp(-log det(1 + S'_subset) / 2) of the 16 subsets of the
+arms (Quesada, Arrazola and Killoran, PRA 98, 062322 (2018)), from each
+source's signal term l and idler excess X of sigma_tilde, the Schur
+complement C with its herald in the subset and E without
+(``detection.source_vacuum_blocks``): the l of each herald in it, plus
+each source's log det(1 + X) / 2 with both idler arms, whose rows O maps
+onto themselves, or log det(1 + cos^2 X_A + sin^2 X_B) / 2 with arm 1
+alone (sin and cos swapped for arm 2), as arms 1 and 2 share one basis.
 
 Every figure a sweep row needs comes from one stage: at the row's delay,
 with and without the beam-splitter.  A sweep along the delay, the
@@ -252,81 +256,69 @@ def _coordinates(modes: Sequence[np.ndarray]) -> tuple:
 
 
 def _source_tildes(stage: _Stage, coords: Sequence[np.ndarray]) -> tuple:
-    """Each arm's row count, and sigma_tilde = V - 1 of each source before
+    """Each arm's row count, and the passive form H of each source before
     the beam-splitter, on its own rows.
 
     ``coords[arm]`` holds the arm's mode functions, one row per orthonormal
     spectral mode: the bins (``build_hhom``) or a basis of the arm's
     occupied modes (``_coordinates``); each arm keeps its own row count.
-    Source A's matrix has the rows (x_0, x_1, p_0, p_1) and source B's
-    (x_3, x_2, p_3, p_2).  A loss scales its arm's coordinates by its
-    amplitude.  A source on arms (s, i) needs three products,
-    A_s = X_s E X_s^dag, A_i = X_i E X_i^dag and B = X_s (-i P) X_i^T for
-    E = diag(2 sinh^2 r_k) and P = diag(sinh 2 r_k), placed into the complex
-    blocks A and B of its sigma; the real (x, p) blocks of V - 1 are
-    [[Re(A + B), Im(B - A)], [Im(A + B), Re(A - B)]].
+    Source A's H has the rows (0, 1) and source B's (3, 2), the signal's
+    first.  A loss scales its arm's coordinates by its amplitude.  With
+    E = diag(2 sinh^2 r_k) and P = diag(sinh 2 r_k),
+    H = [[X_s E X_s^dag, -i X_s P X_i^T], [., conj(X_i E X_i^dag)]].
     """
     tildes = []
     for (excess, pairing), (sig, idl) in zip(stage.sources, (SOURCE_A_ARMS, SOURCE_B_ARMS)):
         x_s, x_i = (stage.amplitudes[arm] * coords[arm] for arm in (sig, idl))
         r_s = x_s.shape[0]
         m = r_s + x_i.shape[0]
-        a = np.zeros((m, m), dtype=complex)
-        b = np.zeros_like(a)
-        a[:r_s, :r_s] = (x_s * excess) @ x_s.conj().T
-        a[r_s:, r_s:] = (x_i * excess) @ x_i.conj().T
-        b[:r_s, r_s:] = (-1j * x_s * pairing) @ x_i.T
-        b[r_s:, :r_s] = b[:r_s, r_s:].T
-        plus, minus = a + b, b - a
-        tilde = np.empty((2 * m, 2 * m))
-        tilde[:m, :m], tilde[:m, m:] = plus.real, minus.imag
-        tilde[m:, :m], tilde[m:, m:] = plus.imag, -minus.real
-        tildes.append(tilde)
+        h = np.empty((m, m), dtype=complex)
+        h[:r_s, :r_s] = (x_s * excess) @ x_s.conj().T
+        h[r_s:, r_s:] = ((x_i * excess) @ x_i.conj().T).conj()
+        h[:r_s, r_s:] = (-1j * x_s * pairing) @ x_i.T
+        h[r_s:, :r_s] = h[:r_s, r_s:].conj().T
+        tildes.append(h)
     return tuple(x.shape[0] for x in coords), tildes
+
+
+def _realified(h: np.ndarray, idlers: slice) -> np.ndarray:
+    """sigma_tilde in the (x, p) basis from a passive form H: [[Re H, -Im H], [Im H, Re H]]
+    with the p rows and columns of the ``idlers`` rows negated, undoing their conjugation."""
+    m = h.shape[0]
+    flip = np.ones(m)
+    flip[idlers] = -1
+    out = np.empty((2 * m, 2 * m))
+    out[:m, :m], out[:m, m:] = h.real, h.imag * -flip
+    out[m:, :m], out[m:, m:] = flip[:, None] * h.imag, np.outer(flip, flip) * h.real
+    return out
 
 
 def _after_splitter(blocks: Sequence[np.ndarray], rows: Sequence[int],
                     bs_angle: float) -> np.ndarray:
-    """O (M_A + M_B) O^T on the four arms, from one matrix per source before the splitter.
+    """O (M_A + M_B) O^T on the four arms, from one complex matrix per source before the splitter.
 
-    ``blocks`` holds source A's matrix on its rows (x_0, x_1, p_0, p_1) and
-    source B's on (x_3, x_2, p_3, p_2), arm a with ``rows[a]`` rows
-    (``_source_tildes``); arms 1 and 2 have equal row counts.  The result
-    has the x rows of arms 0 to 3, then their p rows.  O is the
-    beam-splitter of angle theta: it sends idler arm 1 to arms (1, 2) with
-    weights (cos, sin) and idler arm 2 with (-sin, cos), the same on x and
-    p, and keeps the signal arms.  Each entry of the result is a sum over
-    sources, A first, of (w_k w_l) m: the product of its rows' two weights,
-    formed first, times the source's entry m, which fixes the rounding of
-    every entry.
+    ``blocks`` holds source A's matrix on its rows (0, 1) and source B's on
+    (3, 2), arm a with ``rows[a]`` rows (``_source_tildes``); arms 1 and 2
+    have equal row counts.  The result has the rows of arms 0 to 3.  O is
+    the beam-splitter of angle theta: it sends idler arm 1 to arms (1, 2)
+    with weights (cos, sin) and idler arm 2 with (-sin, cos), and keeps the
+    signal arms.  Each entry of the result is a sum over sources, A first,
+    of (w_k w_l) m: the product of its rows' two weights, formed first,
+    times the source's entry m, which fixes the rounding of every entry.
     """
     c, s = math.cos(bs_angle), math.sin(bs_angle)
     weights = {1: np.array([c, s]), 2: np.array([-s, c])}
     starts = np.cumsum((0,) + tuple(rows))
-    n = int(starts[-1])
-    out = np.zeros((2 * n, 2 * n))
-    # (quadrature, row, quadrature, row) views; arms 1 and 2 have equal row
-    # counts and sit side by side, so their rows split into (arm, row) per
-    # quadrature
-    quads = out.reshape(2, n, 2, n)
-    r_i = rows[1]
-    both = slice(starts[1], starts[1] + 2 * r_i)
-    idlers = 0.0
+    out = np.zeros((starts[-1], starts[-1]), dtype=complex)
+    # arms 1 and 2 sit side by side: a Kronecker product spreads an idler over both
+    both = slice(starts[1], starts[3])
     for block, (sig, idl) in zip(blocks, (SOURCE_A_ARMS, SOURCE_B_ARMS)):
-        r_s, half = rows[sig], rows[sig] + rows[idl]
-        source = block.reshape(2, half, 2, half)
-        s_in, i_in = slice(0, r_s), slice(r_s, half)
-        s_out = slice(starts[sig], starts[sig] + r_s)
-        w = weights[idl]
-        quads[:, s_out, :, s_out] = source[:, s_in, :, s_in]
-        # np.multiply.outer puts the weight axes first; each transpose
-        # moves a weight axis next to the rows of its idler arm
-        quads[:, s_out, :, both].reshape(2, r_s, 2, 2, r_i)[...] = (
-            np.multiply.outer(w, source[:, s_in, :, i_in]).transpose(1, 2, 3, 0, 4))
-        quads[:, both, :, s_out].reshape(2, 2, r_i, 2, r_s)[...] = (
-            np.multiply.outer(w, source[:, i_in, :, s_in]).transpose(1, 0, 2, 3, 4))
-        idlers = idlers + np.multiply.outer(np.multiply.outer(w, w), source[:, i_in, :, i_in])
-    quads[:, both, :, both].reshape(2, 2, r_i, 2, 2, r_i)[...] = idlers.transpose(2, 0, 3, 4, 1, 5)
+        r_s, w = rows[sig], weights[idl]
+        s_out = slice(starts[sig], starts[sig + 1])
+        out[s_out, s_out] = block[:r_s, :r_s]
+        out[s_out, both] = np.kron(w, block[:r_s, r_s:])
+        out[both, s_out] = np.kron(w[:, None], block[r_s:, :r_s])
+        out[both, both] += np.kron(np.outer(w, w), block[r_s:, r_s:])
     return out
 
 
@@ -335,7 +327,8 @@ def build_hhom(config: HhomConfig) -> CovarianceState:
     the sources on the arms' mode functions after the delay, then the splitter."""
     stage = _sources_and_channels(config)
     rows, tildes = _source_tildes(stage, _delayed(stage, config.grid, config.delay))
-    v = _after_splitter(tildes, rows, config.bs_angle)
+    v = _realified(_after_splitter(tildes, rows, config.bs_angle),
+                   slice(rows[0], rows[0] + rows[1] + rows[2]))
     v[np.diag_indices_from(v)] += 1
     return CovarianceState(ModeLayout(N_SPATIAL, config.grid.n_bins), v)
 
@@ -384,13 +377,9 @@ class _Figures(NamedTuple):
         return self.four_fold + self.p_bunch
 
 
-def _signal_click(tilde: np.ndarray, r_s: int) -> float:
-    """P(1) on the signal arm of a source's sigma_tilde, whose first ``r_s``
-    rows of each quadrature are the signal's (``_source_tildes``)."""
-    half = tilde.shape[0] // 2
-    signal = np.r_[:r_s, half:half + r_s]
-    f = pnr_series(*pnr_factor(tilde[np.ix_(signal, signal)]), np.zeros(2 * r_s, dtype=int),
-                   [(1,)])
+def _signal_click(h: np.ndarray, r_s: int) -> float:
+    """P(1) on the signal arm of a source: the first ``r_s`` rows of its H."""
+    f = pnr_series(*pnr_factor(h[:r_s, :r_s]), np.zeros(r_s, dtype=int), [(1,)], exponent=-1)
     return _count_probabilities(f, [(1,)], "p_herald")[0]
 
 
@@ -424,14 +413,15 @@ class _RowPlan:
         return _coordinates(_delayed(self.stage(), self.config.grid, delay))
 
     def source_factors(self, delay: float) -> tuple:
-        """Each arm's row count, and each source's (log det(1 + S), Z) with PNR
-        detectors or vacuum blocks with threshold ones at this delay; the
-        first PNR call also detects the herald arms, which no delay changes."""
+        """Each arm's row count, and each source's (log det(1 + H/2), Z) with PNR
+        detectors or vacuum blocks of its sigma_tilde with threshold ones at
+        this delay; the first PNR call also detects the herald arms."""
         if delay not in self._factors:
             rows, tildes = _source_tildes(self.stage(), self.coordinates(delay))
-            tildes = [_symmetrized(t) for t in tildes]
+            tildes = [_symmetrized(h) for h in tildes]
             if self.config.detector == "threshold":
-                factors = [source_vacuum_blocks(t, rows[s]) for t, s in zip(tildes, HERALD_MODES)]
+                factors = [source_vacuum_blocks(_realified(h, slice(rows[s], None)), rows[s])
+                           for h, s in zip(tildes, HERALD_MODES)]
             else:
                 if self._heralding_rate is None:
                     self._heralding_rate = (_signal_click(tildes[0], rows[SOURCE_A_ARMS[0]])
@@ -441,13 +431,13 @@ class _RowPlan:
         return self._factors[delay]
 
     def _pnr_figures(self, delay: float, bs_angle: float) -> _Figures:
-        """The four-arm expansion at this angle from the sources' factors:
-        log det = log det_A + log det_B and Z' = O (Z_A + Z_B) O^T."""
+        """The four-arm expansion at this angle from the sources' passive factors:
+        log det = log det_A + log det_B and Z' = O (Z_A + Z_B) O^T, to the power -1."""
         rows, ((logdet_a, z_a), (logdet_b, z_b)) = self.source_factors(delay)
         z = _after_splitter((z_a, z_b), rows, bs_angle)
-        row_variable = np.repeat(np.tile(np.arange(N_SPATIAL), 2), np.tile(rows, 2))
+        row_variable = np.repeat(np.arange(N_SPATIAL), rows)
         patterns = (FOUR_FOLD_COUNTS,) + BUNCHING_COUNTS
-        f = pnr_series(logdet_a + logdet_b, z, row_variable, patterns)
+        f = pnr_series(logdet_a + logdet_b, z, row_variable, patterns, exponent=-1)
         p4, *p_bunch = _count_probabilities(f, patterns, "p_pnr")
         return _Figures(p4, sum(p_bunch), self._heralding_rate)
 

@@ -15,6 +15,7 @@ from gausshom.detection import (
     DetectionPattern,
     UnphysicalStateError,
     _clamp,
+    _count_probabilities,
     _power_plan,
     half_logdet,
     p_pnr,
@@ -462,3 +463,13 @@ def box_walk_plan(patterns):
 def test_power_plan_matches_a_box_walk(patterns):
     """Same splits in the same order, which sets the summation order."""
     assert _power_plan(patterns) == box_walk_plan(patterns)
+
+
+def test_count_probabilities_reject_an_imaginary_part():
+    """A coefficient of a complex expansion is a probability only if it is real."""
+    patterns = [(0,), (1,)]
+    assert _count_probabilities({(0,): 0.5 + 1e-12j, (1,): -0.25 + 0j}, patterns,
+                                "p_pnr") == [0.5, 0.25]
+    for imag in (1e-6, -1e-6, np.nan):
+        with pytest.raises(UnphysicalStateError, match="p_pnr has imaginary part"):
+            _count_probabilities({(0,): 0.5, (1,): -0.25 + 1j * imag}, patterns, "p_pnr")

@@ -304,9 +304,9 @@ def test_visibility_row_builds_and_detects_each_distinct_state_once(monkeypatch,
         factored.append(tilde)
         return pnr_factor(tilde)
 
-    def counting_series(logdet, z, row_variable, patterns):
+    def counting_series(logdet, z, row_variable, patterns, exponent=-0.5):
         expanded.append((z, tuple(patterns)))
-        return pnr_series(logdet, z, row_variable, patterns)
+        return pnr_series(logdet, z, row_variable, patterns, exponent)
 
     def counting_blocks(tilde, n_signal):
         blocked.append(tilde)
@@ -336,7 +336,10 @@ def test_visibility_row_builds_and_detects_each_distinct_state_once(monkeypatch,
         xi = dataclasses.replace(config.source_a, xi=0.3)
         plan = experiments._RowPlan(dataclasses.replace(config, source_a=xi, source_b=xi))
         rows = [[x.shape[0] for x in plan.coordinates(d)] for d in delays]
-        sources = [2 * (r[sig] + r[idl]) for r in rows
+        # a PNR source is factored in its passive form, one complex row per
+        # mode; a threshold source in sigma_tilde, an x and a p row per mode
+        quadratures = 2 if detector == "threshold" else 1
+        sources = [quadratures * (r[sig] + r[idl]) for r in rows
                    for sig, idl in (experiments.SOURCE_A_ARMS, experiments.SOURCE_B_ARMS)]
         factors = blocked if detector == "threshold" else factored
         assert len({id(t) for t in factors}) == len(factors)
@@ -346,7 +349,8 @@ def test_visibility_row_builds_and_detects_each_distinct_state_once(monkeypatch,
             continue
         # each herald arm's rows are factored once per row
         assert blocked == []
-        heralds = [2 * rows[0][arm] for arm in experiments.HERALD_MODES]
+        assert all(np.iscomplexobj(t) for t in factored)
+        heralds = [rows[0][arm] for arm in experiments.HERALD_MODES]
         assert sorted(t.shape[0] for t in factored) == sorted(sources + heralds)
         assert max(t.shape[0] for t in factored) == max(sources)
         # one expansion per angle at the row's delay, one at the dip, one per herald arm
@@ -709,6 +713,30 @@ def test_row_checks_each_source_block(monkeypatch, detector, defect, error, matc
         monkeypatch.setattr(experiments, "_source_tildes", damaged)
         with pytest.raises(error, match=match):
             sweep_row(lossy_waveguide_config(detector), "delay", 0.7, visibilities=False)
+
+
+@pytest.mark.parametrize("n_vars", [1, 2, 3, 4])
+def test_passive_expansion_matches_the_reflected_realification(rng, n_vars):
+    """det_real(1 + S) = det_C(1 + H/2)^2 and Z_real = realify(Z_C): the
+    passive form's expansion to the power -1 equals the real expansion of
+    sigma_tilde = ``_realified(H)``, whatever rows it reflects.  H is
+    Hermitian and indefinite, with 1 + H/2 positive definite, and the
+    patterns reach total 6 on every variable set."""
+    patterns = [p for p in itertools.product(range(7), repeat=n_vars) if sum(p) == 6]
+    for rows in range(n_vars, n_vars + 5):
+        row_var = rng.permutation(np.r_[np.arange(n_vars), rng.integers(0, n_vars, rows - n_vars)])
+        u = np.linalg.qr(rng.normal(size=(rows, rows)) + 1j * rng.normal(size=(rows, rows)))[0]
+        eigenvalues = rng.uniform(-1.8, 3.0, rows)
+        eigenvalues[:2] = [-1.8, 3.0][:rows]
+        h = (u * eigenvalues) @ u.conj().T
+        h = (h + h.conj().T) / 2
+        passive = detection.pnr_series(*detection.pnr_factor(h), row_var, patterns, exponent=-1)
+        for idlers in (slice(0, 0), slice(rows // 2, None), slice(None)):
+            real = detection.series_inv_sqrt_det(experiments._realified(h, idlers),
+                                                 np.tile(row_var, 2), patterns)
+            assert set(passive) == set(real)
+            for m, want in real.items():
+                assert abs(passive[m] / want - 1) <= 1e-12, (rows, idlers, m)
 
 
 @pytest.mark.parametrize("detector", DETECTORS)
