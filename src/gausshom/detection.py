@@ -9,13 +9,12 @@ matrix it factors is positive definite (a Cholesky factorization fails
 otherwise) and the range of each probability.
 
 Threshold probabilities come from inclusion-exclusion over vacuum
-projections.  The vacuum probabilities of all subsets a state needs come
-from one factorization tree (``vacuum_probabilities``): the Cholesky factor
-of one spatial mode's block of (1 + V)/2 at a time, with the Schur
-complement of the later modes passed down the branches that include that
-mode, so nested subsets share their factorizations.  A caller that holds
-independent pair sources (``experiments``) factors each one instead
-(``source_vacuum_blocks``) and sums log-determinants (``half_logdet``).
+projections.  Every vacuum term is exp(-log det(1 + X) / 2) of one excess
+block X, from its Cholesky factor (``half_logdet``): on a state, X is
+sigma_tilde / 2 on each subset's rows (``vacuum_probabilities``).  A
+caller that holds independent pair sources (``experiments``) factors each
+one's passive form instead (``source_vacuum_blocks``) and sums the
+log-determinants of complex Hermitian blocks.
 
 Number-resolved probabilities are mixed Taylor coefficients of
 det(1 + T sigma_tilde T / 2)^(-1/2) about t = 1, where sigma_tilde is V - 1
@@ -146,43 +145,41 @@ def _detected_tilde(state: CovarianceState, spatial_modes: Sequence[int]) -> np.
     return sigma_tilde
 
 
-def _vacuum_cholesky(block: np.ndarray, where: str) -> np.ndarray:
-    """Cholesky factor of a block of (1 + V)/2; raises unless it is positive definite."""
+def half_logdet(excess: np.ndarray, where: str) -> float:
+    """log det(1 + excess) / 2 of a real symmetric or complex Hermitian excess,
+    from the Cholesky factor L of 1 + excess, which must be positive definite
+    (``where`` names the block in the error).  The rounding of diag L near 1
+    is added back to first order from the residual
+    diag(1 + excess - L L^dag) = diag(excess - M M^dag) - 2 diag M, M = L - 1,
+    whose diagonal is real."""
+    eye = np.eye(excess.shape[0])
     try:
-        return np.linalg.cholesky(block)
+        m = np.linalg.cholesky(eye + excess) - eye
     except np.linalg.LinAlgError:
         raise UnphysicalStateError(
             f"vacuum-projection matrix (1 + V)/2 is not positive definite {where}") from None
-
-
-def half_logdet(excess: np.ndarray, where: str) -> float:
-    """log det(1 + excess) / 2 from the Cholesky factor L of 1 + excess, which
-    must be positive definite (``where`` names the block in the error).  The
-    rounding of diag L near 1 is added back to first order from the residual
-    diag(1 + excess - L L^T) = diag(excess - M M^T) - 2 diag M, M = L - 1."""
-    m = _vacuum_cholesky(np.eye(excess.shape[0]) + excess, where) - np.eye(excess.shape[0])
-    m_diag = np.diagonal(m)
-    residual = np.diagonal(excess) - np.einsum("ij,ij->i", m, m) - 2 * m_diag
+    m_diag = np.diagonal(m).real
+    residual = (np.diagonal(excess).real - np.einsum("ij,ij->i", m, m.conj()).real
+                - 2 * m_diag)
     return float(np.sum(np.log1p(m_diag)) + 0.5 * np.sum(residual))
 
 
-def source_vacuum_blocks(sigma_tilde: np.ndarray, n_signal: int) -> tuple:
+def source_vacuum_blocks(h: np.ndarray, n_signal: int) -> tuple:
     """One pair source's vacuum factors, its herald excluded and included.
 
-    ``sigma_tilde`` is the source's V - 1, the signal's ``n_signal`` rows
-    first in each quadrature.  With M = 1 + sigma_tilde / 2, the signal
-    alone has vacuum probability exp(-l), l = log det(M_ss) / 2, taken
-    first, so that M_ss is known to be invertible; the idler alone has
-    M_ii = 1 + E, and with the signal eliminated 1 + C, C = E - M_is
-    M_ss^-1 M_si.  Returns l and, for E and then C, (X, log det(1 + X) / 2).
+    ``h`` is the source's Hermitian passive form H (``experiments``), the
+    signal's ``n_signal`` rows first.  With M = 1 + H / 2, the signal alone
+    has l = log det(M_ss) / 2, taken first, so that M_ss is known to be
+    invertible; the idler alone has M_ii = 1 + E, and with the signal
+    eliminated 1 + C, C = E - M_si^dag M_ss^-1 M_si.  Returns l and, for E
+    and then C, (X, log det(1 + X) / 2), all on the complex rows: the
+    determinants of the real sigma_tilde's blocks are their squares.
     """
-    half = sigma_tilde.shape[0] // 2
-    signal = np.r_[:n_signal, half:half + n_signal]
-    idler = np.r_[n_signal:half, half + n_signal:2 * half]
-    excess_s, excess = (0.5 * sigma_tilde[np.ix_(rows, rows)] for rows in (signal, idler))
+    half = 0.5 * h
+    excess_s, excess = half[:n_signal, :n_signal], half[n_signal:, n_signal:]
     ell = half_logdet(excess_s, "on a signal arm")
-    coupling = 0.5 * sigma_tilde[np.ix_(signal, idler)]
-    schur = excess - coupling.T @ np.linalg.solve(np.eye(2 * n_signal) + excess_s, coupling)
+    coupling = half[:n_signal, n_signal:]
+    schur = excess - coupling.conj().T @ np.linalg.solve(np.eye(n_signal) + excess_s, coupling)
     return ell, tuple((x, half_logdet(x, "on an idler arm")) for x in (excess, schur))
 
 
@@ -190,52 +187,17 @@ def vacuum_probabilities(state: CovarianceState,
                          subsets: Sequence[Sequence[int]]) -> dict[tuple[int, ...], float]:
     """Vacuum probability of each spatial subset, keyed by the sorted subset.
 
-    All of them come from one factorization tree of M = (1 + V)/2 on the
-    union of the subsets, walked over its spatial modes in ascending order.
-    A node holds M on the modes still to come, conditioned on the modes
-    included above it.  The Cholesky factor of the block of its first mode
-    gives that mode's log-determinant term; the Schur complement of the
-    remaining modes goes down the branch that includes the mode, and their
-    untouched block down the branch that excludes it.  A branch that leads
-    to no requested subset is not walked.  A subset's probability is
-    exp(-log det / 2), with the log-determinant summed over the terms on its
-    path, so with the union fixed it does not depend on which other subsets
-    were requested.
+    Each is det((1 + V_S) / 2)^(-1/2) = exp(-log det(1 + sigma_tilde_S / 2) / 2),
+    from one ``half_logdet`` of sigma_tilde on the subset's rows, so it does
+    not depend on which other subsets were requested; the empty subset's
+    is 1.
     """
     wanted = {tuple(sorted(subset)) for subset in subsets}
     if any(len(set(subset)) != len(subset) for subset in wanted):
         raise ValueError("spatial subset contains duplicates")
-    modes = sorted({m for subset in wanted for m in subset})
-    if not modes:
-        return dict.fromkeys(wanted, 1.0)
-    idx = np.concatenate([subset_indices(state.layout, [m]) for m in modes])
-    half = state.v[np.ix_(idx, idx)]
-    half[np.diag_indices_from(half)] += 1
-    half *= 0.5
-    rows = 2 * state.layout.n_spectral
-    table = {}
-
-    def walk(block, depth, below, half_logdet):
-        if depth == len(modes):
-            (subset,) = below
-            table[subset] = _clamp(float(np.exp(-half_logdet)), "p_vacuum")
-            return
-        mode = modes[depth]
-        rest = block[rows:, rows:]
-        with_mode = [subset for subset in below if mode in subset]
-        if with_mode:
-            chol = _vacuum_cholesky(block[:rows, :rows], f"at spatial mode {mode}")
-            schur = rest
-            if rest.size:
-                w = np.linalg.inv(chol) @ block[:rows, rows:]
-                schur = rest - w.T @ w
-            walk(schur, depth + 1, with_mode, half_logdet + np.sum(np.log(np.diagonal(chol))))
-        without = [subset for subset in below if mode not in subset]
-        if without:
-            walk(rest, depth + 1, without, half_logdet)
-
-    walk(half, 0, list(wanted), 0.0)
-    return table
+    return {subset: _clamp(math.exp(-half_logdet(0.5 * _detected_tilde(state, subset),
+                                                 f"on spatial modes {subset}")), "p_vacuum")
+            if subset else 1.0 for subset in wanted}
 
 
 def p_vacuum(state: CovarianceState, spatial_subset: Sequence[int]) -> float:

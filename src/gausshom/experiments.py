@@ -19,34 +19,36 @@ Such a source has no anomalous correlations once its idler is conjugated
 (a_i -> a_i^dag, p_i -> -p_i: an orthogonal reflection R), so R sigma_tilde R,
 sigma_tilde = V - 1, is the realification [[Re H, -Im H], [Im H, Re H]] of
 a complex Hermitian H, one row per mode: the passive form the writer
-gives (``_realified`` undoes it).  The beam-splitter spreads each idler
-over arms 1 and 2 with scalar weights (``_after_splitter``), a real
-rotation that commutes with R on both idler arms, so it acts on H as on
-sigma_tilde.  ``build_hhom`` writes the state on the bins.  A sweep row
-works in coordinates in an orthonormal basis of each arm's occupied modes
-(``_coordinates``), with a row count set by the Schmidt number rather than
-the bin count, where detection is exact: for block-diagonal bases B with
-orthonormal columns and T scalar on each arm,
+gives (``_realified`` undoes it for ``build_hhom``).  The beam-splitter
+spreads each idler over arms 1 and 2 with scalar weights
+(``_after_splitter``), a real rotation that commutes with R on both idler
+arms, so it acts on H as on sigma_tilde.  ``build_hhom`` writes the state
+on the bins.  A sweep row works in coordinates in an orthonormal basis of
+each arm's occupied modes (``_coordinates``), with a row count set by the
+Schmidt number rather than the bin count, where detection is exact: for
+block-diagonal bases B with orthonormal columns and T scalar on each arm,
 det(1 + T B C B^T T) = det(1 + T C T).  The coordinates are computed per
 row, so no row depends on whether its stage was shared.  The element-built
 circuit is the reference both match.
 
 A sweep row builds no four-arm state: before the splitter the sources are
-independent, so each is factored once per delay on its own arms' rows.
-With PNR detectors R and O keep every determinant and per-arm block of
-Z = (1 + S)^-1 S, S = sigma_tilde / 2, so a row factors each source's H
+independent, so each source's H is factored once per delay on its own
+arms' rows.  R and O keep every determinant and per-arm block of
+Z = (1 + S)^-1 S, S = sigma_tilde / 2, so det_real(1 + S) = det_C(1 + H/2)^2
+on every subset of rows.  With PNR detectors a row factors each H
 (``detection.pnr_factor``): det(1 + S') = (det_C(1 + H_A/2) det_C(1 + H_B/2))^2
 and Z' = realify(O (Z_A + Z_B) O^T), expanded to the power -1
 (``pnr_series``); the heralding rate P_0(1) P_3(1) reads each herald arm's
 rows of H.  With threshold detectors each figure sums the vacuum
 probabilities exp(-log det(1 + S'_subset) / 2) of the 16 subsets of the
-arms (Quesada, Arrazola and Killoran, PRA 98, 062322 (2018)), from each
-source's signal term l and idler excess X of sigma_tilde, the Schur
-complement C with its herald in the subset and E without
-(``detection.source_vacuum_blocks``): the l of each herald in it, plus
-each source's log det(1 + X) / 2 with both idler arms, whose rows O maps
-onto themselves, or log det(1 + cos^2 X_A + sin^2 X_B) / 2 with arm 1
-alone (sin and cos swapped for arm 2), as arms 1 and 2 share one basis.
+arms (Quesada, Arrazola and Killoran, PRA 98, 062322 (2018)), each
+exp(-2 h) with h = log det_C(1 + H'_subset / 2) / 2, from each source's
+signal term l and idler excess X of H / 2, the Schur complement C with
+its herald in the subset and E without (``detection.source_vacuum_blocks``):
+the l of each herald in it, plus each source's log det(1 + X) / 2 with
+both idler arms, whose rows O maps onto themselves, or
+log det(1 + cos^2 X_A + sin^2 X_B) / 2 with arm 1 alone (sin and cos
+swapped for arm 2), as arms 1 and 2 share one basis.
 
 Every figure a sweep row needs comes from one stage: at the row's delay,
 with and without the beam-splitter.  A sweep along the delay, the
@@ -386,7 +388,7 @@ def _signal_click(h: np.ndarray, r_s: int) -> float:
 class _RowPlan:
     """Figures of merit of one configuration from its sources' factors.
 
-    A plan writes, checks and factors each source's sigma_tilde once per
+    A plan writes, checks and factors each source's passive form once per
     delay, in the arms' coordinates at that delay (``source_factors``), so
     a row's figures do not depend on whether its stage was shared, and
     each angle's figures come from those factors (module docstring).  The
@@ -414,14 +416,13 @@ class _RowPlan:
 
     def source_factors(self, delay: float) -> tuple:
         """Each arm's row count, and each source's (log det(1 + H/2), Z) with PNR
-        detectors or vacuum blocks of its sigma_tilde with threshold ones at
-        this delay; the first PNR call also detects the herald arms."""
+        detectors or vacuum blocks of its H with threshold ones at this
+        delay; the first PNR call also detects the herald arms."""
         if delay not in self._factors:
             rows, tildes = _source_tildes(self.stage(), self.coordinates(delay))
             tildes = [_symmetrized(h) for h in tildes]
             if self.config.detector == "threshold":
-                factors = [source_vacuum_blocks(_realified(h, slice(rows[s], None)), rows[s])
-                           for h, s in zip(tildes, HERALD_MODES)]
+                factors = [source_vacuum_blocks(h, rows[s]) for h, s in zip(tildes, HERALD_MODES)]
             else:
                 if self._heralding_rate is None:
                     self._heralding_rate = (_signal_click(tildes[0], rows[SOURCE_A_ARMS[0]])
@@ -459,8 +460,9 @@ class _RowPlan:
                              half_logdet(s2 * x_a + c2 * x_b, "on arm 2"))
             heralds = SOURCE_A_ARMS[:1] * in_a + SOURCE_B_ARMS[:1] * in_b
             for idlers, h in zip(((), (1,), (2,), IDLER_MODES), (0.0, *one_idler, h_a + h_b)):
+                # det_real(1 + S) = det_C(1 + H/2)^2 on every subset of the passive form
                 vacuum[tuple(sorted(heralds + idlers))] = _clamp(
-                    math.exp(-ell_a * in_a - ell_b * in_b - h), "p_vacuum")
+                    math.exp(-2 * (ell_a * in_a + ell_b * in_b + h)), "p_vacuum")
         return vacuum
 
     def _threshold_figures(self, delay: float, bs_angle: float) -> _Figures:

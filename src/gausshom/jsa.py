@@ -117,11 +117,11 @@ def build_jsa(spec: JsaSpec, grid_signal: FrequencyGrid) -> np.ndarray:
     center.  Its Frobenius norm is xi, so its singular values are the
     per-Schmidt-mode squeezing strengths.
     """
-    grid_idler = FrequencyGrid(spec.idler_center, grid_signal.step, grid_signal.n_bins)
     if grid_signal.step > spec.zeta / 4:
         raise ValueError("frequency grid is too coarse for this bandwidth "
                          f"(step {grid_signal.step:.3e} > zeta/4 = {spec.zeta / 4:.3e})")
-    # the idler grid has the same span and sits on its center by construction
+    # the idler bins are the signal bins moved to the idler center, so they
+    # have the same span and sit on their center by construction
     span = (grid_signal.n_bins - 1) / 2 * grid_signal.step
     off_center = abs(grid_signal.center - spec.signal_center) > grid_signal.step / 2
     if span < 4 * spec.zeta or off_center:
@@ -129,7 +129,7 @@ def build_jsa(spec: JsaSpec, grid_signal: FrequencyGrid) -> np.ndarray:
                       stacklevel=2)
 
     d1 = grid_signal.frequencies() - spec.signal_center  # signal offsets, rad/s
-    d2 = grid_idler.frequencies() - spec.idler_center
+    d2 = grid_signal.offsets()  # idler offsets, rad/s
 
     if spec.variant == "gaussian":
         # exact outer product, rank 1 by construction

@@ -82,16 +82,20 @@ def test_vacuum_table_matches_extended_precision_determinants(xi):
 
 
 def test_half_logdet_keeps_the_excess_that_rounding_of_1_drops():
-    """log det(1 + X) / 2 of a small excess, against 40 digits of the same
-    float64 X: a plain sum of log diag L of the rounded 1 + X is off by
-    2.3e-16 here, from the rounding of its diagonal near 1."""
-    q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(60, 60)))
-    x = (q * np.concatenate([np.full(10, 1e-3), np.full(50, 2e-17)])) @ q.T
-    x = (x + x.T) / 2
-    with mpmath.workdps(40):
-        chol = mpmath.cholesky(mpmath.eye(60) + mpmath.matrix(x.tolist()))
-        exact = mpmath.fsum(mpmath.log(chol[k, k]) for k in range(60))
-        assert abs(half_logdet(x, "") - exact) <= 1e-17
+    """log det(1 + X) / 2 of a small excess, real symmetric and complex
+    Hermitian, against 40 digits of the same float64 X: a plain sum of
+    log diag L of the rounded 1 + X is off by 2.3e-16 (real) and 1.0e-16
+    (complex) here, from the rounding of its diagonal near 1."""
+    rng = np.random.default_rng(3)
+    spectrum = np.concatenate([np.full(10, 1e-3), np.full(50, 2e-17)])
+    for entries in (rng.normal(size=(60, 60)), rng.normal(size=(60, 60, 2)) @ [1, 1j]):
+        q, _ = np.linalg.qr(entries)
+        x = (q * spectrum) @ q.conj().T
+        x = (x + x.conj().T) / 2
+        with mpmath.workdps(40):
+            chol = mpmath.cholesky(mpmath.eye(60) + mpmath.matrix(x.tolist()))
+            exact = mpmath.fsum(mpmath.log(mpmath.re(chol[k, k])) for k in range(60))
+            assert abs(half_logdet(x, "") - exact) <= 1e-17, x.dtype
 
 
 def test_threshold_two_mode_squeezed_closed_form():

@@ -329,21 +329,20 @@ def test_visibility_row_builds_and_detects_each_distinct_state_once(monkeypatch,
         # one source stage serves bs = pi/4, bs = 0 and the distinguishable
         # limit at the row's delay, and bs = pi/4 at the dip's delay 0
         assert len(stages) == 1
-        # no four-arm state is built or detected: each source's sigma_tilde
-        # is factored once per delay
+        # no four-arm state is built or detected: each source's passive
+        # form is factored once per delay
         assert calls == [] and states == []
         delays = sorted({delay, 0.0})
         xi = dataclasses.replace(config.source_a, xi=0.3)
         plan = experiments._RowPlan(dataclasses.replace(config, source_a=xi, source_b=xi))
         rows = [[x.shape[0] for x in plan.coordinates(d)] for d in delays]
-        # a PNR source is factored in its passive form, one complex row per
-        # mode; a threshold source in sigma_tilde, an x and a p row per mode
-        quadratures = 2 if detector == "threshold" else 1
-        sources = [quadratures * (r[sig] + r[idl]) for r in rows
+        # a source is factored in its passive form, one complex row per mode
+        sources = [r[sig] + r[idl] for r in rows
                    for sig, idl in (experiments.SOURCE_A_ARMS, experiments.SOURCE_B_ARMS)]
         factors = blocked if detector == "threshold" else factored
         assert len({id(t) for t in factors}) == len(factors)
         if detector == "threshold":
+            assert all(np.iscomplexobj(t) for t in blocked)
             assert sorted(t.shape[0] for t in blocked) == sorted(sources)
             assert factored == expanded == []
             continue
@@ -695,8 +694,8 @@ def test_row_vacuum_table_matches_extended_precision_determinants(xi_a, xi_b):
 ])
 @pytest.mark.parametrize("detector", DETECTORS)
 def test_row_checks_each_source_block(monkeypatch, detector, defect, error, match):
-    """A row builds no CovarianceState, so each source's sigma_tilde is
-    checked for symmetry and factored, and a defect in either source raises."""
+    """A row builds no CovarianceState, so each source's passive form is
+    checked for Hermiticity and factored, and a defect in either source raises."""
     source_tildes = experiments._source_tildes
     for source in (0, 1):
         def damaged(*args, source=source):
