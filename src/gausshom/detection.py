@@ -2,19 +2,27 @@
 
 Every quantity of a state is read from ``CovarianceState.v``, the real
 symmetric covariance matrix in the (x, p) basis, indexed by the detected
-rows: no reduced state is built, and every factorization and solve on it
-runs in real arithmetic.  A state's structure was checked where it entered
+rows: no reduced state is built, and every factorization and solve on a
+state runs in real arithmetic.  A caller that holds independent pair
+sources (``experiments``) passes their complex Hermitian passive forms
+instead, whose determinants are the square roots of the real ones.  A
+state's structure was checked where it entered
 (``CovarianceState.from_sigma``), so detection checks only that each
 matrix it factors is positive definite (a Cholesky factorization fails
 otherwise) and the range of each probability.
 
 Threshold probabilities come from inclusion-exclusion over vacuum
-projections.  Every vacuum term is exp(-log det(1 + X) / 2) of one excess
-block X, from its Cholesky factor (``half_logdet``): on a state, X is
-sigma_tilde / 2 on each subset's rows (``vacuum_probabilities``).  A
-caller that holds independent pair sources (``experiments``) factors each
-one's passive form instead (``source_vacuum_blocks``) and sums the
-log-determinants of complex Hermitian blocks.
+projections.  Every vacuum term is p = exp(-L), L = log det(1 + X) / 2 of
+one excess block X, from its Cholesky factor (``half_logdet``, which
+takes a stack of equal-shaped blocks and factors it in one call;
+``half_logdets`` makes one such call per distinct shape): on a state, X
+is sigma_tilde / 2 on each subset's rows (``vacuum_probabilities``).  A
+caller that holds pair sources splits each one's passive form into its
+signal, idler and Schur-complement blocks instead
+(``source_vacuum_blocks``) and sums their log-determinants.  A figure is
+a fixed row of signs over its terms (``threshold_sums``); every row with
+a nonempty on-set sums to 0, so it sums d = expm1(-L) = p - 1 instead of
+p, and no term is rounded near 1 before the cancellation.
 
 Number-resolved probabilities are mixed Taylor coefficients of
 det(1 + T sigma_tilde T / 2)^(-1/2) about t = 1, where sigma_tilde is V - 1
@@ -145,59 +153,112 @@ def _detected_tilde(state: CovarianceState, spatial_modes: Sequence[int]) -> np.
     return sigma_tilde
 
 
-def half_logdet(excess: np.ndarray, where: str) -> float:
-    """log det(1 + excess) / 2 of a real symmetric or complex Hermitian excess,
-    from the Cholesky factor L of 1 + excess, which must be positive definite
-    (``where`` names the block in the error).  The rounding of diag L near 1
-    is added back to first order from the residual
-    diag(1 + excess - L L^dag) = diag(excess - M M^dag) - 2 diag M, M = L - 1,
+def _indefinite(where: str) -> UnphysicalStateError:
+    return UnphysicalStateError(
+        f"vacuum-projection matrix (1 + V)/2 is not positive definite {where}")
+
+
+def half_logdet(excess: np.ndarray, where: str) -> np.ndarray:
+    """log det(1 + X) / 2 of each block X of a stack (..., m, m) of real
+    symmetric or complex Hermitian excesses, from the Cholesky factor L of
+    1 + X, which must be positive definite (``where`` names the stack in
+    the error).  One call factors the whole stack, and each block gets the
+    bits of a stack of one.  The rounding of diag L near 1 is added back to
+    first order from the residual
+    diag(1 + X - L L^dag) = diag(X - M M^dag) - 2 diag M, M = L - 1,
     whose diagonal is real."""
-    eye = np.eye(excess.shape[0])
+    eye = np.eye(excess.shape[-1])
     try:
         m = np.linalg.cholesky(eye + excess) - eye
     except np.linalg.LinAlgError:
-        raise UnphysicalStateError(
-            f"vacuum-projection matrix (1 + V)/2 is not positive definite {where}") from None
-    m_diag = np.diagonal(m).real
-    residual = (np.diagonal(excess).real - np.einsum("ij,ij->i", m, m.conj()).real
-                - 2 * m_diag)
-    return float(np.sum(np.log1p(m_diag)) + 0.5 * np.sum(residual))
+        raise _indefinite(where) from None
+    m_diag = np.diagonal(m, axis1=-2, axis2=-1).real
+    residual = (np.diagonal(excess, axis1=-2, axis2=-1).real
+                - np.einsum("...ij,...ij->...i", m, m.conj()).real - 2 * m_diag)
+    return np.sum(np.log1p(m_diag), axis=-1) + 0.5 * np.sum(residual, axis=-1)
+
+
+def half_logdets(blocks: Sequence[np.ndarray], where: Sequence[str]) -> np.ndarray:
+    """``half_logdet`` of each block, one stacked call per distinct shape and
+    dtype; ``where[k]`` names block k in the error of its stack."""
+    stacks = {}
+    for k, x in enumerate(blocks):
+        stacks.setdefault((x.shape, x.dtype), []).append(k)
+    out = np.empty(len(blocks))
+    for ks in stacks.values():
+        out[ks] = half_logdet(np.stack([blocks[k] for k in ks]),
+                              " or ".join(dict.fromkeys(where[k] for k in ks)))
+    return out
 
 
 def source_vacuum_blocks(h: np.ndarray, n_signal: int) -> tuple:
-    """One pair source's vacuum factors, its herald excluded and included.
+    """One pair source's vacuum blocks, its herald excluded and included.
 
     ``h`` is the source's Hermitian passive form H (``experiments``), the
-    signal's ``n_signal`` rows first.  With M = 1 + H / 2, the signal alone
-    has l = log det(M_ss) / 2, taken first, so that M_ss is known to be
-    invertible; the idler alone has M_ii = 1 + E, and with the signal
-    eliminated 1 + C, C = E - M_si^dag M_ss^-1 M_si.  Returns l and, for E
-    and then C, (X, log det(1 + X) / 2), all on the complex rows: the
-    determinants of the real sigma_tilde's blocks are their squares.
+    signal's ``n_signal`` rows first.  With M = 1 + H / 2, returns the
+    signal excess X_s of M_ss = 1 + X_s, the idler excess E of M_ii = 1 + E,
+    and with the signal eliminated the Schur complement
+    C = E - M_si^dag M_ss^-1 M_si, all on the complex rows: the
+    determinants of the real sigma_tilde's blocks are the squares of
+    det(1 + X).  A singular M_ss raises here; a caller factors X_s with the
+    others (``half_logdets``), which raises unless M_ss is positive
+    definite, before it reads any of them.
     """
     half = 0.5 * h
     excess_s, excess = half[:n_signal, :n_signal], half[n_signal:, n_signal:]
-    ell = half_logdet(excess_s, "on a signal arm")
     coupling = half[:n_signal, n_signal:]
-    schur = excess - coupling.conj().T @ np.linalg.solve(np.eye(n_signal) + excess_s, coupling)
-    return ell, tuple((x, half_logdet(x, "on an idler arm")) for x in (excess, schur))
+    try:
+        solved = np.linalg.solve(np.eye(n_signal) + excess_s, coupling)
+    except np.linalg.LinAlgError:
+        raise _indefinite("on a signal arm") from None
+    return excess_s, excess, excess - coupling.conj().T @ solved
+
+
+def threshold_sums(signs: np.ndarray, logs: np.ndarray) -> list[float]:
+    """Threshold probabilities sum_S signs[k, S] p_S, one per row of ``signs``,
+    of the vacuum terms p_S = exp(-logs[S]).
+
+    Each term enters as d_S = expm1(-L_S) = p_S - 1, and the sum as
+    sum_S signs[k, S] + sum_S signs[k, S] d_S: a row with a nonempty on-set
+    has signs that sum to 0, so no p_S is rounded near 1 before the
+    cancellation.  Each term is range-checked as ``p_vacuum`` (a term above
+    1 within ``CLAMP_TOL`` counts as 1) and each sum is clamped as
+    ``p_threshold``.
+    """
+    d = np.expm1(-logs)
+    bad = ~(d <= CLAMP_TOL)
+    if bad.any():
+        raise UnphysicalStateError(
+            f"p_vacuum = {1 + d[bad][0]} is not finite or above 1 beyond tolerance")
+    sums = signs @ np.minimum(d, 0.0) + signs.sum(axis=-1)
+    return [_clamp(float(p), "p_threshold") for p in sums]
+
+
+def _vacuum_logs(state: CovarianceState, subsets: Sequence[Sequence[int]]) -> dict:
+    """-log of the vacuum probability of each spatial subset, keyed by the
+    sorted subset: log det(1 + sigma_tilde_S / 2) / 2 on the subset's rows,
+    with the subsets of one size factored in one stacked call.  The empty
+    subset's is 0."""
+    wanted = {tuple(sorted(subset)) for subset in subsets}
+    if any(len(set(subset)) != len(subset) for subset in wanted):
+        raise ValueError("spatial subset contains duplicates")
+    nonempty = sorted(subset for subset in wanted if subset)
+    logs = half_logdets([0.5 * _detected_tilde(state, subset) for subset in nonempty],
+                        [f"on spatial modes {subset}" for subset in nonempty])
+    logs = dict(zip(nonempty, logs.tolist()))
+    return {subset: logs.get(subset, 0.0) for subset in wanted}
 
 
 def vacuum_probabilities(state: CovarianceState,
                          subsets: Sequence[Sequence[int]]) -> dict[tuple[int, ...], float]:
     """Vacuum probability of each spatial subset, keyed by the sorted subset.
 
-    Each is det((1 + V_S) / 2)^(-1/2) = exp(-log det(1 + sigma_tilde_S / 2) / 2),
-    from one ``half_logdet`` of sigma_tilde on the subset's rows, so it does
-    not depend on which other subsets were requested; the empty subset's
-    is 1.
+    Each is det((1 + V_S) / 2)^(-1/2) = exp(-log det(1 + sigma_tilde_S / 2) / 2)
+    (``_vacuum_logs``), so it does not depend on which other subsets were
+    requested; the empty subset's is 1.
     """
-    wanted = {tuple(sorted(subset)) for subset in subsets}
-    if any(len(set(subset)) != len(subset) for subset in wanted):
-        raise ValueError("spatial subset contains duplicates")
-    return {subset: _clamp(math.exp(-half_logdet(0.5 * _detected_tilde(state, subset),
-                                                 f"on spatial modes {subset}")), "p_vacuum")
-            if subset else 1.0 for subset in wanted}
+    return {subset: _clamp(math.exp(-log_p), "p_vacuum")
+            for subset, log_p in _vacuum_logs(state, subsets).items()}
 
 
 def p_vacuum(state: CovarianceState, spatial_subset: Sequence[int]) -> float:
@@ -208,10 +269,12 @@ def p_vacuum(state: CovarianceState, spatial_subset: Sequence[int]) -> float:
 
 def p_threshold(state: CovarianceState, on_modes: Sequence[int],
                 off_modes: Sequence[int] = ()) -> float:
-    """Click in every mode of ``on_modes`` and vacuum in every ``off_modes``."""
-    subsets = [modes for _, modes in _signed_subsets(on_modes, off_modes)]
-    return inclusion_exclusion(vacuum_probabilities(state, subsets).__getitem__,
-                               on_modes, off_modes)
+    """Click in every mode of ``on_modes`` and vacuum in every ``off_modes``,
+    one signed sum (``threshold_sums``) over the inclusion-exclusion terms."""
+    signs, subsets = zip(*_signed_subsets(on_modes, off_modes))
+    logs = _vacuum_logs(state, subsets)
+    return threshold_sums(np.array([signs], dtype=float),
+                          np.array([logs[subset] for subset in subsets]))[0]
 
 
 def _signed_subsets(on_modes: Sequence[int], off_modes: Sequence[int]) -> list:
@@ -231,21 +294,6 @@ def _signed_subsets(on_modes: Sequence[int], off_modes: Sequence[int]) -> list:
         raise ValueError(f"refusing 2^{len(groups)} inclusion-exclusion terms")
     return [((-1) ** r, tuple(sorted([m for g in subset for m in g] + off)))
             for r in range(len(groups) + 1) for subset in combinations(groups, r)]
-
-
-def inclusion_exclusion(vacuum, on_modes: Sequence[int],
-                        off_modes: Sequence[int] = ()) -> float:
-    """Threshold probability as a signed sum of vacuum probabilities.
-
-    ``vacuum(modes)`` is the vacuum probability of a sorted tuple of spatial
-    modes; a caller that evaluates several patterns on one state can pass a
-    lookup into one ``vacuum_probabilities`` table, since the patterns share
-    their vacuum terms.
-    """
-    total = 0.0
-    for sign, modes in _signed_subsets(on_modes, off_modes):
-        total += sign * vacuum(modes)
-    return _clamp(total, "p_threshold")
 
 
 @lru_cache(maxsize=None)

@@ -48,7 +48,14 @@ its herald in the subset and E without (``detection.source_vacuum_blocks``):
 the l of each herald in it, plus each source's log det(1 + X) / 2 with
 both idler arms, whose rows O maps onto themselves, or
 log det(1 + cos^2 X_A + sin^2 X_B) / 2 with arm 1 alone (sin and cos
-swapped for arm 2), as arms 1 and 2 share one basis.
+swapped for arm 2), as arms 1 and 2 share one basis.  A row asks for
+every angle it reads at a delay at once, and all of their blocks, with
+each source's signal, E and C, are factored in one stacked Cholesky per
+block shape (``detection.half_logdets``).  Each figure is then a fixed
+row of signs over the 16 terms (``_FIGURE_SIGNS``, built once from
+``detection._signed_subsets``), summed as expm1(-2 (l + h)), so that no
+term is rounded near 1 before the cancellation
+(``detection.threshold_sums``).
 
 Every figure a sweep row needs comes from one stage: at the row's delay,
 with and without the beam-splitter.  A sweep along the delay, the
@@ -85,8 +92,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import SYMPLECTIC_TOL, CovarianceState, FrequencyGrid, ModeLayout, _symmetrized
-from .detection import (_clamp, _count_probabilities, half_logdet, inclusion_exclusion, p_pnr,
-                        p_threshold, pnr_factor, pnr_series, source_vacuum_blocks)
+from .detection import (_count_probabilities, _signed_subsets, half_logdets, p_pnr, p_threshold,
+                        pnr_factor, pnr_series, source_vacuum_blocks, threshold_sums)
 from .elements import _amplitude_transmission, _passband, _spectral_phase
 from .jsa import JsaSpec, SchmidtData, build_jsa, schmidt_decompose
 
@@ -309,18 +316,19 @@ def _after_splitter(blocks: Sequence[np.ndarray], rows: Sequence[int],
     times the source's entry m, which fixes the rounding of every entry.
     """
     c, s = math.cos(bs_angle), math.sin(bs_angle)
-    weights = {1: np.array([c, s]), 2: np.array([-s, c])}
+    weights = {1: (c, s), 2: (-s, c)}
     starts = np.cumsum((0,) + tuple(rows))
+    arms = [slice(starts[a], starts[a + 1]) for a in range(N_SPATIAL)]
     out = np.zeros((starts[-1], starts[-1]), dtype=complex)
-    # arms 1 and 2 sit side by side: a Kronecker product spreads an idler over both
-    both = slice(starts[1], starts[3])
     for block, (sig, idl) in zip(blocks, (SOURCE_A_ARMS, SOURCE_B_ARMS)):
-        r_s, w = rows[sig], weights[idl]
-        s_out = slice(starts[sig], starts[sig + 1])
-        out[s_out, s_out] = block[:r_s, :r_s]
-        out[s_out, both] = np.kron(w, block[:r_s, r_s:])
-        out[both, s_out] = np.kron(w[:, None], block[r_s:, :r_s])
-        out[both, both] += np.kron(np.outer(w, w), block[r_s:, r_s:])
+        r_s = rows[sig]
+        out[arms[sig], arms[sig]] = block[:r_s, :r_s]
+        # the idler spreads over arms 1 and 2 with its weights
+        for w_k, k in zip(weights[idl], IDLER_MODES):
+            out[arms[sig], arms[k]] = w_k * block[:r_s, r_s:]
+            out[arms[k], arms[sig]] = w_k * block[r_s:, :r_s]
+            for w_l, l in zip(weights[idl], IDLER_MODES):
+                out[arms[k], arms[l]] += (w_k * w_l) * block[r_s:, r_s:]
     return out
 
 
@@ -385,6 +393,26 @@ def _signal_click(h: np.ndarray, r_s: int) -> float:
     return _count_probabilities(f, [(1,)], "p_herald")[0]
 
 
+# A threshold row's 16 vacuum terms, one per subset of the arms in the order
+# of ``_signed_subsets``, and each one's herald A (0 or 1), herald B and
+# idler set (0 none, 1 arm 1, 2 arm 2, 3 both)
+_SUBSETS = [modes for _, modes in _signed_subsets(FOUR_ARMS, ())]
+_COLUMNS = tuple(np.array(column) for column in zip(
+    *((int(0 in s), int(3 in s), int(1 in s) + 2 * int(2 in s)) for s in _SUBSETS)))
+
+
+def _sign_row(on_modes, off_modes=()) -> list:
+    """One threshold figure's inclusion-exclusion signs over ``_SUBSETS``."""
+    signs = {modes: sign for sign, modes in _signed_subsets(on_modes, off_modes)}
+    return [signs.get(subset, 0) for subset in _SUBSETS]
+
+
+# the four-fold, the two bunching patterns and the herald; the plateau sums
+# its own terms with the four-fold row
+_FIGURE_SIGNS = np.array([_sign_row(FOUR_ARMS), _sign_row((0, 2, 3), (1,)),
+                          _sign_row((0, 1, 3), (2,)), _sign_row(HERALD_MODES)], dtype=float)
+
+
 class _RowPlan:
     """Figures of merit of one configuration from its sources' factors.
 
@@ -394,7 +422,9 @@ class _RowPlan:
     each angle's figures come from those factors (module docstring).  The
     plan builds the stage on first use and keeps it; a sweep whose axis
     leaves the stage unchanged passes in the stage it built.  A plan serves
-    one sweep row or one public call and holds no state beyond it.
+    one sweep row or one public call and holds no state beyond it.  Its
+    figures are keyed by (delay, angle); with threshold detectors the key
+    (delay, None) holds the plateau's four-fold.
     """
 
     def __init__(self, config: HhomConfig, stage: _Stage | None = None):
@@ -416,8 +446,8 @@ class _RowPlan:
 
     def source_factors(self, delay: float) -> tuple:
         """Each arm's row count, and each source's (log det(1 + H/2), Z) with PNR
-        detectors or vacuum blocks of its H with threshold ones at this
-        delay; the first PNR call also detects the herald arms."""
+        detectors or its unfactored vacuum blocks (X_s, E, C) with threshold
+        ones at this delay; the first PNR call also detects the herald arms."""
         if delay not in self._factors:
             rows, tildes = _source_tildes(self.stage(), self.coordinates(delay))
             tildes = [_symmetrized(h) for h in tildes]
@@ -442,39 +472,56 @@ class _RowPlan:
         p4, *p_bunch = _count_probabilities(f, patterns, "p_pnr")
         return _Figures(p4, sum(p_bunch), self._heralding_rate)
 
-    def _vacuum_table(self, delay: float, bs_angle: float | None) -> dict:
-        """The vacuum probability of each sorted subset of the arms (module docstring);
-        with ``bs_angle`` None, the plateau's: 50% more idler loss halves each X."""
-        (ell_a, idlers_a), (ell_b, idlers_b) = self.source_factors(delay)[1]
-        if bs_angle is None:
-            halved = [[half_logdet(x / 2, "on the idlers") for x, _ in xs]
-                      for xs in (idlers_a, idlers_b)]
-        vacuum = {}
-        for in_a, in_b in itertools.product((False, True), repeat=2):
-            (x_a, h_a), (x_b, h_b) = idlers_a[in_a], idlers_b[in_b]
-            if bs_angle is None:
-                one_idler = (halved[0][in_a] + halved[1][in_b],) * 2
+    def _vacuum_logs(self, delay: float, angles: Sequence) -> dict:
+        """-log of the 16 vacuum terms over ``_SUBSETS`` at each angle at this
+        delay, None for the plateau's (module docstring).
+
+        Every block is factored in one ``half_logdets`` call, one stacked
+        Cholesky per block shape: each source's X_s, E and C, then per angle
+        the arm-1 and arm-2 blocks of each herald combination, or the
+        plateau's X / 2 (50% more idler loss halves each X).
+        """
+        (s_a, *xs_a), (s_b, *xs_b) = self.source_factors(delay)[1]
+        blocks = [s_a, s_b, *xs_a, *xs_b]
+        where = ["on a signal arm"] * 2 + ["on an idler arm"] * 4
+        for angle in angles:
+            if angle is None:
+                blocks += [x / 2 for x in (*xs_a, *xs_b)]
+                where += ["on the idlers"] * 4
             else:
-                c2, s2 = math.cos(bs_angle) ** 2, math.sin(bs_angle) ** 2
-                one_idler = (half_logdet(c2 * x_a + s2 * x_b, "on arm 1"),
-                             half_logdet(s2 * x_a + c2 * x_b, "on arm 2"))
-            heralds = SOURCE_A_ARMS[:1] * in_a + SOURCE_B_ARMS[:1] * in_b
-            for idlers, h in zip(((), (1,), (2,), IDLER_MODES), (0.0, *one_idler, h_a + h_b)):
-                # det_real(1 + S) = det_C(1 + H/2)^2 on every subset of the passive form
-                vacuum[tuple(sorted(heralds + idlers))] = _clamp(
-                    math.exp(-2 * (ell_a * in_a + ell_b * in_b + h)), "p_vacuum")
-        return vacuum
+                c2, s2 = math.cos(angle) ** 2, math.sin(angle) ** 2
+                blocks += [w_a * x_a + w_b * x_b for x_a, x_b in itertools.product(xs_a, xs_b)
+                           for w_a, w_b in ((c2, s2), (s2, c2))]
+                where += ["on arm 1", "on arm 2"] * 4
+        h = half_logdets(blocks, where)
+        # by herald A and herald B in the subset: their l, and both idlers' h_A + h_B
+        ell = np.array([0.0, h[0]])[:, None] + [0.0, h[1]]
+        both = h[2:4, None] + h[4:6]
+        logs, at = {}, 6
+        for angle in angles:
+            if angle is None:
+                one = np.repeat((h[at:at + 2, None] + h[at + 2:at + 4])[..., None], 2, axis=-1)
+                at += 4
+            else:
+                one = h[at:at + 8].reshape(2, 2, 2)
+                at += 8
+            # det_real(1 + S) = det_C(1 + H/2)^2 on every subset of the passive form
+            idlers = np.concatenate([np.zeros((2, 2, 1)), one, both[..., None]], axis=-1)
+            logs[angle] = 2 * (ell[..., None] + idlers)[_COLUMNS]
+        return logs
 
-    def _threshold_figures(self, delay: float, bs_angle: float) -> _Figures:
-        """Every threshold figure at this angle, summed from one vacuum table."""
-        vacuum = self._vacuum_table(delay, bs_angle)
-
-        def threshold(on_modes, off_modes=()) -> float:
-            return inclusion_exclusion(vacuum.__getitem__, on_modes, off_modes)
-
-        return _Figures(threshold(FOUR_ARMS),
-                        threshold((0, 2, 3), (1,)) + threshold((0, 1, 3), (2,)),
-                        threshold(HERALD_MODES))
+    def _threshold_figures(self, delay: float, angles: Sequence) -> None:
+        """Every threshold figure at each angle at this delay not yet known,
+        None for the plateau, from one ``_vacuum_logs`` call and the sign rows."""
+        angles = [a for a in dict.fromkeys(angles) if (delay, a) not in self._figures]
+        if not angles:
+            return
+        for angle, logs in self._vacuum_logs(delay, angles).items():
+            if angle is None:
+                self._figures[delay, None] = threshold_sums(_FIGURE_SIGNS[:1], logs)[0]
+            else:
+                p4, *p_bunch, herald = threshold_sums(_FIGURE_SIGNS, logs)
+                self._figures[delay, angle] = _Figures(p4, sum(p_bunch), herald)
 
     def figures(self, delay: float | None = None,
                 bs_angle: float | None = None) -> _Figures:
@@ -482,8 +529,10 @@ class _RowPlan:
         key = (self.config.delay if delay is None else delay,
                self.config.bs_angle if bs_angle is None else bs_angle)
         if key not in self._figures:
-            self._figures[key] = (self._pnr_figures(*key) if self.config.detector == "pnr"
-                                  else self._threshold_figures(*key))
+            if self.config.detector == "pnr":
+                self._figures[key] = self._pnr_figures(*key)
+            else:
+                self._threshold_figures(key[0], key[1:])
         return self._figures[key]
 
     @functools.cached_property
@@ -493,8 +542,8 @@ class _RowPlan:
         are A and B."""
         if self.config.detector == "pnr":
             return 0.5 * self.figures(bs_angle=0.0).single_pair
-        return inclusion_exclusion(self._vacuum_table(self.config.delay, None).__getitem__,
-                                   FOUR_ARMS)
+        self._threshold_figures(self.config.delay, (None,))
+        return self._figures[self.config.delay, None]
 
     def heralding_efficiency(self) -> float:
         p_sps = self.figures(bs_angle=0.0).single_pair
@@ -515,6 +564,11 @@ class _RowPlan:
                               self.figures(bs_angle=math.pi / 4).four_fold)
 
     def row(self, param: str, value: float, visibilities: bool) -> dict:
+        if visibilities and self.config.detector == "threshold":
+            # every angle the row reads, one kernel call per delay; the dip is at delay 0
+            self._threshold_figures(self.config.delay,
+                                    (self.config.bs_angle, 0.0, math.pi / 4, None))
+            self._threshold_figures(0.0, (math.pi / 4,))
         here = self.figures()
         row = {"param": param, "value": value, "p4": here.four_fold,
                "p_bunch": here.p_bunch, "p_herald": here.heralding_rate,

@@ -18,12 +18,14 @@ from gausshom.detection import (
     _count_probabilities,
     _power_plan,
     half_logdet,
+    half_logdets,
     p_pnr,
     p_threshold,
     p_vacuum,
     pnr_distribution,
     probability,
     series_inv_sqrt_det,
+    threshold_sums,
     vacuum_probabilities,
 )
 from gausshom.elements import beam_splitter, loss, squeezer
@@ -96,6 +98,54 @@ def test_half_logdet_keeps_the_excess_that_rounding_of_1_drops():
             chol = mpmath.cholesky(mpmath.eye(60) + mpmath.matrix(x.tolist()))
             exact = mpmath.fsum(mpmath.log(mpmath.re(chol[k, k])) for k in range(60))
             assert abs(half_logdet(x, "") - exact) <= 1e-17, x.dtype
+
+
+def random_excesses(rng, n, m, dtype):
+    """n random positive semidefinite m x m excesses, real or complex Hermitian."""
+    entries = rng.normal(size=(n, m, m)) if dtype is float else rng.normal(size=(n, m, m, 2)) @ [1, 1j]
+    return 0.1 * entries @ np.swapaxes(entries, -1, -2).conj()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_half_logdet_of_a_stack_matches_per_block_calls(rng, dtype):
+    """One stacked call gives each block the bits of a call on it alone,
+    a stack of one those of the bare block, and ``half_logdets`` the same
+    for blocks of mixed shapes, one call per shape."""
+    stack = random_excesses(rng, 5, 6, dtype)
+    got = half_logdet(stack, "")
+    assert got.shape == (5,)
+    assert np.array_equal(got, [half_logdet(x, "") for x in stack])
+    assert np.array_equal(half_logdet(stack[:1], ""), half_logdet(stack[0], "")[None])
+    assert half_logdet(stack[0], "").shape == ()
+    mixed = [stack[0], random_excesses(rng, 1, 3, dtype)[0], stack[1], stack[2][:4, :4]]
+    assert np.array_equal(half_logdets(mixed, ["a"] * 4), [half_logdet(x, "") for x in mixed])
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_half_logdet_rejects_a_stack_with_one_indefinite_block(rng, dtype):
+    stack = random_excesses(rng, 4, 5, dtype)
+    stack[2] -= 3 * np.eye(5)
+    with pytest.raises(UnphysicalStateError, match="not positive definite on block 2"):
+        half_logdet(stack, "on block 2")
+    with pytest.raises(UnphysicalStateError, match="not positive definite on a or on c$"):
+        half_logdets(list(stack) + [np.zeros((2, 2))], ["on a", "on c", "on c", "on a", "on b"])
+
+
+def test_threshold_sums_check_each_term_and_each_sum():
+    """A figure is its signed terms summed as expm1: a row whose signs sum
+    to 1 (no on-detector) gives its vacuum term back, and a term above 1 or
+    not finite, or a sum below 0, raises."""
+    logs = np.array([0.0, 0.25, 0.5, 0.75])
+    signs = np.array([[1.0, -1.0, -1.0, 1.0], [0.0, 0.0, 0.0, 1.0]])
+    want = [1 - math.exp(-0.25) - math.exp(-0.5) + math.exp(-0.75), math.exp(-0.75)]
+    assert threshold_sums(signs, logs) == pytest.approx(want, rel=1e-15)
+    for bad in (-1e-9, np.nan):
+        with pytest.raises(UnphysicalStateError, match="p_vacuum"):
+            threshold_sums(signs, np.array([0.0, bad, 0.5, 0.75]))
+    # a term above 1 within tolerance counts as 1
+    assert threshold_sums(signs[:1], np.array([-1e-12, 0.0, 0.0, 0.0])) == [0.0]
+    with pytest.raises(UnphysicalStateError, match="p_threshold"):
+        threshold_sums(-signs[:1], logs)
 
 
 def test_threshold_two_mode_squeezed_closed_form():

@@ -1,6 +1,7 @@
 """Heralded-HOM circuit assembly, figures of merit, and sweeps."""
 
 import dataclasses
+import functools
 import itertools
 import logging
 import math
@@ -15,7 +16,7 @@ from gausshom import detection, elements, experiments
 from gausshom.core import (CovarianceState, FrequencyGrid, ModeLayout, apply, subset_indices,
                            vacuum_state)
 from gausshom.elements import bandpass_filter, beam_splitter, loss, squeezer
-from gausshom.detection import DetectionPattern, p_pnr, p_threshold, p_vacuum
+from gausshom.detection import DetectionPattern, p_pnr, p_threshold
 from gausshom.fock import fock_detection
 from gausshom.experiments import (
     CSV_COLUMNS,
@@ -488,7 +489,8 @@ def test_closed_form_stage_matches_the_element_circuit(variants, xis, idler_cent
             [figures.four_fold, figures.p_bunch, figures.heralding_rate],
             [four_fold(want, detector), bunching(want, detector), heralding_rate(want, detector)])
         if detector == "threshold":
-            got_vacuum = plan._vacuum_table(delay, bs_angle)
+            logs = plan._vacuum_logs(delay, [bs_angle])[bs_angle]
+            got_vacuum = dict(zip(experiments._SUBSETS, np.exp(-logs)))
             assert_close_probabilities([got_vacuum[s] for s in FOUR_ARM_SUBSETS],
                                        [want_vacuum[s] for s in FOUR_ARM_SUBSETS])
     if xis == (0.0, 0.0):
@@ -524,12 +526,15 @@ def test_101_bin_row_matches_the_dense_element_circuit(detector):
         # after 50% more loss on each
         halved = apply(sources, loss(0.5, experiments.IDLER_MODES, lay))
 
-        def plateau_vacuum(modes):
+        def plateau_log(modes):
+            state = split
             if len(set(modes) & set(experiments.IDLER_MODES)) == 1:
-                return p_vacuum(halved, set(modes) | set(experiments.IDLER_MODES))
-            return p_vacuum(split, modes)
+                state, modes = halved, tuple(sorted(set(modes) | set(experiments.IDLER_MODES)))
+            return detection._vacuum_logs(state, [modes])[modes]
 
-        plateau = detection.inclusion_exclusion(plateau_vacuum, FOUR_ARMS)
+        signs, subsets = zip(*detection._signed_subsets(FOUR_ARMS, ()))
+        plateau = detection.threshold_sums(np.array([signs], dtype=float),
+                                           np.array([plateau_log(m) for m in subsets]))[0]
     want = {"p4": four_fold(here, detector), "p_bunch": bunching(here, detector),
             "p_herald": heralding_rate(here, detector),
             "eta_herald": p_sps / heralding_rate(here, detector),
@@ -649,14 +654,16 @@ def test_distinguishable_four_fold_matches_six_mode_circuit(detector, xi):
 
 def test_threshold_plateau_is_range_checked(monkeypatch):
     """A plateau pushed below zero raises instead of passing through."""
-    vacuum_table = experiments._RowPlan._vacuum_table
+    vacuum_logs = experiments._RowPlan._vacuum_logs
 
-    def shifted(plan, delay, bs_angle):
+    def shifted(plan, delay, angles):
         # the term (1, 2) enters the plateau (about 1.3e-3) as -0.01
-        table = vacuum_table(plan, delay, bs_angle)
-        return {**table, (1, 2): table[(1, 2)] - 0.01}
+        logs = vacuum_logs(plan, delay, angles)
+        k = experiments._SUBSETS.index((1, 2))
+        logs[None][k] = -math.log(math.exp(-logs[None][k]) - 0.01)
+        return logs
 
-    monkeypatch.setattr(experiments._RowPlan, "_vacuum_table", shifted)
+    monkeypatch.setattr(experiments._RowPlan, "_vacuum_logs", shifted)
     with pytest.raises(detection.UnphysicalStateError, match="p_threshold"):
         distinguishable_four_fold(lossy_waveguide_config("threshold"))
 
@@ -673,7 +680,8 @@ def test_row_vacuum_table_matches_extended_precision_determinants(xi_a, xi_b):
     subsets = FOUR_ARM_SUBSETS[1:]
     for delay, bs_angle in itertools.product((0.0, 0.7), (0.0, 0.3, math.pi / 4, math.pi / 2)):
         config = dataclasses.replace(config, delay=delay, bs_angle=bs_angle)
-        table = experiments._RowPlan(config)._vacuum_table(delay, bs_angle)
+        logs = experiments._RowPlan(config)._vacuum_logs(delay, [bs_angle])[bs_angle]
+        table = dict(zip(experiments._SUBSETS, np.exp(-logs)))
         assert sorted(table) == sorted(FOUR_ARM_SUBSETS) and table[()] == 1.0
         state = build_hhom(config)
         with mpmath.workdps(40):
@@ -685,6 +693,128 @@ def test_row_vacuum_table_matches_extended_precision_determinants(xi_a, xi_b):
                 exact = 1 / mpmath.fprod(chol[k, k] for k in range(idx.size))
                 assert abs(mpmath.mpf(table[subset]) / exact - 1) <= 1e-14, (delay, bs_angle,
                                                                               subset)
+
+
+def extended_precision_figures(plan, delay, bs_angle) -> tuple:
+    """The four-fold, bunching and heralding figures of a threshold row, in
+    the working precision of mpmath: inclusion-exclusion sums of
+    1 / det(1 + H'_S / 2) over the subsets S of the arms, with the row's own
+    float64 passive forms H carried through the splitter exactly."""
+    rows, tildes = experiments._source_tildes(plan.stage(), plan.coordinates(delay))
+    starts = np.cumsum((0,) + tuple(rows))
+    n = int(starts[-1])
+    c, s = mpmath.cos(bs_angle), mpmath.sin(bs_angle)
+    h = mpmath.zeros(n, n)
+    for t, (sig, _), w in zip(tildes, (experiments.SOURCE_A_ARMS, experiments.SOURCE_B_ARMS),
+                              ((c, s), (-s, c))):
+        # the source's rows onto the four arms: its signal kept, its idler spread
+        spread = mpmath.zeros(n, t.shape[0])
+        for k in range(rows[sig]):
+            spread[starts[sig] + k, k] = 1
+        for k in range(t.shape[0] - rows[sig]):
+            spread[starts[1] + k, rows[sig] + k], spread[starts[2] + k, rows[sig] + k] = w
+        h += spread * mpmath.matrix(experiments._symmetrized(t).tolist()) * spread.T
+
+    @functools.lru_cache(maxsize=None)
+    def vacuum(modes):
+        idx = [i for a in modes for i in range(starts[a], starts[a + 1])]
+        if not idx:
+            return mpmath.mpf(1)
+        return 1 / mpmath.re(mpmath.det(
+            mpmath.matrix([[h[i, j] / 2 + (i == j) for j in idx] for i in idx])))
+
+    def threshold(on_modes, off_modes=()):
+        return sum(sign * vacuum(modes)
+                   for sign, modes in detection._signed_subsets(on_modes, off_modes))
+
+    return (threshold(FOUR_ARMS), threshold((0, 2, 3), (1,)) + threshold((0, 1, 3), (2,)),
+            threshold(experiments.HERALD_MODES))
+
+
+# xi: (bound at the dip, bound elsewhere) on the relative error of a threshold
+# row's figures.  The dip's four-fold (identical sources at delay 0 and
+# pi/4) cancels the most.  Where float64 reaches it the bound is 1e-12;
+# elsewhere it is the largest error measured for the expm1 sums, times a
+# margin of 10 to 30 (the measured errors are listed in CHANGES.md).
+EXPM1_BOUNDS = {0.003: (1e-6, 1e-8), 0.01: (5e-8, 3e-10), 0.03: (1e-9, 2e-11),
+                0.1: (1e-10, 1e-12), 0.3: (1e-12, 1e-12), 1.0: (1e-12, 1e-12)}
+
+
+@pytest.mark.parametrize("xi", sorted(EXPM1_BOUNDS))
+def test_threshold_row_figures_match_extended_precision_sums(xi):
+    """A lossy threshold row's four-fold, bunching and heralding figures
+    against 40-digit sums over its own passive forms, at the dip and away
+    from it, from xi = 0.003 to 1."""
+    spec = JsaSpec("waveguide", xi, 4.0, signal_center=0.0, idler_center=0.0, walkoff=1.0)
+    for delay, bs_angle in ((0.0, math.pi / 4), (0.7, 0.3)):
+        config = HhomConfig(spec, spec, FrequencyGrid(0.0, 1.0, 5), delay=delay,
+                            bs_angle=bs_angle, loss=(0.1, 0.2, 0.15, 0.05), detector="threshold")
+        plan = experiments._RowPlan(config)
+        with mpmath.workdps(40):
+            want = extended_precision_figures(plan, delay, bs_angle)
+            for k, (got, exact) in enumerate(zip(plan.figures(), want)):
+                bound = EXPM1_BOUNDS[xi][k != 0 or delay != 0.0]
+                assert abs(mpmath.mpf(got) / exact - 1) <= bound, (delay, k)
+
+
+@pytest.mark.parametrize("delay", [0.0, 0.7])
+def test_threshold_figures_do_not_depend_on_the_angles_stacked_with_them(delay):
+    """Each angle's figures and the plateau have the same bytes computed
+    alone on a fresh plan as inside a visibility row, whose kernel calls
+    stack every angle it reads."""
+    config = lossy_waveguide_config("threshold", delay=delay)
+    in_row = experiments._RowPlan(config)
+    in_row.row(experiments.PROBE_AXIS, 0.0, True)
+    for key in ((delay, config.bs_angle), (delay, 0.0), (0.0, math.pi / 4)):
+        assert experiments._RowPlan(config).figures(*key) == in_row.figures(*key), key
+    assert (experiments._RowPlan(config).distinguishable_four_fold
+            == in_row.distinguishable_four_fold)
+
+
+@pytest.mark.parametrize("delay", [0.0, 0.7])
+def test_threshold_visibility_row_makes_one_cholesky_per_block_shape(monkeypatch, delay):
+    """On identical sources a visibility row factors its 26 blocks per delay
+    (each source's signal, E and C, 8 per angle for two angles, the 4
+    plateau blocks) in one Cholesky call per block shape at each delay."""
+    config = lossy_waveguide_config("threshold", delay=delay)
+    stacks = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        stacks.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    sweep_row(config, experiments.PROBE_AXIS, 0.0, True)
+    plan = experiments._RowPlan(config)
+    shapes = [{r for r in (x.shape[0] for x in plan.coordinates(d))} for d in sorted({delay, 0.0})]
+    assert len(stacks) == sum(len(s) for s in shapes)
+    # 26 blocks at the row's delay, and the dip's source blocks and one angle at delay 0
+    assert sum(shape[0] for shape in stacks) == 26 + (6 + 8) * (delay != 0.0)
+    if delay == 0.0:
+        assert len(stacks) == 1
+
+
+def test_after_splitter_matches_the_kronecker_spread(rng):
+    """The slice writes of each idler's spread give the entries of the
+    Kronecker products they replace, bit for bit."""
+    rows = (3, 4, 4, 2)
+    blocks = [rng.normal(size=(m, m, 2)) @ [1, 1j] for m in (rows[0] + rows[1], rows[3] + rows[2])]
+    for bs_angle in (0.0, math.pi / 4, 0.3):
+        c, s = math.cos(bs_angle), math.sin(bs_angle)
+        weights = {1: np.array([c, s]), 2: np.array([-s, c])}
+        starts = np.cumsum((0,) + rows)
+        want = np.zeros((starts[-1], starts[-1]), dtype=complex)
+        both = slice(starts[1], starts[3])
+        for block, (sig, idl) in zip(blocks, (experiments.SOURCE_A_ARMS,
+                                              experiments.SOURCE_B_ARMS)):
+            r_s, w = rows[sig], weights[idl]
+            s_out = slice(starts[sig], starts[sig + 1])
+            want[s_out, s_out] = block[:r_s, :r_s]
+            want[s_out, both] = np.kron(w, block[:r_s, r_s:])
+            want[both, s_out] = np.kron(w[:, None], block[r_s:, :r_s])
+            want[both, both] += np.kron(np.outer(w, w), block[r_s:, r_s:])
+        assert np.array_equal(experiments._after_splitter(blocks, rows, bs_angle), want)
 
 
 @pytest.mark.parametrize("defect, error, match", [
