@@ -487,8 +487,8 @@ def _verify_csv_determinism() -> tuple[bool, str]:
     for _ in range(2):
         texts.append(experiments.sweep(config, "xi", [0.1, 0.2], visibilities=False).to_csv()
                      + experiments.sweep(threshold, "delay", delays).to_csv())
-    # the delay sweep derives both rows from one source stage; one-row
-    # sweeps build their own, and the rows must not differ by a bit
+    # the delay sweep shares one Schmidt decomposition between its rows;
+    # one-row sweeps make their own, and the rows must not differ by a bit
     singles = [experiments.sweep(threshold, "delay", [d]).to_csv().splitlines(keepends=True)
                for d in delays]
     ok = (texts[0] == texts[1]

@@ -15,7 +15,8 @@ Threshold probabilities come from inclusion-exclusion over vacuum
 projections.  Every vacuum term is p = exp(-L), L = log det(1 + X) / 2 of
 one excess block X, from its Cholesky factor (``half_logdet``, which
 takes a stack of equal-shaped blocks and factors it in one call;
-``half_logdets`` makes one such call per distinct shape): on a state, X
+``half_logdets`` makes one such call per distinct shape and dtype, and
+factors a complex block with no imaginary part as a real one): on a state, X
 is sigma_tilde / 2 on each subset's rows (``vacuum_probabilities``).  A
 caller that holds pair sources splits each one's passive form into its
 signal, idler and Schur-complement blocks instead
@@ -180,7 +181,11 @@ def half_logdet(excess: np.ndarray, where: str) -> np.ndarray:
 
 def half_logdets(blocks: Sequence[np.ndarray], where: Sequence[str]) -> np.ndarray:
     """``half_logdet`` of each block, one stacked call per distinct shape and
-    dtype; ``where[k]`` names block k in the error of its stack."""
+    dtype; ``where[k]`` names block k in the error of its stack.  A complex
+    block whose imaginary part is exactly zero is real symmetric and is
+    factored in real arithmetic, so each block's dtype, and with it its
+    bits, follows from its own entries and never from its stack."""
+    blocks = [x.real if np.iscomplexobj(x) and not x.imag.any() else x for x in blocks]
     stacks = {}
     for k, x in enumerate(blocks):
         stacks.setdefault((x.shape, x.dtype), []).append(k)

@@ -7,8 +7,13 @@ per-arm loss follow, then a variable delay on idler 1 and a beam-splitter
 of angle theta that mixes idlers (1, 2) before detection.
 
 The circuit splits into a source stage (sources, filters and loss) and a
-suffix (delay and beam-splitter).  The stage (``_sources_and_channels``)
-keeps each source's Schmidt modes above ``SCHMIDT_CUT``, each arm's mode
+suffix (delay and beam-splitter).  The Schmidt basis of a source depends
+only on its JSA's shape and the grid, never on its squeezing xi, so each
+source shape (its ``JsaSpec`` with xi set aside) is decomposed once, in
+real arithmetic, as a unit-norm JSA, and its kept Schmidt values s and
+mode functions are shared by every row that has that shape
+(``_kept_modes``).  The stage of a row (``_sources_and_channels``) then
+costs only scalars: each source's strengths r = xi s, each arm's mode
 functions scaled by its passband, and each arm's loss amplitude.  Every
 element after the sources is linear in those mode functions, and a
 two-mode-squeezed state is fixed by them, so every state is written in
@@ -27,9 +32,9 @@ on the bins.  A sweep row works in coordinates in an orthonormal basis of
 each arm's occupied modes (``_coordinates``), with a row count set by the
 Schmidt number rather than the bin count, where detection is exact: for
 block-diagonal bases B with orthonormal columns and T scalar on each arm,
-det(1 + T B C B^T T) = det(1 + T C T).  The coordinates are computed per
-row, so no row depends on whether its stage was shared.  The element-built
-circuit is the reference both match.
+det(1 + T B C B^T T) = det(1 + T C T).  The stage and the coordinates are
+computed per row, so no row depends on whether its Schmidt data was
+shared.  The element-built circuit is the reference both match.
 
 A sweep row builds no four-arm state: before the splitter the sources are
 independent, so each source's H is factored once per delay on its own
@@ -51,15 +56,19 @@ log det(1 + cos^2 X_A + sin^2 X_B) / 2 with arm 1 alone (sin and cos
 swapped for arm 2), as arms 1 and 2 share one basis.  A row asks for
 every angle it reads at a delay at once, and all of their blocks, with
 each source's signal, E and C, are factored in one stacked Cholesky per
-block shape (``detection.half_logdets``).  Each figure is then a fixed
-row of signs over the 16 terms (``_FIGURE_SIGNS``, built once from
-``detection._signed_subsets``), summed as expm1(-2 (l + h)), so that no
-term is rounded near 1 before the cancellation
-(``detection.threshold_sums``).
+block shape and dtype (``detection.half_logdets``).  The herald arms are
+never delayed and their mode functions are real, so each signal block is
+real; at delay 0 every arm's are, and every block's imaginary part
+vanishes exactly, so the whole row is factored in real arithmetic.  Each
+figure is then a fixed row of signs over the 16 terms (``_FIGURE_SIGNS``,
+built once from ``detection._signed_subsets``), summed as
+expm1(-2 (l + h)), so that no term is rounded near 1 before the
+cancellation (``detection.threshold_sums``).
 
 Every figure a sweep row needs comes from one stage: at the row's delay,
-with and without the beam-splitter.  A sweep along the delay, the
-beam-splitter angle or a probe builds the stage once for all of its rows.
+with and without the beam-splitter.  A sweep along any axis decomposes
+each source shape once for all of its rows, and each row builds its own
+stage from those shapes, the same way as a row on its own.
 
 The fully distinguishable (infinite-delay) limit is the circuit that
 splits each idler against a vacuum ancilla, with detectors A and B each
@@ -110,7 +119,8 @@ DELAY_MODE = 1
 N_SPATIAL = 4
 
 SPS_ANGLE_TOL = 1e-8
-# Schmidt modes with r_k <= SCHMIDT_CUT * r_0 are dropped from the source stage
+# Schmidt modes with s_k <= SCHMIDT_CUT * s_0, the same cut as on r = xi s, are
+# dropped from the source stage
 SCHMIDT_CUT = 1e-12
 
 DETECTORS = ("pnr", "threshold")
@@ -162,12 +172,12 @@ class HhomConfig:
 
 
 class _Stage(NamedTuple):
-    """The source stage: each source's kept Schmidt modes and each arm's mode functions.
+    """The source stage of one row: each source's kept Schmidt modes and each arm's mode functions.
 
     ``sources`` holds, for source A (arms 0, 1) and then source B (arms 3,
     2), the excess 2 sinh^2 r_k and the pairing sinh 2 r_k of its kept
-    Schmidt modes.  ``modes[arm]`` is the n_f x K complex matrix of that
-    arm's mode functions, one column per kept mode of its source: the
+    Schmidt modes, r = xi s.  ``modes[arm]`` is the real n_f x K matrix of
+    that arm's mode functions, one column per kept mode of its source: the
     columns of U on a signal arm and of Vh^T on an idler arm, each row
     scaled by the arm's passband in that bin.  ``amplitudes[arm]`` is the
     arm's loss amplitude sqrt(1 - eps); it stays out of the mode functions,
@@ -180,14 +190,15 @@ class _Stage(NamedTuple):
 
 
 def _kept_modes(sd: SchmidtData) -> tuple:
-    """Excess, pairing, signal and idler mode functions of one source's kept modes.
+    """Values, signal and idler mode functions of one source shape's kept modes.
 
-    In its Schmidt basis the source is a stack of two-mode squeezers of
-    strengths r = ``sd.values``, a physical state exactly when U and Vh are
-    unitary (r is real): the same condition as the squeezer's S J S^T = J,
-    and checked here instead.  Modes with r_k <= ``SCHMIDT_CUT`` r_0 are
-    dropped; the kept count and the dropped weight, sum of the dropped
-    r_k^2 over xi^2, are logged at DEBUG.
+    ``sd`` decomposes the shape's unit-norm JSA; a source of squeezing xi
+    is then a stack of two-mode squeezers of strengths r = xi ``sd.values``,
+    a physical state exactly when U and Vh are unitary (r is real): the
+    same condition as the squeezer's S J S^T = J, and checked here instead.
+    Modes with s_k <= ``SCHMIDT_CUT`` s_0 are dropped, the same cut as on
+    r; the kept count and the dropped weight, sum of the dropped s_k^2
+    over all of them, are logged at DEBUG.
     """
     n_f = sd.values.size
     for name, w in (("U", sd.u), ("Vh", sd.vh)):
@@ -196,41 +207,45 @@ def _kept_modes(sd: SchmidtData) -> tuple:
             raise ValueError(f"Schmidt basis {name} is not unitary (residual {residual:.2e})")
     kept = int(np.count_nonzero(sd.values > SCHMIDT_CUT * sd.values[0]))
     power = sd.values ** 2
-    log.debug("source keeps %d of %d Schmidt modes; dropped weight sum r_k^2 / xi^2 = %.3e",
+    log.debug("source keeps %d of %d Schmidt modes; dropped weight sum s_k^2 = %.3e",
               kept, n_f, np.sum(power[kept:]) / np.sum(power))
-    r = sd.values[:kept]
-    excess, pairing = 2 * np.sinh(r) ** 2, np.sinh(2 * r)
-    if not (np.all(np.isfinite(excess)) and np.all(np.isfinite(pairing))):
-        raise ValueError("source state has non-finite entries")
-    return excess, pairing, sd.u[:, :kept], sd.vh[:kept].T
+    return sd.values[:kept], sd.u[:, :kept], sd.vh[:kept].T
 
 
-def _sources_and_channels(config: HhomConfig) -> _Stage:
+def _sources_and_channels(config: HhomConfig, shapes: dict | None = None) -> _Stage:
     """The source stage: both pair sources, the bandpass filters and per-arm loss.
 
     Every state and row of a configuration is written from it, and it
-    does not depend on the delay or the beam-splitter angle.  Each source
-    keeps its Schmidt modes above ``SCHMIDT_CUT`` (``_kept_modes``);
-    identical sources share one JSA and one Schmidt decomposition.  A
-    filter, diagonal on the bins, scales each row of its arm's mode
-    functions by the passband; a loss is the arm's scalar amplitude.  The
-    element-built circuit (``squeezer``, ``bandpass_filter``, ``loss``)
-    gives the same state.
+    does not depend on the delay or the beam-splitter angle.  A source's
+    shape is its spec with xi set aside; the kept Schmidt data
+    (``_kept_modes``) of its unit-norm JSA, built at xi = 1, is taken from
+    ``shapes``, a dict keyed by shape and grid, or decomposed and stored
+    there, so sources that differ only in xi share one decomposition.  A
+    source of xi > 0 then has the strengths r = xi s; a source of xi = 0
+    is vacuum, with no kept modes.  A filter, diagonal on the bins, scales
+    each row of its arm's mode functions by the passband; a loss is the
+    arm's scalar amplitude.  The element-built circuit (``squeezer``,
+    ``bandpass_filter``, ``loss``) gives the same state.
     """
+    shapes = {} if shapes is None else shapes
     n_f = config.grid.n_bins
-    kept = {}
-    for spec in (config.source_a, config.source_b):
-        if spec.xi > 0 and spec not in kept:
-            kept[spec] = _kept_modes(schmidt_decompose(build_jsa(spec, config.grid)))
     t = np.ones((N_SPATIAL, n_f))
     if config.filter_modes:
         t[list(config.filter_modes)] = _passband(config.filter_center,
                                                  config.filter_half_width, config.grid)
-    vacuum = (np.zeros(0), np.zeros(0), np.zeros((n_f, 0)), np.zeros((n_f, 0)))
     sources, modes = [], [None] * N_SPATIAL
     for spec, (sig, idl) in ((config.source_a, SOURCE_A_ARMS),
                              (config.source_b, SOURCE_B_ARMS)):
-        excess, pairing, u, v = kept.get(spec, vacuum)
+        s, u, v = np.zeros(0), np.zeros((n_f, 0)), np.zeros((n_f, 0))
+        if spec.xi > 0:
+            shape = (dataclasses.replace(spec, xi=1.0), config.grid)
+            if shape not in shapes:
+                shapes[shape] = _kept_modes(schmidt_decompose(build_jsa(shape[0], config.grid)))
+            s, u, v = shapes[shape]
+        r = spec.xi * s
+        excess, pairing = 2 * np.sinh(r) ** 2, np.sinh(2 * r)
+        if not (np.all(np.isfinite(excess)) and np.all(np.isfinite(pairing))):
+            raise ValueError("source state has non-finite entries")
         sources.append((excess, pairing))
         modes[sig], modes[idl] = t[sig, :, None] * u, t[idl, :, None] * v
     amplitudes = tuple(_amplitude_transmission(eps) for eps in config.loss)
@@ -417,19 +432,20 @@ class _RowPlan:
     """Figures of merit of one configuration from its sources' factors.
 
     A plan writes, checks and factors each source's passive form once per
-    delay, in the arms' coordinates at that delay (``source_factors``), so
-    a row's figures do not depend on whether its stage was shared, and
+    delay, in the arms' coordinates at that delay (``source_factors``), and
     each angle's figures come from those factors (module docstring).  The
-    plan builds the stage on first use and keeps it; a sweep whose axis
-    leaves the stage unchanged passes in the stage it built.  A plan serves
-    one sweep row or one public call and holds no state beyond it.  Its
-    figures are keyed by (delay, angle); with threshold detectors the key
-    (delay, None) holds the plateau's four-fold.
+    plan builds its stage on first use and keeps it, from the Schmidt data
+    in ``shapes``: a sweep passes in the dict it shares between its rows,
+    so a row's figures do not depend on whether its shapes were shared.  A
+    plan serves one sweep row or one public call and holds no state beyond
+    it.  Its figures are keyed by (delay, angle); with threshold detectors
+    the key (delay, None) holds the plateau's four-fold.
     """
 
-    def __init__(self, config: HhomConfig, stage: _Stage | None = None):
+    def __init__(self, config: HhomConfig, shapes: dict | None = None):
         self.config = config
-        self._stage = stage
+        self._shapes = shapes
+        self._stage = None
         self._factors = {}
         self._figures = {}
         self._heralding_rate = None
@@ -437,7 +453,7 @@ class _RowPlan:
     def stage(self) -> _Stage:
         """The source stage, built on first use and kept."""
         if self._stage is None:
-            self._stage = _sources_and_channels(self.config)
+            self._stage = _sources_and_channels(self.config, self._shapes)
         return self._stage
 
     def coordinates(self, delay: float) -> tuple:
@@ -523,6 +539,16 @@ class _RowPlan:
                 p4, *p_bunch, herald = threshold_sums(_FIGURE_SIGNS, logs)
                 self._figures[delay, angle] = _Figures(p4, sum(p_bunch), herald)
 
+    def _request(self, *keys) -> None:
+        """With threshold detectors, every (delay, angle) figure asked for, None
+        for the plateau, from one ``_threshold_figures`` call per delay."""
+        if self.config.detector == "threshold":
+            by_delay = {}
+            for delay, angle in keys:
+                by_delay.setdefault(delay, []).append(angle)
+            for delay, angles in by_delay.items():
+                self._threshold_figures(delay, angles)
+
     def figures(self, delay: float | None = None,
                 bs_angle: float | None = None) -> _Figures:
         """Figures of the circuit at this delay and angle (default: the config's)."""
@@ -546,6 +572,7 @@ class _RowPlan:
         return self._figures[self.config.delay, None]
 
     def heralding_efficiency(self) -> float:
+        self._request((self.config.delay, 0.0), (self.config.delay, math.pi / 4))
         p_sps = self.figures(bs_angle=0.0).single_pair
         at45 = self.figures(bs_angle=math.pi / 4)
         if abs(p_sps - at45.single_pair) > SPS_ANGLE_TOL:
@@ -556,19 +583,21 @@ class _RowPlan:
         return p_sps / at45.heralding_rate
 
     def hom_visibility(self) -> float:
+        self._request((0.0, math.pi / 4), (self.config.delay, None))
         return visibility_hom(self.figures(0.0, math.pi / 4).four_fold,
                               self.distinguishable_four_fold)
 
     def mzi_visibility(self) -> float:
+        self._request((self.config.delay, 0.0), (self.config.delay, math.pi / 4))
         return visibility_mzi(self.figures(bs_angle=0.0).four_fold,
                               self.figures(bs_angle=math.pi / 4).four_fold)
 
     def row(self, param: str, value: float, visibilities: bool) -> dict:
-        if visibilities and self.config.detector == "threshold":
+        if visibilities:
             # every angle the row reads, one kernel call per delay; the dip is at delay 0
-            self._threshold_figures(self.config.delay,
-                                    (self.config.bs_angle, 0.0, math.pi / 4, None))
-            self._threshold_figures(0.0, (math.pi / 4,))
+            delay = self.config.delay
+            self._request((delay, self.config.bs_angle), (delay, 0.0), (delay, math.pi / 4),
+                          (delay, None), (0.0, math.pi / 4))
         here = self.figures()
         row = {"param": param, "value": value, "p4": here.four_fold,
                "p_bunch": here.p_bunch, "p_herald": here.heralding_rate,
@@ -645,6 +674,7 @@ def ratio_r(config: HhomConfig) -> RatioResult:
     so both orderings are returned.
     """
     plan = _RowPlan(config)
+    plan._request((config.delay, 0.0), (config.delay, None))
     p4_max = plan.figures(bs_angle=0.0).four_fold
     p4_plateau = plan.distinguishable_four_fold
     if p4_max <= 0 or p4_plateau <= 0:
@@ -733,8 +763,6 @@ def structured_source_config(detector: str = "pnr",
 
 PROBE_AXIS = "probe"   # one row of the configuration as given
 SWEEP_AXES = ("delay", "bs_angle", "xi", "loss", "filter_width", PROBE_AXIS)
-# axes that leave the source stage unchanged: a sweep builds it once for all rows
-STAGE_AXES = ("delay", "bs_angle", PROBE_AXIS)
 
 
 @dataclass(frozen=True)
@@ -804,10 +832,10 @@ def sweep(config: HhomConfig, axis: str, values: Sequence[float],
     and both visibilities.  Rows are evaluated one at a time, in order.
     ``axis="probe"`` evaluates the configuration as given, once per value.
 
-    The delay, beam-splitter and probe axes leave the source stage
-    unchanged, so a sweep of several values on them builds the stage once
-    and derives every row's states from it; it is dropped when the sweep
-    returns.  Every other axis builds one stage per row.
+    No axis changes a source's shape, so the sweep decomposes each shape
+    once (``_sources_and_channels``) and hands the Schmidt data to every row; it
+    is dropped when the sweep returns.  Each row scales it by its own xi,
+    passbands and losses, as a row on its own does.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
@@ -817,23 +845,20 @@ def sweep(config: HhomConfig, axis: str, values: Sequence[float],
     if visibilities is None:
         visibilities = axis not in ("delay", "bs_angle")
 
-    stage = None
-    if axis in STAGE_AXES and len(values) > 1:
-        stage = _sources_and_channels(config)
-    rows = [sweep_row(config, axis, v, visibilities, stage=stage) for v in values]
+    shapes = {}
+    rows = [sweep_row(config, axis, v, visibilities, shapes=shapes) for v in values]
     return SweepResult(axis, tuple(rows), config.detector, config.config_hash())
 
 
 def sweep_row(config: HhomConfig, axis: str, value: float,
-              visibilities: bool, stage: _Stage | None = None) -> dict:
+              visibilities: bool, shapes: dict | None = None) -> dict:
     """Figures of merit of one sweep point, as a CSV-contract row dict.
 
     ``axis="probe"`` evaluates the configuration as given, under the
-    param label ``probe``.  ``stage``, if given, is the source stage of
-    ``config`` (``_sources_and_channels``); only an axis in ``STAGE_AXES``
-    can take it, since every other axis changes the stage.
+    param label ``probe``.  ``shapes``, if given, is a dict of Schmidt data
+    per source shape (``_sources_and_channels``) shared with other rows on the
+    same grid; the row fills in what it lacks.  The row's bytes do not
+    depend on it.
     """
-    if stage is not None and axis not in STAGE_AXES:
-        raise ValueError(f"the {axis!r} axis changes the source stage")
-    plan = _RowPlan(_with_axis_value(config, axis, float(value)), stage)
+    plan = _RowPlan(_with_axis_value(config, axis, float(value)), shapes)
     return plan.row(axis, float(value), visibilities)

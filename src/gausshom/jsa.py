@@ -1,8 +1,10 @@
 """Joint-spectral-amplitude models, discretization and Schmidt decomposition.
 
-A sampled JSA is a plain complex n_f x n_f array: row k is signal bin k,
-column l is idler bin l, and its Frobenius norm is the squeezing parameter
-xi.  ``squeezer`` and ``fock_from_jsa`` take it as is.
+A sampled JSA is a plain real n_f x n_f float64 array: row k is signal
+bin k, column l is idler bin l, and its Frobenius norm is the squeezing
+parameter xi.  Every model here is real on the grid, so its Schmidt
+decomposition is real too.  ``squeezer`` and ``fock_from_jsa`` take it as
+is, and accept a complex JSA as well.
 
 All frequencies are angular (rad/s).  Helpers are provided to convert from
 the units experimentalists quote (THz for bandwidths and centers, ps for
@@ -112,7 +114,7 @@ def _lobe(offsets: np.ndarray, center: float, width: float) -> np.ndarray:
 def build_jsa(spec: JsaSpec, grid_signal: FrequencyGrid) -> np.ndarray:
     """Sample a JSA model on ``grid_signal`` and normalize it to the spec's xi.
 
-    Returns the complex n_f x n_f matrix f with rows on the signal bins and
+    Returns the real n_f x n_f matrix f with rows on the signal bins and
     columns on the idler bins, the signal grid moved to the spec's idler
     center.  Its Frobenius norm is xi, so its singular values are the
     per-Schmidt-mode squeezing strengths.
@@ -147,13 +149,13 @@ def build_jsa(spec: JsaSpec, grid_signal: FrequencyGrid) -> np.ndarray:
     norm = np.linalg.norm(f)
     if norm == 0:
         raise ValueError("JSA vanishes on this grid")
-    return (spec.xi * f / norm).astype(complex)
+    return spec.xi * f / norm
 
 
 def schmidt_decompose(f: np.ndarray) -> SchmidtData:
-    """SVD of a JSA matrix ``f``, taken in complex arithmetic, with descending
-    singular values."""
-    f = np.asarray(f, dtype=complex)
+    """SVD of a JSA matrix ``f`` in its own dtype, with descending singular
+    values: real vectors for a real JSA, complex ones for a complex JSA."""
+    f = np.asarray(f)
     if not np.all(np.isfinite(f)):
         raise ValueError("JSA matrix contains non-finite entries")
     u, s, vh = np.linalg.svd(f)

@@ -121,6 +121,26 @@ def test_half_logdet_of_a_stack_matches_per_block_calls(rng, dtype):
     assert np.array_equal(half_logdets(mixed, ["a"] * 4), [half_logdet(x, "") for x in mixed])
 
 
+def test_half_logdets_factors_a_complex_block_with_no_imaginary_part_as_real(rng, monkeypatch):
+    """A complex block whose imaginary part is exactly zero gets the bits of
+    its real part, whatever it is stacked with; any other stays complex."""
+    real = random_excesses(rng, 3, 4, float)
+    hermitian = random_excesses(rng, 1, 4, complex)[0]
+    stacks = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        stacks.append(a.dtype)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    blocks = [real[0].astype(complex), hermitian, real[1], real[2].astype(complex)]
+    got = half_logdets(blocks, ["a"] * 4)
+    assert np.array_equal(got, [half_logdet(real[0], ""), half_logdet(hermitian, ""),
+                                half_logdet(real[1], ""), half_logdet(real[2], "")])
+    assert stacks[:2] == [np.float64, np.complex128]
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_half_logdet_rejects_a_stack_with_one_indefinite_block(rng, dtype):
     stack = random_excesses(rng, 4, 5, dtype)

@@ -288,9 +288,9 @@ def test_visibility_row_builds_and_detects_each_distinct_state_once(monkeypatch,
     pnr_factor, pnr_series = experiments.pnr_factor, experiments.pnr_series
     source_vacuum_blocks = experiments.source_vacuum_blocks
 
-    def counting_stage(config):
+    def counting_stage(config, shapes=None):
         stages.append(config)
-        return stage(config)
+        return stage(config, shapes)
 
     # the lists keep every detected state and matrix alive, so their ids stay distinct
     def counting_vacuum(state, subsets):
@@ -380,9 +380,9 @@ def count_stages(monkeypatch) -> list:
     stages = []
     stage = experiments._sources_and_channels
 
-    def counting_stage(config):
+    def counting_stage(config, shapes=None):
         stages.append(config)
-        return stage(config)
+        return stage(config, shapes)
 
     monkeypatch.setattr(experiments, "_sources_and_channels", counting_stage)
     return stages
@@ -402,20 +402,30 @@ def sources_filter_and_loss(config, lay):
     return state
 
 
-def test_identical_sources_share_one_schmidt_decomposition(monkeypatch):
+def count_decompositions(monkeypatch) -> list:
+    """Record every JSA build and Schmidt decomposition of the stage from here on."""
     calls = []
     for name in ("build_jsa", "schmidt_decompose"):
         def counting(*args, _name=name, _original=getattr(experiments, name)):
             calls.append(_name)
             return _original(*args)
         monkeypatch.setattr(experiments, name, counting)
+    return calls
+
+
+def test_identical_sources_share_one_schmidt_decomposition(monkeypatch):
+    """Sources of one shape, identical or differing only in xi, share one
+    JSA and one decomposition, and each still gives its own state."""
+    calls = count_decompositions(monkeypatch)
     gaussian = JsaSpec("gaussian", 0.2, 4.0, signal_center=0.0, idler_center=0.0)
     identical = lossy_waveguide_config("pnr")
-    for config, n_sources in ((identical, 1),
-                              (dataclasses.replace(identical, source_b=gaussian), 2)):
+    weaker = dataclasses.replace(identical.source_a, xi=0.2)
+    for config, n_shapes in ((identical, 1),
+                             (dataclasses.replace(identical, source_b=weaker), 1),
+                             (dataclasses.replace(identical, source_b=gaussian), 2)):
         calls.clear()
         experiments._sources_and_channels(config)
-        assert sorted(calls) == ["build_jsa"] * n_sources + ["schmidt_decompose"] * n_sources
+        assert sorted(calls) == ["build_jsa"] * n_shapes + ["schmidt_decompose"] * n_shapes
         got = build_hhom(dataclasses.replace(config, bs_angle=0.0))
         want = sources_filter_and_loss(config, ModeLayout(4, config.grid.n_bins))
         np.testing.assert_allclose(got.v, want.v, rtol=0, atol=1e-13)
@@ -566,6 +576,7 @@ def test_stage_rejects_a_passband_as_bandpass_filter_does(center, half_width):
 def test_stage_rejects_a_non_unitary_schmidt_basis_and_overflow():
     grid = FrequencyGrid(0.0, 1.0, 5)
     sd = schmidt_decompose(build_jsa(stage_source("waveguide", 0.5, 0.0), grid))
+    assert sd.u.dtype == sd.vh.dtype == np.float64
     experiments._kept_modes(sd)
     for bad in (SchmidtData(sd.values, (1 + 1e-9) * sd.u, sd.vh),
                 SchmidtData(sd.values, sd.u, sd.vh[::-1] + 1e-9)):
@@ -775,8 +786,39 @@ def test_threshold_figures_do_not_depend_on_the_angles_stacked_with_them(delay):
 def test_threshold_visibility_row_makes_one_cholesky_per_block_shape(monkeypatch, delay):
     """On identical sources a visibility row factors its 26 blocks per delay
     (each source's signal, E and C, 8 per angle for two angles, the 4
-    plateau blocks) in one Cholesky call per block shape at each delay."""
+    plateau blocks) in one Cholesky call per block shape and dtype at each
+    delay: the signal blocks are real, and at delay 0 so is every block."""
     config = lossy_waveguide_config("threshold", delay=delay)
+    stacks = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        stacks.append((a.shape, a.dtype))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    sweep_row(config, experiments.PROBE_AXIS, 0.0, True)
+    plan = experiments._RowPlan(config)
+    kinds = 0
+    for d in sorted({delay, 0.0}):
+        rows = [x.shape[0] for x in plan.coordinates(d)]
+        idler = float if d == 0.0 else complex
+        kinds += len({(rows[a], float) for a in experiments.HERALD_MODES}
+                     | {(rows[a], idler) for a in experiments.IDLER_MODES})
+    assert len(stacks) == kinds
+    # 26 blocks at the row's delay, and the dip's source blocks and one angle at delay 0
+    assert sum(shape[0] for shape, _ in stacks) == 26 + (6 + 8) * (delay != 0.0)
+    if delay == 0.0:
+        assert stacks[0][1] == np.float64 and len(stacks) == 1
+
+
+@pytest.mark.parametrize("function", [heralding_efficiency, mzi_visibility, hom_visibility,
+                                      ratio_r])
+def test_one_call_threshold_functions_make_one_cholesky_per_block_shape(monkeypatch, function):
+    """At delay 0 a one-call threshold figure factors every block it reads in
+    one Cholesky call per block shape, with the bits of its figures asked for
+    one at a time."""
+    config = lossy_waveguide_config("threshold")
     stacks = []
     cholesky = np.linalg.cholesky
 
@@ -785,14 +827,14 @@ def test_threshold_visibility_row_makes_one_cholesky_per_block_shape(monkeypatch
         return cholesky(a)
 
     monkeypatch.setattr(np.linalg, "cholesky", counting)
-    sweep_row(config, experiments.PROBE_AXIS, 0.0, True)
-    plan = experiments._RowPlan(config)
-    shapes = [{r for r in (x.shape[0] for x in plan.coordinates(d))} for d in sorted({delay, 0.0})]
-    assert len(stacks) == sum(len(s) for s in shapes)
-    # 26 blocks at the row's delay, and the dip's source blocks and one angle at delay 0
-    assert sum(shape[0] for shape in stacks) == 26 + (6 + 8) * (delay != 0.0)
-    if delay == 0.0:
-        assert len(stacks) == 1
+    got = function(config)
+    shapes = {x.shape[0] for x in experiments._RowPlan(config).coordinates(0.0)}
+    assert len(stacks) == len(shapes)
+    # each figure on its own factors the source blocks again
+    monkeypatch.setattr(experiments._RowPlan, "_request", lambda self, *keys: None)
+    stacks.clear()
+    assert function(config) == got
+    assert len(stacks) == 2 * len(shapes)
 
 
 def test_after_splitter_matches_the_kronecker_spread(rng):
@@ -889,49 +931,70 @@ def test_distinguishable_four_fold_matches_fock_oracle(detector):
     assert abs(distinguishable_four_fold(config) - want) < 1e-6
 
 
-@pytest.mark.parametrize("axis, values", [("delay", [0.0, 0.4, 1.1]),
-                                          (experiments.PROBE_AXIS, [0.0, 1.0]),
-                                          ("bs_angle", [0.0, 0.3, math.pi / 4])])
+SWEEP_VALUES = {"delay": [0.0, 0.4, 1.1], "bs_angle": [0.0, 0.3, math.pi / 4],
+                "xi": [0.1, 0.2, 0.3], "loss": [0.0, 0.1, 0.3],
+                "filter_width": [1.0, 1.5, 2.0], experiments.PROBE_AXIS: [0.0, 1.0, 2.0]}
+
+
+@pytest.mark.parametrize("axis", experiments.SWEEP_AXES)
 @pytest.mark.parametrize("detector", DETECTORS)
-def test_stage_axis_sweep_builds_one_stage(monkeypatch, detector, axis, values):
+def test_sweep_decomposes_each_source_shape_once(monkeypatch, detector, axis):
+    """A sweep on any axis builds and decomposes the sources' one shape once,
+    and its CSV is byte for byte that of its rows swept one at a time; the
+    sources differ only in xi, so they have one shape."""
     config = lossy_waveguide_config(detector, delay=0.2)
+    config = dataclasses.replace(config, source_b=dataclasses.replace(config.source_a, xi=0.2))
+    calls = count_decompositions(monkeypatch)
     stages = count_stages(monkeypatch)
+    values = SWEEP_VALUES[axis]
     result = sweep(config, axis, values)
     text = result.to_csv()
-    assert len(stages) == 1
-    # neither the delay nor the beam-splitter touches the herald arms
-    assert len(set(result.column("p_herald"))) == 1
-    # one-value sweeps build their own stage and give the same bytes
+    assert sorted(calls) == ["build_jsa", "schmidt_decompose"]
+    # every row builds its own stage from the shared shape
+    assert len(stages) == len(values)
+    if axis in ("delay", "bs_angle", experiments.PROBE_AXIS):
+        # neither the delay nor the beam-splitter touches the herald arms
+        assert len(set(result.column("p_herald"))) == 1
+    # one-value sweeps decompose the shape for themselves and give the same bytes
     singles = [sweep(config, axis, [v]).to_csv().splitlines(keepends=True)
                for v in values]
-    assert len(stages) == 1 + len(values)
+    assert calls == ["build_jsa", "schmidt_decompose"] * (1 + len(values))
     assert text == singles[0][0] + "".join(lines[1] for lines in singles)
 
 
 def test_xi_sweep_builds_one_stage_per_row(monkeypatch):
+    """Each row of a power sweep scales the one shared decomposition by its xi."""
+    calls = count_decompositions(monkeypatch)
     stages = count_stages(monkeypatch)
     sweep(lossy_waveguide_config("threshold"), "xi", [0.1, 0.2, 0.3])
     assert [s.source_a.xi for s in stages] == [0.1, 0.2, 0.3]
+    assert sorted(calls) == ["build_jsa", "schmidt_decompose"]
 
 
-def test_only_stage_axes_take_a_stage():
+def test_every_axis_takes_shared_schmidt_data(monkeypatch):
+    """Schmidt data shared by another row, on any axis, changes no bit of a row."""
+    calls = count_decompositions(monkeypatch)
     config = lossy_waveguide_config("pnr")
-    stage = experiments._sources_and_channels(config)
-    with pytest.raises(ValueError, match="source stage"):
-        sweep_row(config, "xi", 0.2, visibilities=False, stage=stage)
-    shared = sweep_row(config, "delay", 0.5, False, stage=stage)
-    assert shared == sweep_row(config, "delay", 0.5, False)
-    # each row builds its own bases, so a shared stage changes no bit of a
-    # row, neither at delay 0, where the arms span fewer modes than there
-    # are bins, nor at a delay, where arms 1 and 2 together span every bin
+    shapes = {}
+    sweep_row(config, "delay", 0.5, False, shapes=shapes)
+    assert len(shapes) == 1
+    for axis in experiments.SWEEP_AXES:
+        calls.clear()
+        shared = sweep_row(config, axis, SWEEP_VALUES[axis][1], True, shapes=shapes)
+        assert calls == [] and len(shapes) == 1
+        assert shared == sweep_row(config, axis, SWEEP_VALUES[axis][1], True)
+    # each row builds its own stage and bases, so shared Schmidt data changes
+    # no bit of a row, neither at delay 0, where the arms span fewer modes
+    # than there are bins, nor at a delay, where arms 1 and 2 together span
+    # every bin
     for detector in DETECTORS:
         config = filter_study_config(0.3, detector=detector,
                                      n_bins=experiments.FILTER_STUDY_MIN_BINS)
-        stage = experiments._sources_and_channels(config)
+        shapes = {}
         for delay in (0.0, 2e-12, -7e-12, 13e-12):
-            rows = [x.shape[0] for x in experiments._RowPlan(config, stage).coordinates(delay)]
+            rows = [x.shape[0] for x in experiments._RowPlan(config, shapes).coordinates(delay)]
             assert (max(rows) < config.grid.n_bins) == (delay == 0.0)
-            shared = sweep_row(config, "delay", delay, True, stage=stage)
+            shared = sweep_row(config, "delay", delay, True, shapes=shapes)
             assert shared == sweep_row(config, "delay", delay, True)
 
 

@@ -116,6 +116,45 @@ def test_schmidt_reconstruction():
     assert np.all(np.diff(sd.values) <= 0)
 
 
+VARIANT_SPECS = {"gaussian": JsaSpec("gaussian", 0.3, 4.0, signal_center=0.0, idler_center=0.0),
+                 "waveguide": JsaSpec("waveguide", 0.3, 4.0, signal_center=0.0, idler_center=0.0,
+                                      walkoff=1.0),
+                 "double_lobe": JsaSpec("double_lobe", 0.3, 4.0, signal_center=0.0,
+                                        idler_center=0.5, lobe_separation=3.0,
+                                        relative_sign=-1)}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANT_SPECS))
+def test_real_jsa_decomposes_as_its_complex_cast(variant):
+    """Every model samples a real JSA; its real SVD and the complex SVD of
+    its complex cast give the same Schmidt values, and each reconstructs f."""
+    j = build_jsa(VARIANT_SPECS[variant], FrequencyGrid(0.0, 1.0, 9))
+    assert j.dtype == np.float64
+    real, cast = schmidt_decompose(j), schmidt_decompose(j.astype(complex))
+    assert real.u.dtype == real.vh.dtype == np.float64
+    assert cast.u.dtype == cast.vh.dtype == np.complex128
+    assert np.all(np.abs(real.values - cast.values) <= 1e-14 * real.values[0])
+    for sd in (real, cast):
+        assert np.max(np.abs((sd.u * sd.values) @ sd.vh - j)) <= 1e-15
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANT_SPECS))
+def test_squeezer_and_fock_state_accept_the_real_jsa(variant):
+    """The squeezer and the Fock-basis source built from the real JSA match
+    those of its complex cast."""
+    layout = ModeLayout(2, 3)
+    j = build_jsa(VARIANT_SPECS[variant], FrequencyGrid(0.0, 1.0, 3))
+    np.testing.assert_allclose(squeezer(j, 0, 1, layout).block,
+                               squeezer(j.astype(complex), 0, 1, layout).block,
+                               rtol=0, atol=1e-14)
+    # the Schmidt phases may differ, but every Fock amplitude is fixed by f
+    real, cast = (fock_from_jsa(f, 0, 1, layout, cutoff=3).amplitudes
+                  for f in (j, j.astype(complex)))
+    assert set(real) == set(cast)
+    for occupation, amplitude in cast.items():
+        assert abs(real[occupation] - amplitude) <= 1e-14, occupation
+
+
 def test_schmidt_decompose_rejects_non_finite():
     f = np.array([[np.nan, 0], [0, 0]], dtype=complex)
     with pytest.raises(ValueError, match="finite"):
