@@ -483,14 +483,15 @@ def _verify_csv_determinism() -> tuple[bool, str]:
     config = HhomConfig(spec, spec, grid)
     delays = [0.0, 2e-12]
     threshold = HhomConfig(spec, spec, grid, detector="threshold")
-    texts = []
-    for _ in range(2):
-        texts.append(experiments.sweep(config, "xi", [0.1, 0.2], visibilities=False).to_csv()
-                     + experiments.sweep(threshold, "delay", delays).to_csv())
-    # the delay sweep shares one Schmidt decomposition between its rows;
-    # one-row sweeps make their own, and the rows must not differ by a bit
-    singles = [experiments.sweep(threshold, "delay", [d]).to_csv().splitlines(keepends=True)
-               for d in delays]
+    # the first run and each one-row sweep start from an empty memo of Schmidt
+    # data, the second run takes the first's, and no row may differ by a bit
+    experiments._shape_modes.cache_clear()
+    texts = [experiments.sweep(config, "xi", [0.1, 0.2], visibilities=False).to_csv()
+             + experiments.sweep(threshold, "delay", delays).to_csv() for _ in range(2)]
+    singles = []
+    for d in delays:
+        experiments._shape_modes.cache_clear()
+        singles.append(experiments.sweep(threshold, "delay", [d]).to_csv().splitlines(True))
     ok = (texts[0] == texts[1]
           and texts[0].endswith(singles[0][0] + "".join(lines[1] for lines in singles)))
     return ok, ("byte-identical CSV" if ok else

@@ -9,21 +9,22 @@ of angle theta that mixes idlers (1, 2) before detection.
 The circuit splits into a source stage (sources, filters and loss) and a
 suffix (delay and beam-splitter).  The Schmidt basis of a source depends
 only on its JSA's shape and the grid, never on its squeezing xi, so each
-source shape (its ``JsaSpec`` with xi set aside) is decomposed once, in
-real arithmetic, as a unit-norm JSA, and its kept Schmidt values s and
-mode functions are shared by every row that has that shape
-(``_kept_modes``).  The stage of a row (``_sources_and_channels``) then
-costs only scalars: each source's strengths r = xi s, each arm's mode
-functions scaled by its passband, and each arm's loss amplitude.  Every
-element after the sources is linear in those mode functions, and a
-two-mode-squeezed state is fixed by them, so every state is written in
-closed form: the delay multiplies arm 1's functions by a spectral phase, a
-loss scales its arm's functions by its amplitude, and one writer
-(``_source_tildes``) gives source A on arms (0, 1) and source B on (3, 2).
-Such a source has no anomalous correlations once its idler is conjugated
-(a_i -> a_i^dag, p_i -> -p_i: an orthogonal reflection R), so R sigma_tilde R,
-sigma_tilde = V - 1, is the realification [[Re H, -Im H], [Im H, Re H]] of
-a complex Hermitian H, one row per mode: the passive form the writer
+source shape (its ``JsaSpec`` with xi set aside) is decomposed once per
+process, bounded, in real arithmetic, as a unit-norm JSA, and its kept
+Schmidt values s and mode functions are shared by every sweep, row and
+call on that shape (``_shape_modes``).  The stage of a row
+(``_sources_and_channels``) then costs only scalars: each source's
+strengths r = xi s, each arm's mode functions scaled by its passband,
+and each arm's loss amplitude.  Every element after the sources is
+linear in those mode functions, and a two-mode-squeezed state is fixed
+by them, so every state is written in closed form: the delay multiplies
+arm 1's functions by a spectral phase, a loss scales its arm's functions
+by its amplitude, and one writer (``_source_tildes``) gives source A on
+arms (0, 1) and source B on (3, 2).  Such a source has no anomalous
+correlations once its idler is conjugated (a_i -> a_i^dag, p_i -> -p_i:
+an orthogonal reflection R), so R sigma_tilde R, sigma_tilde = V - 1, is
+the realification [[Re H, -Im H], [Im H, Re H]] of a complex Hermitian
+H, one row per mode: the passive form the writer
 gives (``_realified`` undoes it for ``build_hhom``).  The beam-splitter
 spreads each idler over arms 1 and 2 with scalar weights
 (``_after_splitter``), a real rotation that commutes with R on both idler
@@ -34,7 +35,7 @@ Schmidt number rather than the bin count, where detection is exact: for
 block-diagonal bases B with orthonormal columns and T scalar on each arm,
 det(1 + T B C B^T T) = det(1 + T C T).  The stage and the coordinates are
 computed per row, so no row depends on whether its Schmidt data was
-shared.  The element-built circuit is the reference both match.
+memoized.  The element-built circuit is the reference both match.
 
 A sweep row builds no four-arm state: before the splitter the sources are
 independent, so each source's H is factored once per delay on its own
@@ -66,9 +67,7 @@ expm1(-2 (l + h)), so that no term is rounded near 1 before the
 cancellation (``detection.threshold_sums``).
 
 Every figure a sweep row needs comes from one stage: at the row's delay,
-with and without the beam-splitter.  A sweep along any axis decomposes
-each source shape once for all of its rows, and each row builds its own
-stage from those shapes, the same way as a row on its own.
+with and without the beam-splitter.
 
 The fully distinguishable (infinite-delay) limit is the circuit that
 splits each idler against a vacuum ancilla, with detectors A and B each
@@ -122,6 +121,8 @@ SPS_ANGLE_TOL = 1e-8
 # Schmidt modes with s_k <= SCHMIDT_CUT * s_0, the same cut as on r = xi s, are
 # dropped from the source stage
 SCHMIDT_CUT = 1e-12
+# source shapes ``_shape_modes`` keeps: a config has at most 2, a grid search tries a few grids
+_SHAPE_MEMO_SIZE = 8
 
 DETECTORS = ("pnr", "threshold")
 
@@ -198,7 +199,8 @@ def _kept_modes(sd: SchmidtData) -> tuple:
     same condition as the squeezer's S J S^T = J, and checked here instead.
     Modes with s_k <= ``SCHMIDT_CUT`` s_0 are dropped, the same cut as on
     r; the kept count and the dropped weight, sum of the dropped s_k^2
-    over all of them, are logged at DEBUG.
+    over all of them, are logged at DEBUG.  Read-only copies of the kept
+    values and columns are returned, so no n_f x n_f factor stays alive.
     """
     n_f = sd.values.size
     for name, w in (("U", sd.u), ("Vh", sd.vh)):
@@ -209,25 +211,34 @@ def _kept_modes(sd: SchmidtData) -> tuple:
     power = sd.values ** 2
     log.debug("source keeps %d of %d Schmidt modes; dropped weight sum s_k^2 = %.3e",
               kept, n_f, np.sum(power[kept:]) / np.sum(power))
-    return sd.values[:kept], sd.u[:, :kept], sd.vh[:kept].T
+    modes = tuple(a.copy(order="K")
+                  for a in (sd.values[:kept], sd.u[:, :kept], sd.vh[:kept].T))
+    for a in modes:
+        a.flags.writeable = False
+    return modes
 
 
-def _sources_and_channels(config: HhomConfig, shapes: dict | None = None) -> _Stage:
+@functools.lru_cache(maxsize=_SHAPE_MEMO_SIZE)
+def _shape_modes(shape: JsaSpec, grid: FrequencyGrid) -> tuple:
+    """``_kept_modes`` of a source shape (its spec at xi = 1) on ``grid``, once per process,
+    bounded: the Schmidt-cut log and ``build_jsa``'s coverage warning come on a shape's
+    first call only, and a call that raises keeps nothing."""
+    return _kept_modes(schmidt_decompose(build_jsa(shape, grid)))
+
+
+def _sources_and_channels(config: HhomConfig) -> _Stage:
     """The source stage: both pair sources, the bandpass filters and per-arm loss.
 
     Every state and row of a configuration is written from it, and it
     does not depend on the delay or the beam-splitter angle.  A source's
-    shape is its spec with xi set aside; the kept Schmidt data
-    (``_kept_modes``) of its unit-norm JSA, built at xi = 1, is taken from
-    ``shapes``, a dict keyed by shape and grid, or decomposed and stored
-    there, so sources that differ only in xi share one decomposition.  A
-    source of xi > 0 then has the strengths r = xi s; a source of xi = 0
-    is vacuum, with no kept modes.  A filter, diagonal on the bins, scales
-    each row of its arm's mode functions by the passband; a loss is the
-    arm's scalar amplitude.  The element-built circuit (``squeezer``,
-    ``bandpass_filter``, ``loss``) gives the same state.
+    shape is its spec with xi set aside, and its kept Schmidt data comes
+    from the memo ``_shape_modes``, so sources and rows that differ only in
+    xi share one decomposition.  A source of xi > 0 then has the strengths
+    r = xi s; a source of xi = 0 is vacuum, with no kept modes.  A filter,
+    diagonal on the bins, scales each row of its arm's mode functions by
+    the passband; a loss is the arm's scalar amplitude.  The element-built
+    circuit (``squeezer``, ``bandpass_filter``, ``loss``) gives the same state.
     """
-    shapes = {} if shapes is None else shapes
     n_f = config.grid.n_bins
     t = np.ones((N_SPATIAL, n_f))
     if config.filter_modes:
@@ -238,10 +249,7 @@ def _sources_and_channels(config: HhomConfig, shapes: dict | None = None) -> _St
                              (config.source_b, SOURCE_B_ARMS)):
         s, u, v = np.zeros(0), np.zeros((n_f, 0)), np.zeros((n_f, 0))
         if spec.xi > 0:
-            shape = (dataclasses.replace(spec, xi=1.0), config.grid)
-            if shape not in shapes:
-                shapes[shape] = _kept_modes(schmidt_decompose(build_jsa(shape[0], config.grid)))
-            s, u, v = shapes[shape]
+            s, u, v = _shape_modes(dataclasses.replace(spec, xi=1.0), config.grid)
         r = spec.xi * s
         excess, pairing = 2 * np.sinh(r) ** 2, np.sinh(2 * r)
         if not (np.all(np.isfinite(excess)) and np.all(np.isfinite(pairing))):
@@ -434,17 +442,14 @@ class _RowPlan:
     A plan writes, checks and factors each source's passive form once per
     delay, in the arms' coordinates at that delay (``source_factors``), and
     each angle's figures come from those factors (module docstring).  The
-    plan builds its stage on first use and keeps it, from the Schmidt data
-    in ``shapes``: a sweep passes in the dict it shares between its rows,
-    so a row's figures do not depend on whether its shapes were shared.  A
-    plan serves one sweep row or one public call and holds no state beyond
-    it.  Its figures are keyed by (delay, angle); with threshold detectors
-    the key (delay, None) holds the plateau's four-fold.
+    plan builds its stage on first use and keeps it.  A plan serves one
+    sweep row or one public call and holds no state beyond it.  Its figures
+    are keyed by (delay, angle); with threshold detectors the key
+    (delay, None) holds the plateau's four-fold.
     """
 
-    def __init__(self, config: HhomConfig, shapes: dict | None = None):
+    def __init__(self, config: HhomConfig):
         self.config = config
-        self._shapes = shapes
         self._stage = None
         self._factors = {}
         self._figures = {}
@@ -453,7 +458,7 @@ class _RowPlan:
     def stage(self) -> _Stage:
         """The source stage, built on first use and kept."""
         if self._stage is None:
-            self._stage = _sources_and_channels(self.config, self._shapes)
+            self._stage = _sources_and_channels(self.config)
         return self._stage
 
     def coordinates(self, delay: float) -> tuple:
@@ -832,10 +837,9 @@ def sweep(config: HhomConfig, axis: str, values: Sequence[float],
     and both visibilities.  Rows are evaluated one at a time, in order.
     ``axis="probe"`` evaluates the configuration as given, once per value.
 
-    No axis changes a source's shape, so the sweep decomposes each shape
-    once (``_sources_and_channels``) and hands the Schmidt data to every row; it
-    is dropped when the sweep returns.  Each row scales it by its own xi,
-    passbands and losses, as a row on its own does.
+    No axis changes a source's shape, so every row takes the same Schmidt
+    data, decomposed once per process, bounded (``_shape_modes``), and
+    scales it by its own xi, passbands and losses, as a row on its own does.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
@@ -845,20 +849,17 @@ def sweep(config: HhomConfig, axis: str, values: Sequence[float],
     if visibilities is None:
         visibilities = axis not in ("delay", "bs_angle")
 
-    shapes = {}
-    rows = [sweep_row(config, axis, v, visibilities, shapes=shapes) for v in values]
+    rows = [sweep_row(config, axis, v, visibilities) for v in values]
     return SweepResult(axis, tuple(rows), config.detector, config.config_hash())
 
 
 def sweep_row(config: HhomConfig, axis: str, value: float,
-              visibilities: bool, shapes: dict | None = None) -> dict:
+              visibilities: bool) -> dict:
     """Figures of merit of one sweep point, as a CSV-contract row dict.
 
     ``axis="probe"`` evaluates the configuration as given, under the
-    param label ``probe``.  ``shapes``, if given, is a dict of Schmidt data
-    per source shape (``_sources_and_channels``) shared with other rows on the
-    same grid; the row fills in what it lacks.  The row's bytes do not
-    depend on it.
+    param label ``probe``.  Its bytes do not depend on whether its sources'
+    shapes were already memoized (``_shape_modes``).
     """
-    plan = _RowPlan(_with_axis_value(config, axis, float(value)), shapes)
+    plan = _RowPlan(_with_axis_value(config, axis, float(value)))
     return plan.row(axis, float(value), visibilities)

@@ -31,6 +31,7 @@ from gausshom.core import (
     apply,
     vacuum_state,
 )
+from gausshom import experiments
 from gausshom.detection import probability
 from gausshom.elements import (
     bandpass_filter,
@@ -158,3 +159,11 @@ def random_jsa(rng: np.random.Generator, n_f: int, xi: float) -> np.ndarray:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(autouse=True)
+def empty_shape_memo():
+    """Start every test from an empty process memo of source shapes, so that
+    counts of JSA builds and Schmidt decompositions, and the log and warnings
+    of a shape's first decomposition, do not depend on the tests run before."""
+    experiments._shape_modes.cache_clear()

@@ -288,9 +288,9 @@ def test_visibility_row_builds_and_detects_each_distinct_state_once(monkeypatch,
     pnr_factor, pnr_series = experiments.pnr_factor, experiments.pnr_series
     source_vacuum_blocks = experiments.source_vacuum_blocks
 
-    def counting_stage(config, shapes=None):
+    def counting_stage(config):
         stages.append(config)
-        return stage(config, shapes)
+        return stage(config)
 
     # the lists keep every detected state and matrix alive, so their ids stay distinct
     def counting_vacuum(state, subsets):
@@ -380,9 +380,9 @@ def count_stages(monkeypatch) -> list:
     stages = []
     stage = experiments._sources_and_channels
 
-    def counting_stage(config, shapes=None):
+    def counting_stage(config):
         stages.append(config)
-        return stage(config, shapes)
+        return stage(config)
 
     monkeypatch.setattr(experiments, "_sources_and_channels", counting_stage)
     return stages
@@ -423,6 +423,7 @@ def test_identical_sources_share_one_schmidt_decomposition(monkeypatch):
     for config, n_shapes in ((identical, 1),
                              (dataclasses.replace(identical, source_b=weaker), 1),
                              (dataclasses.replace(identical, source_b=gaussian), 2)):
+        experiments._shape_modes.cache_clear()
         calls.clear()
         experiments._sources_and_channels(config)
         assert sorted(calls) == ["build_jsa"] * n_shapes + ["schmidt_decompose"] * n_shapes
@@ -955,9 +956,12 @@ def test_sweep_decomposes_each_source_shape_once(monkeypatch, detector, axis):
     if axis in ("delay", "bs_angle", experiments.PROBE_AXIS):
         # neither the delay nor the beam-splitter touches the herald arms
         assert len(set(result.column("p_herald"))) == 1
-    # one-value sweeps decompose the shape for themselves and give the same bytes
-    singles = [sweep(config, axis, [v]).to_csv().splitlines(keepends=True)
-               for v in values]
+    # one-value sweeps from an empty memo decompose the shape for themselves
+    # and give the same bytes
+    singles = []
+    for v in values:
+        experiments._shape_modes.cache_clear()
+        singles.append(sweep(config, axis, [v]).to_csv().splitlines(keepends=True))
     assert calls == ["build_jsa", "schmidt_decompose"] * (1 + len(values))
     assert text == singles[0][0] + "".join(lines[1] for lines in singles)
 
@@ -972,17 +976,18 @@ def test_xi_sweep_builds_one_stage_per_row(monkeypatch):
 
 
 def test_every_axis_takes_shared_schmidt_data(monkeypatch):
-    """Schmidt data shared by another row, on any axis, changes no bit of a row."""
+    """Schmidt data that another row left in the memo, on any axis, changes
+    no bit of a row: each warm row equals the same row from an empty memo."""
     calls = count_decompositions(monkeypatch)
     config = lossy_waveguide_config("pnr")
-    shapes = {}
-    sweep_row(config, "delay", 0.5, False, shapes=shapes)
-    assert len(shapes) == 1
+    sweep_row(config, "delay", 0.5, False)
     for axis in experiments.SWEEP_AXES:
         calls.clear()
-        shared = sweep_row(config, axis, SWEEP_VALUES[axis][1], True, shapes=shapes)
-        assert calls == [] and len(shapes) == 1
-        assert shared == sweep_row(config, axis, SWEEP_VALUES[axis][1], True)
+        warm = sweep_row(config, axis, SWEEP_VALUES[axis][1], True)
+        assert calls == []
+        experiments._shape_modes.cache_clear()
+        assert warm == sweep_row(config, axis, SWEEP_VALUES[axis][1], True)
+        assert sorted(calls) == ["build_jsa", "schmidt_decompose"]
     # each row builds its own stage and bases, so shared Schmidt data changes
     # no bit of a row, neither at delay 0, where the arms span fewer modes
     # than there are bins, nor at a delay, where arms 1 and 2 together span
@@ -990,12 +995,80 @@ def test_every_axis_takes_shared_schmidt_data(monkeypatch):
     for detector in DETECTORS:
         config = filter_study_config(0.3, detector=detector,
                                      n_bins=experiments.FILTER_STUDY_MIN_BINS)
-        shapes = {}
         for delay in (0.0, 2e-12, -7e-12, 13e-12):
-            rows = [x.shape[0] for x in experiments._RowPlan(config, shapes).coordinates(delay)]
+            rows = [x.shape[0] for x in experiments._RowPlan(config).coordinates(delay)]
             assert (max(rows) < config.grid.n_bins) == (delay == 0.0)
-            shared = sweep_row(config, "delay", delay, True, shapes=shapes)
-            assert shared == sweep_row(config, "delay", delay, True)
+            warm = sweep_row(config, "delay", delay, True)
+            experiments._shape_modes.cache_clear()
+            assert warm == sweep_row(config, "delay", delay, True)
+
+
+@pytest.mark.parametrize("detector", DETECTORS)
+def test_later_sweeps_and_states_take_the_memoized_shape(monkeypatch, detector):
+    """A second sweep of a shape, and ``build_hhom`` after it, neither build
+    nor decompose a JSA, and give the rows and V of an empty memo byte for byte."""
+    calls = count_decompositions(monkeypatch)
+    config = lossy_waveguide_config(detector, delay=0.2)
+    cold = sweep(config, "xi", [0.1, 0.3])
+    experiments._shape_modes.cache_clear()
+    cold_v = build_hhom(config).v
+    assert calls == ["build_jsa", "schmidt_decompose"] * 2
+    calls.clear()
+    warm = sweep(config, "xi", [0.1, 0.3])
+    warm_v = build_hhom(config).v
+    assert calls == []
+    assert warm.rows == cold.rows and warm.to_csv() == cold.to_csv()
+    assert warm_v.tobytes() == cold_v.tobytes()
+
+
+def test_memoized_schmidt_data_is_a_read_only_copy_of_the_kept_modes():
+    """The memo keeps compact copies of the kept columns, not views of the full
+    factors, and a caller cannot write into them."""
+    config = filter_study_config(0.3, n_bins=experiments.FILTER_STUDY_MIN_BINS)
+    shape = dataclasses.replace(config.source_a, xi=1.0)
+    sd = schmidt_decompose(build_jsa(shape, config.grid))
+    s, u, v = experiments._shape_modes(shape, config.grid)
+    kept = s.size
+    assert 0 < kept < sd.values.size
+    for got, want in ((s, sd.values[:kept]), (u, sd.u[:, :kept]), (v, sd.vh[:kept].T)):
+        assert np.array_equal(got, want)
+        assert got.base is None and got.nbytes == want.nbytes
+        assert got.flags.c_contiguous or got.flags.f_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = 0.0
+    assert experiments._shape_modes(shape, config.grid)[1] is u
+
+
+def test_a_failing_shape_raises_on_every_call(monkeypatch):
+    """A shape that cannot be decomposed, on a grid too coarse for it, is
+    never memoized: every call builds its JSA again and raises."""
+    calls = count_decompositions(monkeypatch)
+    config = lossy_waveguide_config("pnr")
+    coarse = dataclasses.replace(config, grid=FrequencyGrid(0.0, 2.0, 5))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="too coarse"):
+            sweep_row(coarse, experiments.PROBE_AXIS, 0.0, False)
+    assert calls == ["build_jsa", "build_jsa"]
+    assert experiments._shape_modes.cache_info().currsize == 0
+
+
+def test_the_memo_keeps_the_last_shapes_only(monkeypatch):
+    """After one shape more than the bound, the first shape is decomposed again."""
+    calls = count_decompositions(monkeypatch)
+    grid = FrequencyGrid(0.0, 1.0, 5)
+    shapes = [stage_source("gaussian", 1.0, 0.0), stage_source("waveguide", 1.0, 0.0)]
+    shapes += [stage_source("double_lobe", 1.0, float(k))
+               for k in range(experiments._SHAPE_MEMO_SIZE - 1)]
+    assert len(set(shapes)) == experiments._SHAPE_MEMO_SIZE + 1
+    for shape in shapes:
+        experiments._shape_modes(shape, grid)
+    assert calls == ["build_jsa", "schmidt_decompose"] * len(shapes)
+    calls.clear()
+    for shape in shapes[1:]:
+        experiments._shape_modes(shape, grid)
+    assert calls == []
+    experiments._shape_modes(shapes[0], grid)
+    assert calls == ["build_jsa", "schmidt_decompose"]
 
 
 @pytest.mark.parametrize("delay", [0.0, 13e-12])
